@@ -327,21 +327,19 @@ let e8 () =
         Distlock_sim.Workload.make rng ~db ~style ~num_txns:6
           ~entities_per_txn:3
       in
-      let s =
-        Distlock_sim.Workload.measure ~seeds:(List.init 30 Fun.id) sys
-      in
-      pf "%-24s %6d %11d %8d %10d %8d\n" label s.Distlock_sim.Workload.runs
-        s.Distlock_sim.Workload.violations
-        s.Distlock_sim.Workload.total_aborts
-        s.Distlock_sim.Workload.total_deadlocks
-        s.Distlock_sim.Workload.total_ticks)
+      let s = Distlock_sim.Esim.measure ~seeds:(List.init 30 Fun.id) sys in
+      pf "%-24s %6d %11d %8d %10d %8d\n" label s.Distlock_sim.Esim.runs
+        s.Distlock_sim.Esim.violations s.Distlock_sim.Esim.total_aborts
+        s.Distlock_sim.Esim.total_deadlocks s.Distlock_sim.Esim.total_ticks)
     [
       ("two-phase", Distlock_sim.Workload.Two_phase);
       ("sequential sections", Distlock_sim.Workload.Sequential);
       ("random locked (0.3)", Distlock_sim.Workload.Random_locked 0.3);
     ]
 
-(* E8c: closed-loop throughput per locking style *)
+(* E8c: closed-loop throughput per locking style: 20 batches of 5 fresh
+   transactions, each run to completion before the next; throughput is
+   committed transactions per 1000 scheduling ticks. *)
 
 let e8c () =
   rule "E8c: closed-loop throughput per locking style (20 rounds x 5 txns)";
@@ -353,14 +351,27 @@ let e8c () =
       let db = Database.create () in
       Database.add_all db
         (List.init 8 (fun i -> (Printf.sprintf "e%d" i, 1 + (i mod 3))));
-      let t =
-        Distlock_sim.Workload.closed_loop rng ~db ~style ~num_txns:5
-          ~entities_per_txn:3 ~rounds:20 ()
-      in
-      pf "%-24s %9d %8d %18.1f %8d/%d\n" label t.Distlock_sim.Workload.committed
-        t.Distlock_sim.Workload.total_ticks
-        t.Distlock_sim.Workload.commits_per_kilotick
-        t.Distlock_sim.Workload.violation_rounds t.Distlock_sim.Workload.rounds)
+      let committed = ref 0 and ticks = ref 0 in
+      let violations = ref 0 and rounds = ref 0 in
+      for round = 1 to 20 do
+        let sys =
+          Distlock_sim.Workload.make rng ~db ~style ~num_txns:5
+            ~entities_per_txn:3
+        in
+        match
+          Distlock_sim.Esim.run ~policy:(Distlock_sim.Engine.Random round) sys
+        with
+        | Error _ -> ()
+        | Ok o ->
+            incr rounds;
+            committed := !committed + o.Distlock_sim.Esim.stats.commits;
+            ticks := !ticks + o.Distlock_sim.Esim.stats.ticks;
+            if not o.Distlock_sim.Esim.serializable then incr violations
+      done;
+      pf "%-24s %9d %8d %18.1f %8d/%d\n" label !committed !ticks
+        (if !ticks = 0 then 0.
+         else 1000. *. float_of_int !committed /. float_of_int !ticks)
+        !violations !rounds)
     [
       ("two-phase", Distlock_sim.Workload.Two_phase);
       ("sequential sections", Distlock_sim.Workload.Sequential);
@@ -382,21 +393,28 @@ let e8b () =
   List.iter
     (fun delay ->
       let seeds = List.init 30 Fun.id in
-      let violations = ref 0 and ticks = ref 0 and runs = ref 0 in
+      let violations = ref 0 and makespan = ref 0 and runs = ref 0 in
+      let scenario =
+        {
+          Distlock_sim.Scenario.default with
+          latency =
+            Distlock_sim.Latency.make (Distlock_sim.Latency.Constant delay);
+        }
+      in
       List.iter
         (fun seed ->
           match
-            Distlock_sim.Engine.run ~policy:(Distlock_sim.Engine.Random seed)
-              ~cross_site_delay:delay sys
+            Distlock_sim.Esim.run ~policy:(Distlock_sim.Engine.Random seed)
+              ~scenario sys
           with
           | Error _ -> ()
           | Ok o ->
               incr runs;
-              if not o.Distlock_sim.Engine.serializable then incr violations;
-              ticks := !ticks + o.Distlock_sim.Engine.stats.Distlock_sim.Engine.ticks)
+              if not o.Distlock_sim.Esim.serializable then incr violations;
+              makespan := !makespan + o.Distlock_sim.Esim.stats.makespan)
         seeds;
       pf "%8d %9d/%d %11.1f\n" delay !violations !runs
-        (float_of_int !ticks /. float_of_int (max 1 !runs)))
+        (float_of_int !makespan /. float_of_int (max 1 !runs)))
     [ 0; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1386,7 +1404,7 @@ let bechamel_benches () =
       Test.make ~name:"E8/simulate-fig1"
         (Staged.stage (fun () ->
              ignore
-               (Distlock_sim.Engine.run
+               (Distlock_sim.Esim.run
                   ~policy:(Distlock_sim.Engine.Random 3) fig1)));
       Test.make ~name:"graph/scc-512"
         (Staged.stage (fun () -> ignore (Distlock_graph.Scc.compute g512)));

@@ -1055,7 +1055,7 @@ let simulate_cmd =
       & opt backend_conv Distlock_sim.Scenario.Instant
       & info [ "backend" ] ~docv:"KIND"
           ~doc:
-            "Lock backend: $(b,instant) (legacy in-memory manager, locks \
+            "Lock backend: $(b,instant) (perfect in-memory manager, locks \
              never lost), $(b,leased) (TTL leases; a crashed holder's \
              locks expire and pass to waiters), or $(b,bakery) \
              (arrival-order tickets, no expiry)")

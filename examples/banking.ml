@@ -66,7 +66,11 @@ let report label sys =
   | Twosite.Unsafe cert ->
       Printf.printf "Theorem 2: UNSAFE\n";
       Format.printf "%a@." (Certificate.pp sys) cert);
-  let rate = Distlock_sim.Engine.violation_rate sys in
+  let rate =
+    Distlock_sim.Esim.violation_fraction
+      (Distlock_sim.Esim.measure ~precheck:false ~seeds:(List.init 100 Fun.id)
+         sys)
+  in
   Printf.printf "simulator: %.0f%% of 100 random runs non-serializable\n"
     (100. *. rate)
 
@@ -92,10 +96,10 @@ let () =
     System.make db4
       [ two_phase (transfer db4 ~eager:true); two_phase (audit db4 ~eager:true) ]
   in
-  (match Distlock_sim.Engine.run ~policy:(Distlock_sim.Engine.Random 7) traced with
+  (match Distlock_sim.Esim.run ~policy:(Distlock_sim.Engine.Random 7) traced with
   | Error m -> Printf.printf "run failed: %s\n" m
   | Ok o ->
-      let report = Distlock_sim.Trace.analyze traced o.Distlock_sim.Engine.trace in
+      let report = Distlock_sim.Trace.analyze traced o.Distlock_sim.Esim.trace in
       Format.printf "%a@." (Distlock_sim.Trace.pp_report traced) report);
 
   (* Throughput view: many instances under the simulator. *)
@@ -110,8 +114,8 @@ let () =
         Distlock_sim.Workload.make rng ~db:wdb ~style ~num_txns:6
           ~entities_per_txn:3
       in
-      let summary = Distlock_sim.Workload.measure sys in
-      Format.printf "%-22s %a@." label Distlock_sim.Workload.pp_summary summary)
+      let summary = Distlock_sim.Esim.measure sys in
+      Format.printf "%-22s %a@." label Distlock_sim.Esim.pp_summary summary)
     [
       ("two-phase:", Distlock_sim.Workload.Two_phase);
       ("sequential sections:", Distlock_sim.Workload.Sequential);

@@ -59,7 +59,11 @@ let report label sys =
       Printf.printf "oracle: UNSAFE, e.g.\n  %s\n"
         (Distlock_sched.Schedule.to_string sys h)
   | Brute.Exhausted _ -> Printf.printf "oracle: (too many schedules)\n");
-  let rate = Distlock_sim.Engine.violation_rate sys in
+  let rate =
+    Distlock_sim.Esim.violation_fraction
+      (Distlock_sim.Esim.measure ~precheck:false ~seeds:(List.init 100 Fun.id)
+         sys)
+  in
   Printf.printf "simulator: %.0f%% non-serializable histories\n" (100. *. rate)
 
 let () =

@@ -57,7 +57,11 @@ let () =
   | Twosite.Unsafe _ -> Printf.printf "still unsafe?!\n");
 
   (* Watch both under the lock-manager simulator. *)
-  let rate sys = Distlock_sim.Engine.violation_rate sys in
+  let rate sys =
+    Distlock_sim.Esim.violation_fraction
+      (Distlock_sim.Esim.measure ~precheck:false ~seeds:(List.init 100 Fun.id)
+         sys)
+  in
   Printf.printf
     "\nsimulator, 100 random schedules each:\n\
     \  unlocked-early version: %.0f%% non-serializable histories\n\

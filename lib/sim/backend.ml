@@ -26,8 +26,7 @@ module type S = sig
 
   val queues : bool
   (** Whether [acquire] can return [Queued]. The instant backend never
-      queues — a denied request is simply not a choice this tick, which
-      is what the legacy engine models. *)
+      queues — a denied request is simply not a choice this tick. *)
 
   val acquire :
     t -> now:int -> owner:int -> ready_at:int -> Database.entity -> grant
@@ -76,7 +75,7 @@ let forfeit (B ((module M), s)) ~owner = M.forfeit s ~owner
 let drain (B ((module M), s)) ~now = M.drain s ~now
 let next_wakeup (B ((module M), s)) = M.next_wakeup s
 
-(* ---- Instant: the legacy manager. ---- *)
+(* ---- Instant: a perfect in-memory lock table. ---- *)
 
 module Instant_impl = struct
   type t = { holder : int array }

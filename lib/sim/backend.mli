@@ -25,8 +25,7 @@ module type S = sig
 
   val queues : bool
   (** Whether [acquire] can return [Queued]. When [false] (instant
-      backend) a denied lock is simply not an enabled choice, exactly as
-      in the legacy engine. *)
+      backend) a denied lock is simply not an enabled choice. *)
 
   val acquire :
     t -> now:int -> owner:int -> ready_at:int -> Database.entity -> grant
@@ -80,8 +79,8 @@ val drain : t -> now:int -> notice list
 val next_wakeup : t -> int option
 
 val instant : Database.t -> t
-(** The legacy manager: grants iff the entity is free or re-entrant,
-    never queues, ignores crashes, locks never expire. *)
+(** A perfect in-memory lock table: grants iff the entity is free or
+    re-entrant, never queues, ignores crashes, locks never expire. *)
 
 val leased : Database.t -> ttl:int -> t
 (** FIFO queue per entity; locks held by a crashed worker expire [ttl]

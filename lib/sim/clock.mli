@@ -1,11 +1,11 @@
 (** The simulator's clock/event-queue layer.
 
-    A priority queue of timestamped events replacing the legacy engine's
-    lockstep tick: time advances by popping the earliest pending event,
-    so idle stretches cost nothing. Events at equal times pop in the
-    order they were scheduled (an internal sequence stamp breaks ties),
-    which makes every simulation built on this layer deterministic given
-    its seed — no iteration-order or wall-clock dependence. *)
+    A priority queue of timestamped events in place of a lockstep tick:
+    time advances by popping the earliest pending event, so idle
+    stretches cost nothing. Events at equal times pop in the order they
+    were scheduled (an internal sequence stamp breaks ties), which makes
+    every simulation built on this layer deterministic given its seed —
+    no iteration-order or wall-clock dependence. *)
 
 type 'a t
 

@@ -1,441 +1,4 @@
-open Distlock_txn
-open Distlock_sched
-module Obs = Distlock_obs.Obs
-module A = Distlock_obs.Attr
-module M = Distlock_obs.Metric
-
-(* Whole-process simulator counters in the global registry, exported by
-   the CLI's [--metrics]. Bumped once per run, not per tick. *)
-let m_runs =
-  lazy
-    (Distlock_obs.Registry.counter Obs.global
-       ~help:"Simulator runs completed" "distlock_sim_runs_total")
-
-let m_ticks =
-  lazy
-    (Distlock_obs.Registry.counter Obs.global
-       ~help:"Simulator scheduling ticks taken" "distlock_sim_ticks_total")
-
-let m_commits =
-  lazy
-    (Distlock_obs.Registry.counter Obs.global
-       ~help:"Transaction instances committed" "distlock_sim_commits_total")
-
-let m_aborts =
-  lazy
-    (Distlock_obs.Registry.counter Obs.global
-       ~help:"Deadlock-victim aborts" "distlock_sim_aborts_total")
-
-let m_deadlocks =
-  lazy
-    (Distlock_obs.Registry.counter Obs.global
-       ~help:"Wait-for cycles detected" "distlock_sim_deadlocks_total")
-
-type policy = Round_robin | Random of int
-
-type stats = {
-  ticks : int;
-  commits : int;
-  aborts : int;
-  deadlocks : int;
-}
-
-type outcome = {
-  history : Schedule.t;
-  serializable : bool;
-  stats : stats;
-  trace : Trace.event list;
-}
-
-type instance = {
-  txn_index : int;
-  txn : Txn.t;
-  mutable done_ : bool array;
-  mutable done_tick : int array;
-  mutable executed : int;
-  mutable events : int list; (* step indices of the current attempt, reversed *)
-  mutable committed : bool;
-  mutable birth : int; (* tick of the current attempt's start *)
-  mutable attempt : int;
-}
-
-let fresh_attempt inst tick =
-  inst.done_ <- Array.make (Txn.num_steps inst.txn) false;
-  inst.done_tick <- Array.make (Txn.num_steps inst.txn) 0;
-  inst.executed <- 0;
-  inst.events <- [];
-  inst.birth <- tick;
-  inst.attempt <- inst.attempt + 1
-
-(* `Ready: all predecessors executed and any cross-site results have had
-   time to arrive; `Awaiting_message: executed but a cross-site
-   predecessor's notification is still in flight; `Blocked_order:
-   some predecessor has not run. *)
-let pred_status db ~delay ~now inst s =
-  let site_of q = Database.site db (Txn.step inst.txn q).Step.entity in
-  let status = ref `Ready in
-  for p = 0 to Txn.num_steps inst.txn - 1 do
-    if Txn.precedes inst.txn p s then
-      if not inst.done_.(p) then status := `Blocked_order
-      else if
-        delay > 0
-        && site_of p <> site_of s
-        && inst.done_tick.(p) + delay > now
-        && !status = `Ready
-      then status := `Awaiting_message
-  done;
-  !status
-
-(* The lock table: entity -> holding instance index. One logical table
-   suffices for simulation — partitioning it per site changes nothing
-   observable in this model, since each entity lives at exactly one
-   site. *)
-let run ?(policy = Round_robin) ?(max_aborts = 1000) ?(cross_site_delay = 0)
-    ?(check_serializability = true) sys =
-  let sp =
-    Obs.start_span "sim.run"
-      ~attrs:(fun () ->
-        [
-          A.str "policy"
-            (match policy with
-            | Round_robin -> "round-robin"
-            | Random seed -> Printf.sprintf "random(%d)" seed);
-          A.int "txns" (System.num_txns sys);
-          A.int "cross_site_delay" cross_site_delay;
-        ])
-  in
-  let n = System.num_txns sys in
-  let instances =
-    Array.init n (fun i ->
-        let txn = System.txn sys i in
-        {
-          txn_index = i;
-          txn;
-          done_ = Array.make (Txn.num_steps txn) false;
-          done_tick = Array.make (Txn.num_steps txn) 0;
-          executed = 0;
-          events = [];
-          committed = false;
-          birth = 0;
-          attempt = 1;
-        })
-  in
-  let holder : (Database.entity, int) Hashtbl.t = Hashtbl.create 16 in
-  let rng =
-    match policy with
-    | Random seed -> Some (Random.State.make [| seed |])
-    | Round_robin -> None
-  in
-  let ticks = ref 0 and aborts = ref 0 and blocks = ref 0 in
-  let global_log = ref [] in
-  let trace = ref [] in
-  let rr_cursor = ref 0 in
-  let was_blocked = Array.make n false in
-  (* A step is enabled if its predecessors ran and, for a lock, the entity
-     is free or already ours (the latter cannot happen on well-formed
-     transactions). Blocked = the instance's only frontier steps are locks
-     on entities held by others. *)
-  let db = System.db sys in
-  let enabled_steps inst =
-    if inst.committed then []
-    else begin
-      let acc = ref [] in
-      for s = 0 to Txn.num_steps inst.txn - 1 do
-        if
-          (not inst.done_.(s))
-          && pred_status db ~delay:cross_site_delay ~now:!ticks inst s = `Ready
-        then begin
-          let step = Txn.step inst.txn s in
-          match step.Step.action with
-          | Step.Lock -> (
-              match Hashtbl.find_opt holder step.Step.entity with
-              | Some h when h <> inst.txn_index -> () (* blocked on this one *)
-              | _ -> acc := s :: !acc)
-          | Step.Unlock | Step.Update -> acc := s :: !acc
-        end
-      done;
-      List.rev !acc
-    end
-  in
-  let awaiting_message inst =
-    (not inst.committed)
-    && begin
-         let found = ref false in
-         for s = 0 to Txn.num_steps inst.txn - 1 do
-           if
-             (not inst.done_.(s))
-             && pred_status db ~delay:cross_site_delay ~now:!ticks inst s
-                = `Awaiting_message
-           then found := true
-         done;
-         !found
-       end
-  in
-  let blocked_on inst =
-    (* entities whose holders this instance is waiting for *)
-    let acc = ref [] in
-    for s = 0 to Txn.num_steps inst.txn - 1 do
-      if
-        (not inst.done_.(s))
-        && pred_status db ~delay:cross_site_delay ~now:!ticks inst s = `Ready
-      then begin
-        let step = Txn.step inst.txn s in
-        if step.Step.action = Step.Lock then
-          match Hashtbl.find_opt holder step.Step.entity with
-          | Some h when h <> inst.txn_index -> acc := h :: !acc
-          | _ -> ()
-      end
-    done;
-    !acc
-  in
-  let release_all inst =
-    Hashtbl.iter
-      (fun e h -> if h = inst.txn_index then Hashtbl.remove holder e)
-      (Hashtbl.copy holder)
-  in
-  let step_attrs inst (step : Step.t) () =
-    [
-      A.int "tick" !ticks;
-      A.str "txn" (Txn.name inst.txn);
-      A.str "entity" (Database.name db step.Step.entity);
-      A.int "site" (Database.site db step.Step.entity);
-      A.int "attempt" inst.attempt;
-    ]
-  in
-  let execute inst s =
-    let step = Txn.step inst.txn s in
-    (match step.Step.action with
-    | Step.Lock ->
-        Hashtbl.replace holder step.Step.entity inst.txn_index;
-        Obs.event ~level:Obs.Debug ~attrs:(step_attrs inst step)
-          "sim.lock.acquire"
-    | Step.Unlock ->
-        Hashtbl.remove holder step.Step.entity;
-        Obs.event ~level:Obs.Debug ~attrs:(step_attrs inst step)
-          "sim.lock.release"
-    | Step.Update -> ());
-    inst.done_.(s) <- true;
-    inst.done_tick.(s) <- !ticks;
-    inst.executed <- inst.executed + 1;
-    inst.events <- s :: inst.events;
-    global_log := (inst.txn_index, s) :: !global_log;
-    trace :=
-      {
-        Trace.tick = !ticks;
-        txn = inst.txn_index;
-        step = s;
-        site = Database.site (System.db sys) step.Step.entity;
-        attempt = inst.attempt;
-      }
-      :: !trace;
-    if inst.executed = Txn.num_steps inst.txn then begin
-      inst.committed <- true;
-      Obs.event
-        ~attrs:(fun () ->
-          [
-            A.int "tick" !ticks;
-            A.str "txn" (Txn.name inst.txn);
-            A.int "attempt" inst.attempt;
-          ])
-        "sim.txn.commit"
-    end
-  in
-  let abort_victim () =
-    (* Build the wait-for graph, find a cycle, abort the youngest member
-       of that cycle: a victim outside the cycle (e.g. a just-restarted
-       instance re-blocking on a cycle member) would not break the
-       deadlock. *)
-    let wf = Distlock_graph.Digraph.create n in
-    Array.iter
-      (fun inst ->
-        if not inst.committed then
-          List.iter
-            (fun h -> Distlock_graph.Digraph.add_arc wf inst.txn_index h)
-            (blocked_on inst))
-      instances;
-    let victim =
-      match Distlock_graph.Topo.find_cycle wf with
-      | Some cycle ->
-          Obs.event
-            ~attrs:(fun () ->
-              [
-                A.int "tick" !ticks;
-                A.str "cycle"
-                  (String.concat " -> "
-                     (List.map
-                        (fun i -> Txn.name instances.(i).txn)
-                        cycle));
-              ])
-            "sim.deadlock.detect";
-          List.fold_left
-            (fun best i ->
-              let inst = instances.(i) in
-              match best with
-              | Some v when v.birth >= inst.birth -> best
-              | _ -> Some inst)
-            None cycle
-      | None ->
-          (* No wait-for cycle yet everything is blocked: impossible with
-             exclusive locks, but fall back to any blocked instance. *)
-          Array.fold_left
-            (fun best inst ->
-              if (not inst.committed) && blocked_on inst <> [] then
-                match best with Some _ -> best | None -> Some inst
-              else best)
-            None instances
-    in
-    match victim with
-    | None -> failwith "Engine: stuck with no blocked instance"
-    | Some inst ->
-        incr aborts;
-        Obs.event
-          ~attrs:(fun () ->
-            [
-              A.int "tick" !ticks;
-              A.str "txn" (Txn.name inst.txn);
-              A.int "attempt" inst.attempt;
-              A.int "wasted_steps" (List.length inst.events);
-            ])
-          "sim.txn.abort";
-        (* Remove this attempt's events from the global log. *)
-        let drop = List.length inst.events in
-        global_log :=
-          (let remaining = ref drop in
-           List.filter
-             (fun (i, _) ->
-               if i = inst.txn_index && !remaining > 0 then begin
-                 decr remaining;
-                 false
-               end
-               else true)
-             !global_log);
-        release_all inst;
-        fresh_attempt inst !ticks
-  in
-  let all_committed () = Array.for_all (fun i -> i.committed) instances in
-  let result = ref None in
-  while !result = None && not (all_committed ()) do
-    if !aborts > max_aborts then result := Some (Error "max aborts exceeded")
-    else begin
-      incr ticks;
-      (* Gather all enabled (instance, step) pairs. *)
-      let choices =
-        Array.to_list instances
-        |> List.concat_map (fun inst ->
-               List.map (fun s -> (inst, s)) (enabled_steps inst))
-      in
-      (* Debug-level lock-wait edges, reported once per blocking episode
-         (the whole scan is skipped below Debug). *)
-      if Obs.logs Obs.Debug then
-        Array.iter
-          (fun inst ->
-            if not inst.committed then
-              match blocked_on inst with
-              | [] -> was_blocked.(inst.txn_index) <- false
-              | holders ->
-                  if not was_blocked.(inst.txn_index) then begin
-                    was_blocked.(inst.txn_index) <- true;
-                    Obs.event ~level:Obs.Debug
-                      ~attrs:(fun () ->
-                        [
-                          A.int "tick" !ticks;
-                          A.str "txn" (Txn.name inst.txn);
-                          A.str "waiting_for"
-                            (String.concat ", "
-                               (List.sort_uniq compare
-                                  (List.map
-                                     (fun h -> Txn.name instances.(h).txn)
-                                     holders)));
-                        ])
-                      "sim.lock.block"
-                  end)
-          instances;
-      match choices with
-      | [] ->
-          if Array.exists awaiting_message instances then
-            (* messages in flight: let time pass *)
-            Obs.event ~level:Obs.Debug
-              ~attrs:(fun () -> [ A.int "tick" !ticks ])
-              "sim.message.wait"
-          else begin
-            (* every live instance is blocked on a lock: deadlock *)
-            incr blocks;
-            abort_victim ()
-          end
-      | _ -> (
-          match rng with
-          | Some rng ->
-              let arr = Array.of_list choices in
-              let inst, s = arr.(Random.State.int rng (Array.length arr)) in
-              execute inst s
-          | None ->
-              (* round-robin over instances; first enabled step *)
-              let rec pick k =
-                let idx = (!rr_cursor + k) mod n in
-                let inst = instances.(idx) in
-                match enabled_steps inst with
-                | s :: _ ->
-                    rr_cursor := (idx + 1) mod n;
-                    execute inst s
-                | [] -> pick (k + 1)
-              in
-              pick 0)
-    end
-  done;
-  let out =
-    match !result with
-    | Some err -> err
-    | None ->
-        let history = Schedule.of_events (List.rev !global_log) in
-        let serializable =
-          (not check_serializability) || Conflict.is_serializable sys history
-        in
-        Ok
-          {
-            history;
-            serializable;
-            trace = List.rev !trace;
-            stats =
-              {
-                ticks = !ticks;
-                commits = n;
-                aborts = !aborts;
-                deadlocks = !blocks;
-              };
-          }
-  in
-  M.incr (Lazy.force m_runs);
-  M.incr_by (Lazy.force m_ticks) !ticks;
-  M.incr_by (Lazy.force m_aborts) !aborts;
-  M.incr_by (Lazy.force m_deadlocks) !blocks;
-  (match out with
-  | Ok _ -> M.incr_by (Lazy.force m_commits) n
-  | Error _ -> ());
-  if Obs.enabled () then
-    Obs.add_attrs sp
-      [
-        A.int "ticks" !ticks;
-        A.int "aborts" !aborts;
-        A.int "deadlocks" !blocks;
-        A.str "result"
-          (match out with
-          | Ok o -> if o.serializable then "serializable" else "non-serializable"
-          | Error e -> "error: " ^ e);
-      ];
-  Obs.end_span sp;
-  out
-
-let violation_runs ?(policy_seeds = List.init 100 Fun.id) ?max_aborts sys =
-  List.fold_left
-    (fun (bad, completed, errored) seed ->
-      match run ~policy:(Random seed) ?max_aborts sys with
-      | Ok o -> ((bad + if o.serializable then 0 else 1), completed + 1, errored)
-      | Error _ -> (bad, completed, errored + 1))
-    (0, 0, 0) policy_seeds
-
-(* Errored runs (abort-budget livelocks) commit no history, so they can
-   witness neither serializability nor its violation: they are excluded
-   from the denominator rather than silently counted as non-violating. *)
-let violation_rate ?policy_seeds ?max_aborts sys =
-  let bad, completed, _errored = violation_runs ?policy_seeds ?max_aborts sys in
-  if completed = 0 then 0. else float_of_int bad /. float_of_int completed
+(** How the simulator ({!Esim.run}) picks among enabled steps. *)
+type policy =
+  | Round_robin  (** Cycle over instances, running each enabled step. *)
+  | Random of int  (** Uniform choice among enabled steps, seeded. *)

@@ -7,18 +7,17 @@ module M = Distlock_obs.Metric
 (* The layered event-driven simulator: a Clock of timestamped events
    drives scheduling decisions, lock traffic goes through a pluggable
    Backend, message costs come from a Latency model, and faults from a
-   Scenario. With the instant backend, zero latency, and no faults, the
-   event chain degenerates to one Decide per tick whose body mirrors
-   [Engine.run]'s loop iteration statement for statement — the refactor
-   safety net test/test_esim.ml checks that equivalence bit-for-bit.
+   Scenario. With the instant backend and no faults, each Decide is one
+   non-idle iteration of the lockstep loop in test/lockstep_sim.ml, and
+   the clock jumps over the ticks that loop idles while messages are in
+   flight — test/test_esim.ml checks that equivalence bit-for-bit.
 
    RNG discipline: three independent streams, so enabling one knob never
-   perturbs another. The policy stream is seeded exactly as the legacy
-   engine's ([| seed |]) and drawn once per decision with a non-empty
-   choice set; the fault and latency streams are domain-salted and drawn
-   only when crash_rate > 0 / latency is non-zero. Everything else is
-   arrays indexed by dense ids — no Hashtbl iteration anywhere a
-   decision depends on. *)
+   perturbs another. The policy stream is seeded with [| seed |] and
+   drawn once per decision with a non-empty choice set; the fault and
+   latency streams are domain-salted and drawn only when crash_rate > 0
+   / latency is non-zero. Everything else is arrays indexed by dense ids
+   — no Hashtbl iteration anywhere a decision depends on. *)
 
 let m_runs () =
   Distlock_obs.Registry.counter Obs.global
@@ -179,8 +178,8 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
         })
   in
   let meters = make_meters (Backend.name backend) in
-  (* Policy stream seeded like the legacy engine; fault and latency
-     streams salted so they cannot collide with it. *)
+  (* Fault and latency streams are salted so they cannot collide with
+     the policy stream. *)
   let rng =
     match policy with
     | Engine.Random seed -> Some (Random.State.make [| seed |])
@@ -229,9 +228,7 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
   in
   (* `Ready: predecessors executed and their results have arrived;
      `Awaiting_message: executed but a notification is still in flight;
-     `Blocked_order: some predecessor has not run. Mirrors the legacy
-     [pred_status] with sampled arrival times in place of a constant
-     delay. *)
+     `Blocked_order: some predecessor has not run. *)
   let pred_status inst s =
     let status = ref `Ready in
     for p = 0 to Txn.num_steps inst.txn - 1 do
@@ -279,10 +276,9 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
        end
   in
   (* Wait-for edges for the deadlock victim chooser. A non-queueing
-     worker waits on the holders of entities its ready locks need (the
-     legacy scan, same accumulation order); a queueing worker waits on
-     the holder of the entity its one outstanding request is queued
-     behind. *)
+     worker waits on the holders of entities its ready locks need; a
+     queueing worker waits on the holder of the entity its one
+     outstanding request is queued behind. *)
   let blocked_on inst =
     let acc = ref [] in
     if queueing then begin
@@ -483,9 +479,11 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
         end
   in
   let abort_victim () =
-    (* Legacy victim rule, verbatim: build the wait-for graph, find a
-       cycle, abort its youngest member; crashed workers are outside the
-       graph (they are paused, not waiting). *)
+    (* Build the wait-for graph, find a cycle, abort its youngest member:
+       a victim outside the cycle (e.g. a just-restarted instance
+       re-blocking on a cycle member) would not break the deadlock.
+       Crashed workers are outside the graph (they are paused, not
+       waiting). *)
     let wf = Distlock_graph.Digraph.create n in
     Array.iter
       (fun inst ->
@@ -551,9 +549,9 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
         Backend.forfeit backend ~owner:inst.txn_index;
         fresh_attempt inst
   in
-  (* One scheduling decision — the legacy loop body, with the backend
-     drained first and wake-time computation where the legacy loop spun
-     on idle ticks. *)
+  (* One scheduling decision: drain the backend, then run one enabled
+     step, or book the next wake-up time when nothing is enabled, or
+     break a deadlock. *)
   let decide () =
     if !aborts > scenario.Scenario.max_aborts then
       result := Some (Error "max aborts exceeded")
@@ -626,7 +624,7 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
               else begin
                 (* Every live worker waits on a lock: consult the
                    state-graph oracle's deadlock predicate online, then
-                   break the cycle as the legacy engine does. *)
+                   break the cycle. *)
                 if
                   Stategraph.deadlocked_now sys
                     ~executed:(fun i s -> instances.(i).done_.(s))
@@ -800,8 +798,8 @@ let violation_fraction s =
   if s.runs = 0 then 0. else float_of_int s.violations /. float_of_int s.runs
 
 let pp_summary ppf s =
-  (* The first line is byte-compatible with [Workload.pp_summary];
-     fault-era fields appear only when something actually happened. *)
+  (* Fault-era fields appear only when something actually happened, so
+     default-scenario output keeps the short form. *)
   Format.fprintf ppf "%d runs: %d violations, %d aborts, %d deadlocks, %d ticks"
     s.runs s.violations s.total_aborts s.total_deadlocks s.total_ticks;
   if s.total_crashes > 0 then

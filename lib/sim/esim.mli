@@ -1,17 +1,37 @@
 open Distlock_txn
 open Distlock_sched
 
-(** The layered event-driven simulator.
+(** The lock-manager simulator: the system the paper's theory is about,
+    made executable.
 
-    Where {!Engine} advances in lockstep ticks with instant, infallible
-    locks, this engine pops timestamped events off a {!Clock}, routes
-    lock traffic through a pluggable {!Backend}, charges message costs
-    from a {!Latency} model, and injects worker crashes from a
-    {!Scenario}. Configured with the instant backend, zero latency, and
-    no faults it reproduces {!Engine.run} exactly — same histories, same
-    stats, same traces, seed for seed (the qcheck equivalence property
-    in [test/test_esim.ml] holds it to that) — so the legacy engine's
-    behaviour is one point in this engine's configuration space.
+    One instance per transaction of a {!System.t} runs under a
+    scheduling {!Engine.policy}. The simulator pops timestamped events
+    off a {!Clock}, routes lock traffic through a pluggable {!Backend},
+    charges message costs from a {!Latency} model, and injects worker
+    crashes from a {!Scenario}.
+
+    Each scheduling decision ({e tick}) first drains the backend's
+    notices, then gathers every enabled step of every live instance: a
+    step is enabled when all its intra-transaction predecessors have run
+    and their results have arrived, and, for a lock, when the backend
+    can take the request. The policy picks one and executes it. When
+    nothing is enabled the clock jumps to the next message arrival or
+    backend wake-up; when every live instance waits on a lock, the
+    wait-for graph's cycle is found and its youngest member aborted
+    (its locks released, its progress undone, and it restarts from
+    scratch). A run ends when every instance has committed.
+
+    On the default scenario (instant backend, zero latency, no faults)
+    the committed history — each instance's final, completed attempt,
+    interleaved as executed — is by construction a legal schedule of the
+    system. Running an {e unsafe} system under a random-enough policy
+    therefore eventually exhibits a non-serializable committed history,
+    while a safe system never does (bench E8). Under a constant
+    cross-site latency [d] the makespan equals the tick count of a
+    lockstep loop that idles a tick at a time while messages are in
+    flight; [test/lockstep_sim.ml] is that loop, and the qcheck
+    equivalence properties in [test/test_esim.ml] hold the simulator to
+    it seed for seed.
 
     With the leased backend and crashes enabled, committed histories can
     be {e illegal} (two holders of one entity at once, after a lease is
@@ -20,8 +40,7 @@ open Distlock_sched
     schedules only. Bench E19 measures that gap. *)
 
 type stats = {
-  ticks : int;  (** Scheduling decisions taken (= legacy ticks when
-                    fault-free at zero latency). *)
+  ticks : int;  (** Scheduling decisions taken. *)
   makespan : int;  (** Simulated time at completion; exceeds [ticks]
                        when latency or downtime left the clock idle. *)
   commits : int;
@@ -52,9 +71,13 @@ val run :
   (outcome, string) result
 (** One seeded run to completion. Deterministic: the same policy and
     scenario produce bit-identical outcomes. Three independent RNG
-    streams (policy — seeded exactly as {!Engine.run}'s —, faults,
-    latency) keep each knob from perturbing the others. [Error] carries
-    ["max aborts exceeded"] past [scenario.max_aborts] restarts. *)
+    streams (policy, faults, latency) keep each knob from perturbing the
+    others. [Error] carries ["max aborts exceeded"] past
+    [scenario.max_aborts] restarts — a livelock guard.
+    [check_serializability] (default [true]) controls the per-history
+    conflict and legality checks; with [false], [serializable] and
+    [legal] are reported [true] unchecked, which is sound only for a
+    system proven safe and a fault-free scenario. *)
 
 type summary = {
   runs : int;  (** Runs that completed (errors excluded). *)
@@ -82,6 +105,6 @@ val violation_fraction : summary -> float
 (** [violations / runs]; [0.] when no run completed. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-(** First line byte-compatible with {!Workload.pp_summary}; crash,
-    expiry, stale-unlock, illegal-history, and error counts appear only
-    when non-zero. *)
+(** One line: ["R runs: V violations, A aborts, D deadlocks, T ticks"],
+    followed by crash, expiry, stale-unlock, illegal-history, and error
+    counts only when non-zero. *)

@@ -14,7 +14,8 @@ type dist =
 type t = { local_ : dist; remote : dist }
 
 val none : t
-(** Zero latency everywhere — the legacy engine's implicit model. *)
+(** Zero latency everywhere: every step's inputs are ready as soon as
+    its predecessors have run. *)
 
 val make : ?local:dist -> dist -> t
 (** [make remote] with local traffic free unless [?local] is given. *)

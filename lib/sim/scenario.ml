@@ -38,7 +38,7 @@ let make_backend t db =
 
 let backend_of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "instant" | "legacy" -> Ok Instant
+  | "instant" -> Ok Instant
   | "leased" | "lease" -> Ok Leased
   | "bakery" -> Ok Bakery
   | s -> Error (Printf.sprintf "unknown backend %S" s)

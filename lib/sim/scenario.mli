@@ -26,8 +26,8 @@ type t = {
 val default_ttl : int
 
 val default : t
-(** Instant backend, zero latency, no faults — the legacy engine's
-    world. *)
+(** Instant backend, zero latency, no faults: the paper's model, in
+    which every schedule the simulator commits is legal. *)
 
 val fault_free : t -> bool
 (** [crash_rate <= 0.]: no fault events can occur, so static safety

@@ -32,17 +32,9 @@ let make rng ~db ~style ~num_txns ~entities_per_txn =
   in
   System.make db txns
 
-type summary = {
-  runs : int;
-  violations : int;
-  total_aborts : int;
-  total_deadlocks : int;
-  total_ticks : int;
-}
-
-(* Shared safety-decision engine for the precheck below: a small cache
-   pays off because closed-loop experiments re-measure structurally
-   identical systems (same fingerprint) across rounds. *)
+(* Shared safety-decision engine for Esim.measure's precheck: a small
+   cache pays off because experiments re-measure structurally identical
+   systems (same fingerprint) across sweeps. *)
 let precheck_engine =
   lazy
     (Distlock_core.Decision.create ~cache_capacity:64
@@ -54,72 +46,3 @@ let proven_safe sys =
   | Distlock_engine.Outcome.Safe -> true
   | Distlock_engine.Outcome.Unsafe _ | Distlock_engine.Outcome.Unknown _ ->
       false
-
-let measure ?(precheck = true) ?(seeds = List.init 20 Fun.id) sys =
-  (* A system the decision engine proves safe cannot produce a
-     non-serializable committed history, so the per-run conflict check
-     is skipped; unsafe or undecided systems keep the full check. *)
-  let check_serializability = not (precheck && proven_safe sys) in
-  List.fold_left
-    (fun acc seed ->
-      match
-        Engine.run ~policy:(Engine.Random seed) ~check_serializability sys
-      with
-      | Error _ -> acc
-      | Ok o ->
-          {
-            runs = acc.runs + 1;
-            violations = (acc.violations + if o.Engine.serializable then 0 else 1);
-            total_aborts = acc.total_aborts + o.Engine.stats.Engine.aborts;
-            total_deadlocks =
-              acc.total_deadlocks + o.Engine.stats.Engine.deadlocks;
-            total_ticks = acc.total_ticks + o.Engine.stats.Engine.ticks;
-          })
-    { runs = 0; violations = 0; total_aborts = 0; total_deadlocks = 0; total_ticks = 0 }
-    seeds
-
-type throughput = {
-  rounds : int;
-  committed : int;
-  total_ticks : int;
-  commits_per_kilotick : float;
-  violation_rounds : int;
-}
-
-let closed_loop rng ~db ~style ~num_txns ~entities_per_txn ~rounds
-    ?(cross_site_delay = 0) () =
-  let committed = ref 0 and ticks = ref 0 and violations = ref 0 in
-  let done_rounds = ref 0 in
-  for round = 1 to rounds do
-    let sys = make rng ~db ~style ~num_txns ~entities_per_txn in
-    match
-      Engine.run ~policy:(Engine.Random round) ~cross_site_delay sys
-    with
-    | Error _ -> ()
-    | Ok o ->
-        incr done_rounds;
-        committed := !committed + o.Engine.stats.Engine.commits;
-        ticks := !ticks + o.Engine.stats.Engine.ticks;
-        if not o.Engine.serializable then incr violations
-  done;
-  {
-    rounds = !done_rounds;
-    committed = !committed;
-    total_ticks = !ticks;
-    commits_per_kilotick =
-      (if !ticks = 0 then 0.
-       else 1000. *. float_of_int !committed /. float_of_int !ticks);
-    violation_rounds = !violations;
-  }
-
-let pp_throughput ppf t =
-  Format.fprintf ppf
-    "%d rounds: %d commits in %d ticks (%.1f commits/kilotick), %d rounds \
-     with violations"
-    t.rounds t.committed t.total_ticks t.commits_per_kilotick
-    t.violation_rounds
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "%d runs: %d violations, %d aborts, %d deadlocks, %d ticks" s.runs
-    s.violations s.total_aborts s.total_deadlocks s.total_ticks

@@ -22,51 +22,8 @@ val make :
 (** Each transaction locks a random subset of the database's entities in
     the given style. *)
 
-type summary = {
-  runs : int;
-  violations : int;  (** Non-serializable committed histories. *)
-  total_aborts : int;
-  total_deadlocks : int;
-  total_ticks : int;
-}
-
 val proven_safe : System.t -> bool
 (** Whether the shared safety-decision engine (cached, 200k-step budget)
     proves the system safe — [false] for unsafe {e and} undecided.
-    {!measure} and {!Esim.measure} use it to skip per-history
-    serializability checks on fault-free runs. *)
-
-val measure : ?precheck:bool -> ?seeds:int list -> System.t -> summary
-(** Run the engine once per seed and aggregate. With [precheck] (the
-    default) the system is first decided by the safety engine
-    ({!Distlock_core.Decision}, shared cached instance, 200k-step
-    budget); when it is proven safe the per-history serializability
-    check is skipped, since every legal schedule of a safe system is
-    serializable. Unsafe or undecided systems are unaffected. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-
-type throughput = {
-  rounds : int;
-  committed : int;
-  total_ticks : int;
-  commits_per_kilotick : float;
-  violation_rounds : int;
-}
-
-val closed_loop :
-  Random.State.t ->
-  db:Database.t ->
-  style:style ->
-  num_txns:int ->
-  entities_per_txn:int ->
-  rounds:int ->
-  ?cross_site_delay:int ->
-  unit ->
-  throughput
-(** A closed-loop benchmark: [rounds] batches of [num_txns] fresh
-    transactions in the given style are run to completion one after
-    another; throughput is committed transactions per 1000 scheduling
-    ticks. *)
-
-val pp_throughput : Format.formatter -> throughput -> unit
+    {!Esim.measure} uses it to skip per-history serializability checks
+    on fault-free runs. *)

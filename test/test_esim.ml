@@ -1,10 +1,11 @@
 open Distlock_txn
 open Distlock_sim
 
-(* The event-driven simulator: legacy equivalence (the refactor safety
-   net), the clock and backend layers in isolation, fault injection
-   (lease expiry, crash/restart, the static-safe/dynamic-unsafe gap),
-   deterministic replay, and the trace/violation-rate satellite fixes. *)
+(* The event-driven simulator: equivalence with the lockstep reference
+   loop in lockstep_sim.ml, the clock and backend layers in isolation,
+   fault injection (lease expiry, crash/restart, the
+   static-safe/dynamic-unsafe gap), deterministic replay, and the
+   trace/violation-fraction satellite fixes. *)
 
 let mkdb entities =
   let db = Database.create () in
@@ -123,46 +124,76 @@ let test_queued_request_arrival_gated () =
   Util.check "holds after arrival" true (Backend.holder b x = Some 0)
 
 (* ------------------------------------------------------------------ *)
-(* Legacy equivalence: instant backend, zero latency, no faults must
-   reproduce Engine.run exactly — histories, stats, and traces, for
-   both policies. This is the net under the whole refactor. *)
+(* Equivalence with the lockstep reference: the instant backend with no
+   faults must reproduce Lockstep_sim.run exactly — histories, stats,
+   and traces, for both policies. At zero latency Esim's [ticks] is the
+   reference's tick count; under a constant cross-site delay the
+   reference idles one tick at a time while Esim jumps its clock, so the
+   reference's ticks are Esim's [makespan]. *)
 
-let outcomes_agree sys (legacy : (Engine.outcome, string) result)
+let outcomes_agree ~ticks sys
+    (reference : (Lockstep_sim.outcome, string) result)
     (evented : (Esim.outcome, string) result) =
-  match (legacy, evented) with
+  match (reference, evented) with
   | Error a, Error b -> a = b
   | Ok a, Ok b ->
-      Distlock_sched.Schedule.events a.Engine.history
+      Distlock_sched.Schedule.events a.Lockstep_sim.history
       = Distlock_sched.Schedule.events b.Esim.history
-      && a.Engine.serializable = b.Esim.serializable
-      && a.Engine.trace = b.Esim.trace
-      && a.Engine.stats.Engine.ticks = b.Esim.stats.Esim.ticks
-      && a.Engine.stats.Engine.commits = b.Esim.stats.Esim.commits
-      && a.Engine.stats.Engine.aborts = b.Esim.stats.Esim.aborts
-      && a.Engine.stats.Engine.deadlocks = b.Esim.stats.Esim.deadlocks
+      && a.Lockstep_sim.serializable = b.Esim.serializable
+      && a.Lockstep_sim.trace = b.Esim.trace
+      && a.Lockstep_sim.stats.ticks = ticks b.Esim.stats
+      && a.Lockstep_sim.stats.commits = b.Esim.stats.Esim.commits
+      && a.Lockstep_sim.stats.aborts = b.Esim.stats.Esim.aborts
+      && a.Lockstep_sim.stats.deadlocks = b.Esim.stats.Esim.deadlocks
       && b.Esim.legal = Distlock_sched.Legality.is_legal sys b.Esim.history
   | _ -> false
 
-let qcheck_legacy_equivalence =
+let gen_equivalence_case =
+  Util.gen_with_state (fun st ->
+      ( Txn_gen.random_multi_system st ~num_txns:(2 + Random.State.int st 3)
+          ~num_entities:(4 + Random.State.int st 3)
+          ~entities_per_txn:2
+          ~num_sites:(1 + Random.State.int st 3)
+          ~with_updates:(Random.State.bool st)
+          ~cross_prob:0.5 (),
+        Random.State.int st 1_000_000 ))
+
+let qcheck_zero_latency_equivalence =
   Util.qtest ~count:1000 "fault-free event engine == legacy engine"
-    (Util.gen_with_state (fun st ->
-         ( Txn_gen.random_multi_system st ~num_txns:(2 + Random.State.int st 3)
-             ~num_entities:(4 + Random.State.int st 3)
-             ~entities_per_txn:2
-             ~num_sites:(1 + Random.State.int st 3)
-             ~with_updates:(Random.State.bool st)
-             ~cross_prob:0.5 (),
-           Random.State.int st 1_000_000 )))
+    gen_equivalence_case
     (fun (sys, seed) ->
       let policy = Engine.Random seed in
-      outcomes_agree sys (Engine.run ~policy sys) (Esim.run ~policy sys))
+      outcomes_agree
+        ~ticks:(fun s -> s.Esim.ticks)
+        sys
+        (Lockstep_sim.run ~policy sys)
+        (Esim.run ~policy sys))
+
+let qcheck_latency_equivalence =
+  Util.qtest ~count:1000 "constant latency == lockstep cross-site delay"
+    QCheck2.Gen.(pair gen_equivalence_case (int_range 0 8))
+    (fun ((sys, seed), delay) ->
+      let policy = Engine.Random seed in
+      let scenario =
+        {
+          Scenario.default with
+          Scenario.latency = Latency.make (Latency.Constant delay);
+        }
+      in
+      outcomes_agree
+        ~ticks:(fun s -> s.Esim.makespan)
+        sys
+        (Lockstep_sim.run ~policy ~cross_site_delay:delay sys)
+        (Esim.run ~policy ~scenario sys))
 
 let test_round_robin_equivalence () =
   List.iter
     (fun sys ->
       Util.check "round-robin runs agree" true
-        (outcomes_agree sys
-           (Engine.run ~policy:Engine.Round_robin sys)
+        (outcomes_agree
+           ~ticks:(fun s -> s.Esim.ticks)
+           sys
+           (Lockstep_sim.run ~policy:Engine.Round_robin sys)
            (Esim.run ~policy:Engine.Round_robin sys)))
     [ safe_pair (); deadlock_pair () ]
 
@@ -344,23 +375,27 @@ let test_trace_never_started () =
   Util.check "started txn keeps the old line format" true
     (contains rendered "T1: start 1, commit 1, 1 attempt(s), 1 steps (0 wasted)")
 
-let test_violation_rate_excludes_errors () =
+let test_violation_fraction_excludes_errors () =
   (* With a zero abort budget every deadlocked run errors out; those
-     runs commit nothing and must leave the rate's denominator. *)
+     runs commit nothing and must leave the fraction's denominator. *)
   let sys = deadlock_pair () in
-  let bad, completed, errored = Engine.violation_runs ~max_aborts:0 sys in
-  Util.check "some runs hit the budget" true (errored > 0);
-  Util.check "others completed" true (completed > 0);
-  Util.check_int "accounting is total" 100 (completed + errored);
-  Util.check_int "2PL never violates" 0 bad;
-  Util.check "rate is over completed runs only" true
-    (Engine.violation_rate ~max_aborts:0 sys = 0.);
-  (* All-error degenerate case: rate reports 0 rather than dividing by
-     the errored runs. *)
-  let _, c2, _ = Engine.violation_runs ~policy_seeds:[ 2 ] ~max_aborts:0 sys in
-  if c2 = 0 then
-    Util.check "all-error rate is 0" true
-      (Engine.violation_rate ~policy_seeds:[ 2 ] ~max_aborts:0 sys = 0.)
+  let measure seeds =
+    Esim.measure ~precheck:false
+      ~scenario:{ Scenario.default with Scenario.max_aborts = 0 }
+      ~seeds sys
+  in
+  let s = measure (List.init 100 Fun.id) in
+  Util.check "some runs hit the budget" true (s.Esim.errors > 0);
+  Util.check "others completed" true (s.Esim.runs > 0);
+  Util.check_int "accounting is total" 100 (s.Esim.runs + s.Esim.errors);
+  Util.check_int "2PL never violates" 0 s.Esim.violations;
+  Util.check "fraction is over completed runs only" true
+    (Esim.violation_fraction s = 0.);
+  (* All-error degenerate case: the fraction reports 0 rather than
+     dividing by the errored runs. *)
+  let s2 = measure [ 2 ] in
+  if s2.Esim.runs = 0 then
+    Util.check "all-error fraction is 0" true (Esim.violation_fraction s2 = 0.)
 
 let () =
   Alcotest.run "esim"
@@ -386,7 +421,8 @@ let () =
         ] );
       ( "equivalence",
         [
-          qcheck_legacy_equivalence;
+          qcheck_zero_latency_equivalence;
+          qcheck_latency_equivalence;
           Alcotest.test_case "round-robin" `Quick test_round_robin_equivalence;
         ] );
       ( "faults",
@@ -412,7 +448,7 @@ let () =
         [
           Alcotest.test_case "trace: never started" `Quick
             test_trace_never_started;
-          Alcotest.test_case "violation_rate: errors excluded" `Quick
-            test_violation_rate_excludes_errors;
+          Alcotest.test_case "violation_fraction: errors excluded" `Quick
+            test_violation_fraction_excludes_errors;
         ] );
     ]

@@ -171,10 +171,10 @@ let qcheck_trace_consistent =
              ~with_updates:false ~cross_prob:0.5 (),
            Random.State.int st 1000 )))
     (fun (sys, seed) ->
-      match Distlock_sim.Engine.run ~policy:(Distlock_sim.Engine.Random seed) sys with
+      match Distlock_sim.Esim.run ~policy:(Distlock_sim.Engine.Random seed) sys with
       | Error _ -> true
       | Ok o ->
-          let r = Distlock_sim.Trace.analyze sys o.Distlock_sim.Engine.trace in
+          let r = Distlock_sim.Trace.analyze sys o.Distlock_sim.Esim.trace in
           let total_executed =
             List.fold_left
               (fun acc m -> acc + m.Distlock_sim.Trace.steps_executed)
@@ -187,9 +187,9 @@ let qcheck_trace_consistent =
                 - m.Distlock_sim.Trace.wasted_steps)
               0 r.Distlock_sim.Trace.txns
           in
-          total_executed = List.length o.Distlock_sim.Engine.trace
-          && committed = Distlock_sched.Schedule.length o.Distlock_sim.Engine.history
-          && r.Distlock_sim.Trace.makespan <= o.Distlock_sim.Engine.stats.Distlock_sim.Engine.ticks)
+          total_executed = List.length o.Distlock_sim.Esim.trace
+          && committed = Distlock_sched.Schedule.length o.Distlock_sim.Esim.history
+          && r.Distlock_sim.Trace.makespan <= o.Distlock_sim.Esim.stats.Distlock_sim.Esim.makespan)
 
 (* Repair is a no-op on strongly connected systems. *)
 let qcheck_repair_noop_on_safe =
