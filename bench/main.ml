@@ -23,6 +23,11 @@
      E13  --      decision-engine verdict cache and batch throughput
      E14  --      observability overhead: no-op sink vs JSONL export
      E15  --      parallel batch speedup over 1/2/4/8 domains
+     E16  --      memoized state graph vs the factorial schedule tree
+     E17  --      incremental session: warm-edit latency vs from-scratch
+     E18  --      flight-recorder overhead
+     E19  --      leased locks with crashes: the static/dynamic safety gap
+     E20  --      live telemetry overhead and scrape correctness
 
    Wall-clock tables are printed first; Bechamel micro-benchmarks (one
    Test.make per experiment family) run at the end. *)
@@ -273,10 +278,13 @@ let e6 () =
         if sat <> unsafe then agree_all := false;
         pf "%6d %8d %9d %7b %7b %7b %10.1f ms\n" nv
           (Distlock_sat.Cnf.num_clauses f)
-          (Reduction.num_entities g) sat unsafe (sat = unsafe) (ms t)
+          (Reduction.num_entities g) sat unsafe (sat = unsafe) (ms t);
+        metric_f (Printf.sprintf "vars%d_sweep_ms" nv) (ms t);
+        metric_b (Printf.sprintf "vars%d_agree" nv) (sat = unsafe)
       end)
     [ 3; 4; 5; 6; 7 ];
-  pf "all rows agree (sat <=> unsafe): %b\n" !agree_all
+  pf "all rows agree (sat <=> unsafe): %b\n" !agree_all;
+  metric_b "all_agree" !agree_all
 
 (* ------------------------------------------------------------------ *)
 (* E7: Proposition 2 scaling *)

@@ -67,6 +67,32 @@ let order_focus poset focus ~key =
   | Some order -> Array.to_list (Array.map (fun i -> arr.(i)) order)
   | None -> assert false (* induced subgraph of a partial order is acyclic *)
 
+(* A legal schedule of [sys] whose path passes above exactly the
+   rectangles chosen by [above], read off the partial orders directly: a
+   topological order of both transactions' orders plus, per common
+   entity, its two lock sections in the chosen order. Every such schedule
+   is a topological order of these constraints, so [None] (a cycle)
+   means no schedule of [sys] separates that way. *)
+let separating_schedule sys ~above =
+  let t1, t2 = System.pair sys in
+  let n1 = Txn.num_steps t1 in
+  let g = Distlock_graph.Digraph.create (n1 + Txn.num_steps t2) in
+  let arc a b = Distlock_graph.Digraph.add_arc g a b in
+  List.iter (fun (a, b) -> arc a b) (Poset.covers (Txn.order t1));
+  List.iter (fun (a, b) -> arc (n1 + a) (n1 + b)) (Poset.covers (Txn.order t2));
+  List.iter
+    (fun e ->
+      let step f txn = Option.get (f txn e) in
+      if above e then arc (n1 + step Txn.unlock_of t2) (step Txn.lock_of t1)
+      else arc (step Txn.unlock_of t1) (n1 + step Txn.lock_of t2))
+    (System.common_locked sys 0 1);
+  Option.map
+    (fun order ->
+      Schedule.of_events
+        (Array.to_list
+           (Array.map (fun v -> if v < n1 then (0, v) else (1, v - n1)) order)))
+    (Distlock_graph.Topo.sort g)
+
 let construct ~original ~closed ~dominator =
   let t1c, t2c = System.pair closed in
   let in_x e = List.mem e dominator in
@@ -117,33 +143,46 @@ let construct ~original ~closed ~dominator =
   (* These extensions also extend the original partial orders (closure only
      added precedences), so the plane is built over the original system. *)
   let plane = Plane.of_extensions original ext1 ext2 in
-  let try_orientation above_pred =
-    match Separation.realize plane ~above:above_pred with
-    | None -> None
-    | Some schedule ->
-        let cert =
-          let bv = Plane.b_vector plane schedule in
-          {
-            ext1;
-            ext2;
-            schedule;
-            below = List.filter_map (fun (e, b) -> if not b then Some e else None) bv;
-            above = List.filter_map (fun (e, b) -> if b then Some e else None) bv;
-          }
-        in
-        if verify original cert then Some cert else None
+  let certify plane schedule =
+    let bv = Plane.b_vector plane schedule in
+    let cert =
+      {
+        ext1 = Plane.extension plane 0;
+        ext2 = Plane.extension plane 1;
+        schedule;
+        below = List.filter_map (fun (e, b) -> if not b then Some e else None) bv;
+        above = List.filter_map (fun (e, b) -> if b then Some e else None) bv;
+      }
+    in
+    if verify original cert then Some cert else None
+  in
+  let through_picture above () =
+    Option.bind (Separation.realize plane ~above) (certify plane)
+  in
+  (* The two sorts fix the order of the [Ux] in [t1] first and can only
+     mirror it in [t2] where the closed [T2] allows; when [T2] orders two
+     of the [Lx] against it, the picture may have no separating path even
+     though the closed orders admit one. That one is then found directly. *)
+  let direct above () =
+    Option.bind (separating_schedule closed ~above) (fun schedule ->
+        certify
+          (Plane.of_extensions original (Schedule.project schedule 0)
+             (Schedule.project schedule 1))
+          schedule)
   in
   (* Dominator entities below the path (b = 0), the rest above — and the
      mirrored orientation as a fallback. *)
-  match try_orientation (fun e -> not (in_x e)) with
+  let below_x e = not (in_x e) in
+  match
+    List.find_map
+      (fun attempt -> attempt ())
+      [ through_picture below_x; through_picture in_x; direct below_x ]
+  with
   | Some cert -> Ok cert
-  | None -> (
-      match try_orientation in_x with
-      | Some cert -> Ok cert
-      | None ->
-          Error
-            "Certificate.construct: no separating schedule realizable \
-             (inputs are not a closed system with a dominator)")
+  | None ->
+      Error
+        "Certificate.construct: no separating schedule realizable \
+         (inputs are not a closed system with a dominator)"
 
 let pp sys ppf cert =
   let db = System.db sys in

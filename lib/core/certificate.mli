@@ -11,7 +11,14 @@ open Distlock_sched
     (breaking ties among them by the first sort), and thread a monotone
     path through the resulting picture that separates the [X]-rectangles
     from the rest. The result is a legal, non-serializable schedule of the
-    *original* system. *)
+    *original* system.
+
+    The second sort cannot always mirror the first: the closed [T2] may
+    order two [Lx] against the order the first sort gave their [Ux], and
+    then the picture may have no separating path. The schedule is then
+    read straight off the closed orders, as a topological order of both
+    transactions plus each common entity's two lock sections in the
+    dominator's orientation. *)
 
 type t = {
   ext1 : int array;  (** Linear extension of (the closed, hence original) [T1]. *)

@@ -33,11 +33,21 @@ val close : System.t -> dominator:Database.entity list -> outcome
 val is_closed : System.t -> dominator:Database.entity list -> bool
 (** Definition 3's condition, checked without modifying the system. *)
 
+val first_closing :
+  System.t ->
+  Database.entity list Seq.t ->
+  (Database.entity list * System.t) option
+(** [first_closing sys candidates] closes each candidate in turn and
+    returns the first that closes, with its closed system. Candidates
+    that are not dominators of [D(T1,T2)] are skipped. [D] and the
+    lock/unlock steps of its vertices are computed once, for the whole
+    sequence; the sequence is forced only up to the first success. *)
+
 val first_unsafe_dominator :
   ?limit:int -> System.t -> (Database.entity list * System.t) option
-(** Corollary 2 sweep: tries every dominator of [D(T1,T2)] (up to [limit],
-    default [100_000]) and returns the first whose closure succeeds,
-    together with the closed system — a proof of unsafety. [None] means no
+(** Corollary 2 sweep: {!first_closing} over every dominator of
+    [D(T1,T2)] (up to [limit], default [100_000]) in
+    {!Dgraph.dominators} order — a proof of unsafety. [None] means no
     dominator closes (which implies safety for two-site systems, and for
     the Theorem 3 gadgets corresponds to unsatisfiability). *)
 

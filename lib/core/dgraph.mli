@@ -11,8 +11,31 @@ open Distlock_graph
 
 type t
 
+(** Where the two transactions lock and unlock each vertex, found in one
+    pass over each transaction's steps (the first step by index, as in
+    {!Txn.lock_of}). Steps never change when precedences are added, so
+    one lookup serves every extension of the same pair. *)
+type steps = private {
+  common : Database.entity array;
+      (** Vertex index to entity id: the entities both transactions lock
+          and unlock, ascending. *)
+  lock1 : int array;  (** Vertex to its lock step in [Ti]. *)
+  unlock1 : int array;  (** Vertex to its unlock step in [Ti]. *)
+  lock2 : int array;  (** Vertex to its lock step in [Tj]. *)
+  unlock2 : int array;  (** Vertex to its unlock step in [Tj]. *)
+}
+
 val build : System.t -> int -> int -> t
 (** [build sys i j] is [D(Ti, Tj)] (transaction indices). *)
+
+val steps : t -> steps
+
+val arc : steps -> Txn.t -> Txn.t -> int -> int -> bool
+(** [arc s ti tj a b] is Definition 1's arc condition for vertices [a]
+    and [b] under the orders of [ti] and [tj], which must have the steps
+    [s] was found in. With the transactions [D] was built from, it is
+    [D]'s arc relation; with extensions of them, the arcs of the
+    extended pair's [D]. *)
 
 val build_pair : System.t -> t
 (** [D(T1,T2)] of a two-transaction system. *)

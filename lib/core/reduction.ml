@@ -240,37 +240,18 @@ let assignment_of_dominator t x =
   Array.init t.formula.Cnf.num_vars (fun k ->
       List.mem t.w_copies.(k).(0) x)
 
-let middle_subsets t =
-  let comps = Array.to_list t.middle_components in
-  let rec subsets = function
-    | [] -> [ [] ]
-    | c :: rest ->
-        let tails = subsets rest in
-        tails @ List.map (fun s -> c :: s) tails
+let dominator_candidates t =
+  let rec go chosen comps () =
+    match comps with
+    | [] ->
+        Seq.Cons
+          (t.upper @ List.concat_map (component_entities t) chosen, Seq.empty)
+    | c :: rest -> Seq.append (go (c :: chosen) rest) (go chosen rest) ()
   in
-  List.map
-    (fun comps -> t.upper @ List.concat_map (component_entities t) comps)
-    (subsets comps)
+  go [] (Array.to_list t.middle_components)
 
-(* Lazy sweep: recurse over middle components without materializing the
-   2^components subset list. *)
 let decide_unsafe_by_closure t =
-  let comps = Array.to_list t.middle_components in
-  let try_dominator chosen =
-    let dominator = t.upper @ List.concat_map (component_entities t) chosen in
-    match Closure.close t.system ~dominator with
-    | Closure.Closed closed -> Some (dominator, closed)
-    | Closure.Failed _ -> None
-    | exception Invalid_argument _ -> None
-  in
-  let rec search chosen = function
-    | [] -> try_dominator chosen
-    | c :: rest -> (
-        match search (c :: chosen) rest with
-        | Some r -> Some r
-        | None -> search chosen rest)
-  in
-  search [] comps
+  Closure.first_closing t.system (dominator_candidates t)
 
 let certificate_of_model t a =
   if not (Cnf.eval a t.formula) then Error "not a model of the formula"

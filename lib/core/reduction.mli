@@ -51,15 +51,16 @@ val dominator_of_assignment : t -> bool array -> Database.entity list
 val assignment_of_dominator : t -> Database.entity list -> bool array
 (** Decode a dominator: [x_k := w_k in X]. *)
 
-val middle_subsets : t -> Database.entity list list
-(** Every dominator of the gadget, as upper cycle + middle-component
-    subset (2^(components) of them — the honest coNP sweep). *)
-
 val decide_unsafe_by_closure : t -> (Database.entity list * System.t) option
-(** Corollary 2 sweep over {!middle_subsets}: the first dominator whose
-    closure succeeds, with the closed system. [Some _] proves the encoded
-    system unsafe; for gadgets, [None] coincides with unsatisfiability of
-    [F] (validated in the test suite against DPLL). *)
+(** Corollary 2 sweep: {!Closure.first_closing} over the upper cycle plus
+    each of the 2^(components) subsets of middle-row components (the
+    honest coNP sweep), generated lazily. Components are taken in their
+    encoding order, each tried included before excluded, so the first
+    candidate includes every component and the last none. Returns the
+    first candidate whose closure succeeds, with the closed system.
+    [Some _] proves the encoded system unsafe; for gadgets, [None]
+    coincides with unsatisfiability of [F] (validated in the test suite
+    against DPLL). *)
 
 val certificate_of_model : t -> bool array -> (Certificate.t, string) result
 (** Satisfying assignment ⟹ verified non-serializable schedule. *)

@@ -48,10 +48,37 @@ let to_digraph t =
 
 let covers t = Digraph.arcs (Reach.transitive_reduction (to_digraph t))
 
+(* Each arc [u<v] is closed in place: [{v} ∪ after(v)] joins the row of
+   [u] and of every element below [u]. No other row changes, because
+   [after(v)] is already closed and [u] is not in it. Rows are shared
+   with [t] until first written. *)
 let add_arcs t arcs =
-  let g = to_digraph t in
-  List.iter (fun (a, b) -> Digraph.add_arc g a b) arcs;
-  of_digraph g
+  let after = Array.copy t.after in
+  let owned = Array.make t.size false in
+  let row a =
+    if not owned.(a) then begin
+      after.(a) <- Bitset.copy after.(a);
+      owned.(a) <- true
+    end;
+    after.(a)
+  in
+  let rec go = function
+    | [] -> Some { t with after }
+    | (u, v) :: rest ->
+        if u = v || Bitset.mem after.(v) u then None
+        else begin
+          if not (Bitset.mem after.(u) v) then
+            for a = 0 to t.size - 1 do
+              if a = u || Bitset.mem after.(a) u then begin
+                let r = row a in
+                Bitset.union_into ~dst:r after.(v);
+                Bitset.add r v
+              end
+            done;
+          go rest
+        end
+  in
+  go arcs
 
 let up_set t a = Bitset.copy t.after.(a)
 

@@ -31,8 +31,8 @@ let m_dups () =
 
 (* ------------------------------------------------------------------ *)
 (* Packed state keys: [done bitmasks][n*n conflict bits], 63 bits per
-   word. The conflict region starts on a word boundary so the deadlock
-   search can key on the mask prefix alone with [Array.sub]. *)
+   word. The conflict region starts on a word boundary, so the deadlock
+   search, which has no conflict words, keys on the same mask layout. *)
 
 let bits_per_word = 63
 
@@ -59,11 +59,13 @@ module Tbl = Hashtbl.Make (Key)
 
 (* Mutable search context: the same apply/undo walk as [Enumerate], plus
    the packed key words and the per-(txn, entity) access-span counters
-   that drive incremental conflict-edge maintenance. *)
+   that drive incremental conflict-edge maintenance. Without [conflicts]
+   the key is the done masks alone and no edge is tracked. *)
 type ctx = {
-  sys : System.t;
   n : int;
   total : int;
+  steps : Step.t array array;
+  succ : int array array array; (* (txn, step) -> its successor steps *)
   indeg : int array array;
   done_ : bool array array;
   holder : int array; (* entity -> holding txn, or -1 when free *)
@@ -73,24 +75,30 @@ type ctx = {
   touchers : int list array; (* entity -> transactions accessing it *)
   words : int array; (* the packed key of the current state *)
   mask_words : int;
+  conflicts : bool;
   bit_word : int array array; (* (txn, step) -> word index of its bit *)
   bit_mask : int array array;
 }
 
-let init sys =
+let init ~conflicts sys =
   let n = System.num_txns sys in
   let ne = Database.num_entities (System.db sys) in
   let total = System.total_steps sys in
-  let indeg =
+  let succ =
     Array.init n (fun i ->
         let txn = System.txn sys i in
         let k = Txn.num_steps txn in
         Array.init k (fun s ->
-            let d = ref 0 in
-            for p = 0 to k - 1 do
-              if Txn.precedes txn p s then incr d
-            done;
-            !d))
+            Array.of_list
+              (List.filter (fun q -> Txn.precedes txn s q) (List.init k Fun.id))))
+  in
+  let indeg =
+    Array.map
+      (fun succ_i ->
+        let d = Array.make (Array.length succ_i) 0 in
+        Array.iter (Array.iter (fun q -> d.(q) <- d.(q) + 1)) succ_i;
+        d)
+      succ
   in
   let done_ =
     Array.init n (fun i -> Array.make (Txn.num_steps (System.txn sys i)) false)
@@ -114,11 +122,14 @@ let init sys =
     done
   done;
   let mask_words = max 1 ((total + bits_per_word - 1) / bits_per_word) in
-  let conf_words = ((n * n) + bits_per_word - 1) / bits_per_word in
+  let conf_words =
+    if conflicts then ((n * n) + bits_per_word - 1) / bits_per_word else 0
+  in
   {
-    sys;
     n;
     total;
+    steps = Array.map Txn.steps (System.txns sys);
+    succ;
     indeg;
     done_;
     holder = Array.make ne (-1);
@@ -128,6 +139,7 @@ let init sys =
     touchers;
     words = Array.make (mask_words + conf_words) 0;
     mask_words;
+    conflicts;
     bit_word;
     bit_mask;
   }
@@ -156,7 +168,7 @@ let enabled ctx i s =
   (not ctx.done_.(i).(s))
   && ctx.indeg.(i).(s) = 0
   &&
-  let step = Txn.step (System.txn ctx.sys i) s in
+  let step = ctx.steps.(i).(s) in
   match step.Step.action with
   | Step.Lock -> ctx.holder.(step.Step.entity) < 0
   | Step.Unlock | Step.Update -> true
@@ -169,22 +181,20 @@ let enabled ctx i s =
    and every still-open span overlaps (both directions) — reproducing
    [Conflict.graph]'s span rule incrementally. *)
 let apply ctx i s =
-  let txn = System.txn ctx.sys i in
-  let step = Txn.step txn s in
+  let step = ctx.steps.(i).(s) in
   let e = step.Step.entity in
   ctx.done_.(i).(s) <- true;
   ctx.executed <- ctx.executed + 1;
   ctx.words.(ctx.bit_word.(i).(s)) <-
     ctx.words.(ctx.bit_word.(i).(s)) lor ctx.bit_mask.(i).(s);
-  for q = 0 to Txn.num_steps txn - 1 do
-    if Txn.precedes txn s q then ctx.indeg.(i).(q) <- ctx.indeg.(i).(q) - 1
-  done;
+  let indeg = ctx.indeg.(i) in
+  Array.iter (fun q -> indeg.(q) <- indeg.(q) - 1) ctx.succ.(i).(s);
   (match step.Step.action with
   | Step.Lock -> ctx.holder.(e) <- i
   | Step.Unlock -> ctx.holder.(e) <- -1
   | Step.Update -> ());
   let trail = ref [] in
-  if ctx.touch_done.(i).(e) = 0 then
+  if ctx.conflicts && ctx.touch_done.(i).(e) = 0 then
     List.iter
       (fun j ->
         if j <> i then begin
@@ -199,16 +209,14 @@ let apply ctx i s =
   !trail
 
 let undo ctx i s trail =
-  let txn = System.txn ctx.sys i in
-  let step = Txn.step txn s in
+  let step = ctx.steps.(i).(s) in
   let e = step.Step.entity in
   ctx.done_.(i).(s) <- false;
   ctx.executed <- ctx.executed - 1;
   ctx.words.(ctx.bit_word.(i).(s)) <-
     ctx.words.(ctx.bit_word.(i).(s)) land lnot ctx.bit_mask.(i).(s);
-  for q = 0 to Txn.num_steps txn - 1 do
-    if Txn.precedes txn s q then ctx.indeg.(i).(q) <- ctx.indeg.(i).(q) + 1
-  done;
+  let indeg = ctx.indeg.(i) in
+  Array.iter (fun q -> indeg.(q) <- indeg.(q) + 1) ctx.succ.(i).(s);
   (match step.Step.action with
   | Step.Lock -> ctx.holder.(e) <- -1
   | Step.Unlock -> ctx.holder.(e) <- i
@@ -246,12 +254,6 @@ exception Found_unsafe of int array
 exception Deadlock_found
 exception Limit_hit
 
-(* Deadlock dynamics ignore conflict history, so that mode keys on the
-   mask prefix alone — a strictly coarser (sound) memoization. *)
-let key_of ctx = function
-  | Deadlock -> Array.sub ctx.words 0 ctx.mask_words
-  | Decide | Census -> Array.copy ctx.words
-
 let verdict_label = function
   | Safe -> "safe"
   | Unsafe _ -> "unsafe"
@@ -264,7 +266,9 @@ let mode_label = function
 
 let run mode limit sys =
   Distlock_obs.Obs.with_span "stategraph.search" (fun sp ->
-      let ctx = init sys in
+      (* Deadlock dynamics ignore conflict history, so that mode keys on
+         the done masks alone — a strictly coarser (sound) memoization. *)
+      let ctx = init ~conflicts:(mode <> Deadlock) sys in
       let visited : (Key.t * (int * int)) option Tbl.t = Tbl.create 1024 in
       let states = ref 0
       and dups = ref 0
@@ -288,22 +292,24 @@ let run mode limit sys =
         else begin
           let any = ref false in
           for i = 0 to ctx.n - 1 do
-            let k = Txn.num_steps (System.txn ctx.sys i) in
-            for s = 0 to k - 1 do
+            for s = 0 to Array.length ctx.steps.(i) - 1 do
               if enabled ctx i s then begin
                 any := true;
                 let trail = apply ctx i s in
-                let key = key_of ctx mode in
-                (match Tbl.find_opt visited key with
-                | Some _ ->
-                    incr dups;
-                    Distlock_obs.Metric.incr mdups
-                | None ->
-                    if !states >= limit then raise Limit_hit;
-                    incr states;
-                    Distlock_obs.Metric.incr mstates;
-                    Tbl.add visited key (Some (my_key, (i, s)));
-                    visit key);
+                (* Probe with the live words; only a new state pays for a
+                   key of its own. *)
+                if Tbl.mem visited ctx.words then begin
+                  incr dups;
+                  Distlock_obs.Metric.incr mdups
+                end
+                else begin
+                  if !states >= limit then raise Limit_hit;
+                  incr states;
+                  Distlock_obs.Metric.incr mstates;
+                  let key = Array.copy ctx.words in
+                  Tbl.add visited key (Some (my_key, (i, s)));
+                  visit key
+                end;
                 undo ctx i s trail
               end
             done
@@ -328,7 +334,7 @@ let run mode limit sys =
       let outcome =
         if limit < 1 then Exhausted { visited = 0; limit }
         else begin
-          let root = key_of ctx mode in
+          let root = Array.copy ctx.words in
           Tbl.add visited root None;
           incr states;
           Distlock_obs.Metric.incr mstates;

@@ -16,7 +16,9 @@ open Distlock_txn
     bitmasks (one bit per step, 63 bits per word), then — word-aligned —
     the [n*n] conflict-edge bits. Lock holders are derivable from the
     done masks (an entity is held by the transaction that has executed
-    its lock but not its unlock), so they stay out of the key.
+    its lock but not its unlock), so they stay out of the key. The search
+    probes its visited table with the live words of the current state
+    and copies them into a key only when the state is new.
 
     The system is unsafe iff some reachable complete state's conflict
     digraph is cyclic; the witness schedule is rebuilt from parent

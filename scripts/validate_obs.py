@@ -214,6 +214,8 @@ def check_bench(path):
     for i, e in enumerate(data["experiments"]):
         need(e, ["id", "params", "wall_seconds", "cpu_seconds", "metrics"],
              f"experiments[{i}]")
+        if e["id"] == "E6":
+            check_e6(e)
         if e["id"] == "E15":
             check_e15(e)
         if e["id"] == "E16":
@@ -226,6 +228,26 @@ def check_bench(path):
             check_e19(e)
         if e["id"] == "E20":
             check_e20(e)
+
+
+def check_e6(e):
+    """The Theorem 3 sweep artifact: one sweep time and one agreement
+    flag per formula row, and every row's closure sweep must agree with
+    DPLL (satisfiable iff the encoded system is unsafe)."""
+    m = e["metrics"]
+    rows = sorted(k[:-len("_agree")] for k in m
+                  if k.startswith("vars") and k.endswith("_agree"))
+    if not rows:
+        die("E6: no formula rows recorded")
+    for row in rows:
+        need(m, [f"{row}_sweep_ms"], "E6.metrics")
+        if m[f"{row}_sweep_ms"] < 0:
+            die(f"E6: {row}_sweep_ms negative")
+        if m[f"{row}_agree"] is not True:
+            die(f"E6: {row}: the closure sweep disagrees with DPLL")
+    need(m, ["all_agree"], "E6.metrics")
+    if m["all_agree"] is not True:
+        die("E6: some row's sweep disagrees with DPLL")
 
 
 def check_e15(e):

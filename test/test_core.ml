@@ -86,12 +86,15 @@ let test_fig5_gap () =
   Alcotest.(check (list (list int))) "single dominator"
     [ List.sort compare [ Database.id_exn db "x1"; Database.id_exn db "x2" ] ]
     (List.map (List.sort compare) doms);
-  (* its closure fails with a cycle *)
+  (* its closure fails with a cycle, in T1 *)
   List.iter
     (fun dom ->
       match Closure.close sys ~dominator:(Dgraph.entity_set d dom) with
       | Closure.Closed _ -> Alcotest.fail "Fig 5 closure must fail"
-      | Closure.Failed _ -> ())
+      | Closure.Failed (Closure.Would_cycle { txn }) ->
+          Util.check_int "the cycle is forced in T1" 0 txn
+      | Closure.Failed Closure.Dominator_lost ->
+          Alcotest.fail "Fig 5 closure must fail by a cycle")
     (Dgraph.dominators d);
   (* and the system is genuinely safe (Lemma 1 oracle) *)
   Util.check "safe by oracle" true (Util.brute_safe (Brute.safe_by_extensions sys))
@@ -192,6 +195,29 @@ let test_first_unsafe_dominator () =
   | None -> Alcotest.fail "fig3 has a closing dominator");
   Util.check "fig5 has none" true
     (Closure.first_unsafe_dominator (Figures.fig5 ()) = None)
+
+(* Two-site pairs on which the two biased sorts of the certificate
+   construction admit no separating path, although the closed orders do:
+   the closed [T2] orders two of the dominator's locks against the order
+   the first sort gave their unlocks. *)
+let test_twosite_certificates_past_the_sorts () =
+  List.iter
+    (fun s ->
+      let rng = Random.State.make [| 77; s |] in
+      let ns = 9 + Random.State.int rng 12 in
+      let np = Random.State.int rng 2 in
+      let sys =
+        Txn_gen.random_pair_system rng ~num_shared:ns ~num_private:np
+          ~num_sites:2 ~cross_prob:0.3 ()
+      in
+      let name = Printf.sprintf "seed %d" s in
+      Util.check (name ^ " validates") true (System.validate sys = []);
+      match Twosite.decide sys with
+      | Twosite.Unsafe cert ->
+          Util.check (name ^ " certificate verified") true
+            (Certificate.verify sys cert)
+      | Twosite.Safe -> Alcotest.failf "%s: D is not strongly connected" name)
+    [ 2183; 13887; 17850; 28184; 29253; 33103 ]
 
 (* ------------------------------------------------------------------ *)
 (* Safety dispatcher *)
@@ -385,6 +411,8 @@ let () =
         [
           Alcotest.test_case "fig3 closes" `Quick test_closure_fig3;
           Alcotest.test_case "first_unsafe_dominator" `Quick test_first_unsafe_dominator;
+          Alcotest.test_case "two-site certificates past the sorts" `Quick
+            test_twosite_certificates_past_the_sorts;
         ] );
       ( "safety",
         [

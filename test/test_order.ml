@@ -46,6 +46,35 @@ let test_add_arcs () =
       Util.check "original untouched" false (Poset.precedes p 1 2));
   Util.check "contradiction rejected" true (Poset.add_arcs p [ (1, 0) ] = None)
 
+(* [add_arcs] closes arc by arc and shares the rows it does not write with
+   its input; a rebuild from the whole extended relation is the
+   reference. Most extra arcs follow a linear extension of the poset, so
+   they keep it acyclic; the rest are arbitrary pairs, self-loops and
+   reversed precedences among them, and may close a cycle. *)
+let qcheck_add_arcs_vs_rebuild =
+  Util.qtest ~count:1000 "add_arcs agrees with a rebuild and leaves its input"
+    (Util.gen_with_state (fun st ->
+         let n = 1 + Random.State.int st 12 in
+         let p = Option.get (Poset.of_arcs n (Util.random_dag_arcs st n 0.2)) in
+         let ext = Linext.random st p in
+         let arc () =
+           if Random.State.int st 5 = 0 then
+             (Random.State.int st n, Random.State.int st n)
+           else
+             let a = Random.State.int st n and b = Random.State.int st n in
+             (ext.(min a b), ext.(max a b))
+         in
+         (n, p, List.init (Random.State.int st 6) (fun _ -> arc ()))))
+    (fun (n, p, arcs) ->
+      let before = Poset.relation p in
+      let agree =
+        match (Poset.add_arcs p arcs, Poset.of_arcs n (before @ arcs)) with
+        | None, None -> true
+        | Some q, Some r -> Poset.equal q r
+        | Some _, None | None, Some _ -> false
+      in
+      agree && Poset.relation p = before)
+
 let test_reverse () =
   let p = Option.get (Poset.of_arcs 3 [ (0, 1); (1, 2) ]) in
   let r = Poset.reverse p in
@@ -154,6 +183,7 @@ let () =
           Alcotest.test_case "chain/antichain" `Quick test_chain_empty;
           Alcotest.test_case "covers" `Quick test_covers;
           Alcotest.test_case "add_arcs" `Quick test_add_arcs;
+          qcheck_add_arcs_vs_rebuild;
           Alcotest.test_case "reverse" `Quick test_reverse;
           Alcotest.test_case "down/up sets" `Quick test_down_up_sets;
         ] );

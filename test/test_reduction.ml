@@ -84,6 +84,88 @@ let test_unsat_no_dominator_closes () =
   let g = Reduction.encode (unsat_formula ()) in
   Util.check "no closure" true (Reduction.decide_unsafe_by_closure g = None)
 
+(* Every dominator's closure outcome, in [Dgraph.dominators] order, as
+   one character each: C closed, 0/1 a cycle forced in T1/T2, L the
+   dominator lost. *)
+let closure_outcomes g =
+  let sys = Reduction.system g in
+  let d = Dgraph.build_pair sys in
+  String.concat ""
+    (List.map
+       (fun x ->
+         match Closure.close sys ~dominator:(Dgraph.entity_set d x) with
+         | Closure.Closed _ -> "C"
+         | Closure.Failed (Closure.Would_cycle { txn }) -> string_of_int txn
+         | Closure.Failed Closure.Dominator_lost -> "L")
+       (Dgraph.dominators d))
+
+(* Where the outcome is not a cycle in T1. *)
+let exceptions outcomes =
+  List.filter_map
+    (fun i -> if outcomes.[i] = '0' then None else Some (i, outcomes.[i]))
+    (List.init (String.length outcomes) Fun.id)
+
+let outcome_list = Alcotest.(list (pair int char))
+
+let test_unsat_closure_outcomes () =
+  let outcomes = closure_outcomes (Reduction.encode (unsat_formula ())) in
+  Util.check_int "one outcome per dominator" 1024 (String.length outcomes);
+  Alcotest.check outcome_list "every closure forces a cycle in T1" []
+    (exceptions outcomes)
+
+(* Seeded satisfiable restricted formulas: 4 variables, 5 clauses. *)
+let seeded_sat_formula seed =
+  let rng = Random.State.make [| seed |] in
+  let rec draw () =
+    let f = Sat_gen.random_restricted rng ~num_vars:4 ~num_clauses:5 in
+    if f.Cnf.clauses = [] || not (Dpll.is_satisfiable f) then draw () else f
+  in
+  draw ()
+
+let test_sat_closure_outcomes () =
+  List.iter
+    (fun (seed, closed) ->
+      let outcomes = closure_outcomes (Reduction.encode (seeded_sat_formula seed)) in
+      Util.check_int "one outcome per dominator" 256 (String.length outcomes);
+      Alcotest.check outcome_list
+        (Printf.sprintf "seed %d: the dominators that close" seed)
+        (List.map (fun i -> (i, 'C')) closed)
+        (exceptions outcomes))
+    [
+      (1, [ 73; 75; 105; 180 ]);
+      (2, [ 13; 15; 45; 195 ]);
+      ( 3,
+        [ 5; 7; 10; 11; 13; 14; 15; 26; 30; 37; 45; 74; 75; 88; 90; 120; 133;
+          135; 165 ] );
+    ]
+
+(* The sweep's answer is its first closing candidate, entity for entity. *)
+let test_sweep_first_dominator () =
+  List.iter
+    (fun (seed, expected) ->
+      let g = Reduction.encode (seeded_sat_formula seed) in
+      let db = System.db (Reduction.system g) in
+      match Reduction.decide_unsafe_by_closure g with
+      | Some (dominator, _) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "seed %d" seed)
+            (String.split_on_char ' ' expected)
+            (List.map (Database.name db) dominator)
+      | None -> Alcotest.failf "seed %d: satisfiable, yet no dominator closes" seed)
+    [
+      ( 1,
+        "u ud0 c0_0 ud1 c0_1 ud2 c1_0 ud3 c1_1 ud4 c1_2 ud5 c2_0 ud6 c2_1 ud7 \
+         c3_0 ud8 c3_1 ud9 c4_0 ud10 c4_1 ud11 w3_0 w3_1 wn2 w1_0 w0_0 w0_1" );
+      ( 2,
+        "u ud0 c0_0 ud1 c0_1 ud2 c0_2 ud3 c1_0 ud4 c1_1 ud5 c2_0 ud6 c2_1 ud7 \
+         c3_0 ud8 c3_1 ud9 c4_0 ud10 c4_1 ud11 w3_0 w3_1 w2_0 w1_0 w1_1 w0_0 \
+         w0_1" );
+      ( 3,
+        "u ud0 c0_0 ud1 c0_1 ud2 c0_2 ud3 c1_0 ud4 c1_1 ud5 c1_2 ud6 c2_0 ud7 \
+         c2_1 ud8 c3_0 ud9 c3_1 ud10 c3_2 ud11 w3_0 w3_1 w2_0 w2_1 w1_0 w1_1 \
+         w0_0 w0_1" );
+    ]
+
 let test_unsat_randomized_probe () =
   (* Independent evidence on the unsat gadget: random legal schedules of
      the encoded system stay serializable. *)
@@ -175,6 +257,9 @@ let () =
           Alcotest.test_case "non-model rejected" `Quick test_non_model_rejected;
           Alcotest.test_case "unsat => no closure" `Slow test_unsat_no_dominator_closes;
           Alcotest.test_case "unsat randomized probe" `Quick test_unsat_randomized_probe;
+          Alcotest.test_case "unsat closure outcomes" `Quick test_unsat_closure_outcomes;
+          Alcotest.test_case "sat closure outcomes" `Quick test_sat_closure_outcomes;
+          Alcotest.test_case "sweep's first dominator" `Quick test_sweep_first_dominator;
           Alcotest.test_case "end-to-end sat_via_safety" `Slow test_sat_via_safety_end_to_end;
           qcheck_reduction_equivalence;
           qcheck_model_dominators_close;

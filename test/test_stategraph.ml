@@ -68,6 +68,68 @@ let test_collapse () =
       Util.check "fewer states than schedules" true (st.Stategraph.states < n)
   | Enumerate.Exhausted _ -> Alcotest.fail "tiny census exhausted"
 
+(* Four two-phase transactions over three of five entities on three
+   sites: every lock precedes every unlock, and the locks (and the
+   unlocks) at one site form a chain in a seeded order. *)
+let two_phase_system seed =
+  let rng = Random.State.make [| seed |] in
+  let names = [| "a"; "b"; "c"; "d"; "e" |] in
+  let db = mkdb (Array.to_list (Array.mapi (fun i n -> (n, 1 + (i mod 3))) names)) in
+  let txn k =
+    let pool = Array.copy names in
+    for i = Array.length pool - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = pool.(i) in
+      pool.(i) <- pool.(j);
+      pool.(j) <- t
+    done;
+    let ents = Array.to_list (Array.sub pool 0 3) in
+    let at_site s =
+      List.filter (fun e -> Database.site db (Database.id_exn db e) = s) ents
+    in
+    Builder.make_exn db
+      ~name:(Printf.sprintf "T%d" k)
+      ~steps:
+        (List.concat_map
+           (fun e -> [ ("L" ^ e, `Lock e); ("U" ^ e, `Unlock e) ])
+           ents)
+      ~arcs:
+        (List.concat_map
+           (fun a -> List.map (fun b -> ("L" ^ a, "U" ^ b)) ents)
+           ents)
+      ~chains:
+        (List.concat_map
+           (fun s ->
+             match at_site s with
+             | [] -> []
+             | es -> [ List.map (( ^ ) "L") es; List.map (( ^ ) "U") es ])
+           [ 1; 2; 3 ])
+      ()
+  in
+  System.make db (List.init 4 (fun k -> txn (k + 1)))
+
+(* The work each search does, not only its verdict: a probe that skipped
+   states or a successor walk in another order would change these.
+   (states, dup_hits, complete, deadlocked) of census, then of decide. *)
+let test_pinned_work () =
+  let stats (_, st) =
+    Stategraph.[ st.states; st.dup_hits; st.complete; st.deadlocked ]
+  in
+  List.iter
+    (fun (name, sys, census, decide) ->
+      Alcotest.(check (list int)) (name ^ " census") census
+        (stats (Stategraph.census sys));
+      Alcotest.(check (list int)) (name ^ " decide") decide
+        (stats (Stategraph.decide sys)))
+    [
+      ("fig1", Figures.fig1 (), [ 1561; 2264; 3; 0 ], [ 88; 54; 2; 0 ]);
+      ("fig2", Figures.fig2 (), [ 99; 48; 3; 0 ], [ 31; 0; 2; 0 ]);
+      ("fig5", Figures.fig5 (), [ 319; 490; 2; 14 ], [ 319; 490; 2; 14 ]);
+      ("2pl seed 1", two_phase_system 1, [ 2057; 2510; 24; 70 ], [ 2057; 2510; 24; 70 ]);
+      ("2pl seed 2", two_phase_system 2, [ 4463; 8181; 24; 42 ], [ 4463; 8181; 24; 42 ]);
+      ("2pl seed 3", two_phase_system 3, [ 3128; 4877; 24; 98 ], [ 3128; 4877; 24; 98 ]);
+    ]
+
 let test_exhaustion () =
   (match Stategraph.decide ~limit:1 (tiny_pair ()) with
   | Stategraph.Exhausted { visited; limit }, _ ->
@@ -153,6 +215,7 @@ let () =
         [
           Alcotest.test_case "known verdicts" `Quick test_known_verdicts;
           Alcotest.test_case "memoization collapse" `Quick test_collapse;
+          Alcotest.test_case "pinned work" `Quick test_pinned_work;
           Alcotest.test_case "typed exhaustion" `Quick test_exhaustion;
           Alcotest.test_case "deadlock" `Quick test_deadlock;
         ] );
