@@ -100,7 +100,7 @@ let e2 () =
           (List.init 3 (fun _ ->
                snd
                  (time (fun () ->
-                      ignore (Twosite.decide_connectivity_only sys)))))
+                      ignore (Theorem1.guarantees_safe sys)))))
       in
       let t = List.nth times 1 in
       let ratio =
@@ -210,7 +210,7 @@ let e4 () =
           Txn_gen.random_pair_system rng ~num_shared:shared ~num_private:1
             ~num_sites:2 ~cross_prob:0.25 ()
         in
-        if attempts = 0 || Twosite.decide_connectivity_only sys then sys
+        if attempts = 0 || Theorem1.guarantees_safe sys then sys
         else safe_instance (attempts - 1)
       in
       let sys = safe_instance 500 in
@@ -289,6 +289,16 @@ let e6 () =
 (* ------------------------------------------------------------------ *)
 (* E7: Proposition 2 scaling *)
 
+(* Proposition 2 alone: no engine and no stores, every conflicting pair
+   through the pair pipeline. *)
+let prop2 sys =
+  let tally = Multisite.tally () and lsys = lazy sys in
+  Multisite.decide_with
+    ~pair_safe:
+      (Multisite.pair_safe ~budget:Distlock_engine.Budget.unlimited tally lsys)
+    tally lsys
+    (Multisite.conflict_graph sys)
+
 let e7 () =
   rule "E7 (Proposition 2): multi-transaction safety";
   pf "%6s %8s %10s %12s %10s\n" "txns" "cycles" "verdict" "time" "oracle";
@@ -302,7 +312,7 @@ let e7 () =
       let cycles =
         List.length (Multisite.simple_cycles (Multisite.conflict_graph sys))
       in
-      let verdict, t = time (fun () -> Multisite.decide sys) in
+      let verdict, t = time (fun () -> prop2 sys) in
       let oracle =
         if k <= 4 then
           match Brute.safe_by_schedules ~limit:3_000_000 sys with
@@ -313,8 +323,9 @@ let e7 () =
       in
       pf "%6d %8d %10s %10.1f ms %10s\n" k cycles
         (match verdict with
-        | Multisite.Safe -> "SAFE"
-        | Multisite.Unsafe _ -> "UNSAFE")
+        | Multisite.Decided Multisite.Safe -> "SAFE"
+        | Multisite.Decided (Multisite.Unsafe _) -> "UNSAFE"
+        | Multisite.Exhausted _ -> "UNKNOWN")
         (ms t) oracle)
     [ 3; 4; 5; 6 ]
 
@@ -1397,7 +1408,7 @@ let bechamel_benches () =
         (Staged.stage (fun () -> ignore (Twosite.decide fig1)));
       Test.make ~name:"E2/corollary1-n128"
         (Staged.stage (fun () ->
-             ignore (Twosite.decide_connectivity_only sys_big)));
+             ignore (Theorem1.guarantees_safe sys_big)));
       Test.make ~name:"E2/dgraph-build-n128"
         (Staged.stage (fun () -> ignore (Dgraph.build_pair sys_big)));
       Test.make ~name:"E4/certificate-fig1"
@@ -1408,7 +1419,7 @@ let bechamel_benches () =
       Test.make ~name:"E6/encode-3vars"
         (Staged.stage (fun () -> ignore (Reduction.encode sat3)));
       Test.make ~name:"E7/prop2-4txns"
-        (Staged.stage (fun () -> ignore (Multisite.decide multi)));
+        (Staged.stage (fun () -> ignore (prop2 multi)));
       Test.make ~name:"E8/simulate-fig1"
         (Staged.stage (fun () ->
              ignore

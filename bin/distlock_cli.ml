@@ -30,21 +30,22 @@ let load_system path =
       Printf.eprintf "error: %s\n" msg;
       exit 2
 
-(* Engines whose per-instance metrics `--metrics` exports alongside the
-   global registry. Subcommands run at most one engine per invocation,
-   so the Prometheus output never carries duplicate samples. *)
-let metric_engines : Decision.t list ref = ref []
+(* The labelled registries `--metrics`, `--metrics-port` and the flight
+   recorder export: the global one, then each registered engine's or
+   session's stats, in registration order. Read on every use, so stats
+   registered after the server starts are scraped too. Subcommands
+   register at most one, so the Prometheus output never carries
+   duplicate samples. *)
+let metric_registries = ref [ ("global", Obs.global) ]
+
+let registries () = !metric_registries
+
+let register_stats label s =
+  metric_registries := !metric_registries @ [ (label, E.Stats.registry s) ]
 
 let register_engine e =
-  metric_engines := e :: !metric_engines;
+  register_stats "engine" (Decision.stats e);
   e
-
-(* Engine-less stats sinks (the `mutate` session) exported the same way. *)
-let metric_stats : E.Stats.t list ref = ref []
-
-let register_stats s =
-  metric_stats := s :: !metric_stats;
-  s
 
 (* One engine instance shared by every decision the process makes, so
    repeated systems (e.g. across `figures`) hit the verdict cache. *)
@@ -58,11 +59,9 @@ let engine = lazy (register_engine (Decision.create ()))
 let dump_metrics path =
   let oc = open_out path in
   let ppf = Format.formatter_of_out_channel oc in
-  Distlock_obs.Registry.pp_prometheus ppf Obs.global;
   List.iter
-    (fun e -> E.Stats.pp_prometheus ppf (Decision.stats e))
-    !metric_engines;
-  List.iter (fun s -> E.Stats.pp_prometheus ppf s) !metric_stats;
+    (fun (_, r) -> Distlock_obs.Registry.pp_prometheus ppf r)
+    (registries ());
   Format.pp_print_flush ppf ();
   close_out oc
 
@@ -73,26 +72,12 @@ let dump_metrics path =
    bench E18 measures the overhead. *)
 let install_recorder () =
   let r = Distlock_obs.Recorder.create () in
-  Distlock_obs.Recorder.set_registries r (fun () ->
-      ("global", Obs.global)
-      :: List.map
-           (fun e -> ("engine", E.Stats.registry (Decision.stats e)))
-           !metric_engines
-      @ List.map (fun s -> ("session", E.Stats.registry s)) !metric_stats);
+  Distlock_obs.Recorder.set_registries r registries;
   Distlock_obs.Recorder.set_global (Some r);
   Distlock_obs.Recorder.sink r
 
-(* The same registry set the flight recorder snapshots — evaluated per
-   request, so engines created after the server starts are scraped too. *)
-let serve_registries () =
-  ("global", Obs.global)
-  :: List.map
-       (fun e -> ("engine", E.Stats.registry (Decision.stats e)))
-       !metric_engines
-  @ List.map (fun s -> ("session", E.Stats.registry s)) !metric_stats
-
 let start_metrics_server port =
-  match Distlock_obs.Expose.start ~port ~registries:serve_registries () with
+  match Distlock_obs.Expose.start ~port ~registries () with
   | Ok srv ->
       (* The bound port goes to stderr so it never perturbs stdout
          expectations; with --metrics-port 0 it is the only way to learn
@@ -219,8 +204,8 @@ let print_outcome ?(stats = false) sys (o : Decision.evidence E.Outcome.t) =
     | E.Outcome.Unsafe (Decision.Pair ev) ->
         Printf.printf "UNSAFE\n";
         (match ev with
-        | Safety.Certificate c -> Format.printf "%a@." (Certificate.pp sys) c
-        | Safety.Counterexample h ->
+        | Checkers.Certificate c -> Format.printf "%a@." (Certificate.pp sys) c
+        | Checkers.Counterexample h ->
             Printf.printf "non-serializable schedule:\n  %s\n"
               (Distlock_sched.Schedule.to_string sys h));
         1
@@ -602,7 +587,7 @@ let mutate_cmd =
     | base_file :: edit_files ->
         let base = load_system base_file in
         let session = Incremental.of_system ~budget base in
-        ignore (register_stats (Incremental.stats session));
+        register_stats "session" (Incremental.stats session);
         let db_sig sys =
           let db = System.db sys in
           List.map
@@ -932,13 +917,13 @@ let advise_cmd =
       Printf.eprintf "error: advise expects a two-transaction system\n";
       exit 2
     end;
-    match Safety.decide_pair sys with
-    | Safety.Safe why ->
-        Printf.printf "already SAFE — %s\n" why
-    | Safety.Unknown m ->
+    let o = Checkers.decide sys in
+    match o.E.Outcome.verdict with
+    | E.Outcome.Safe -> Printf.printf "already SAFE — %s\n" o.E.Outcome.detail
+    | E.Outcome.Unknown m ->
         Printf.printf "UNKNOWN — %s\n" m;
         exit 3
-    | Safety.Unsafe _ -> (
+    | E.Outcome.Unsafe _ -> (
         Printf.printf "UNSAFE; repair options (cheapest first):\n";
         match Advisor.advise sys with
         | [] ->
@@ -979,13 +964,13 @@ let plane_cmd =
       exit 2
     end;
     let plane = Distlock_geometry.Plane.make sys in
-    match Safety.decide_pair sys with
-    | Safety.Unsafe ev ->
+    match (Checkers.decide sys).E.Outcome.verdict with
+    | E.Outcome.Unsafe ev ->
         Printf.printf "UNSAFE — separating staircase:\n";
         print_string
           (Distlock_geometry.Render.plane
-             ~schedule:(Safety.schedule_of_evidence ev) plane)
-    | Safety.Safe _ | Safety.Unknown _ ->
+             ~schedule:(Checkers.schedule_of_evidence ev) plane)
+    | E.Outcome.Safe | E.Outcome.Unknown _ ->
         print_string (Distlock_geometry.Render.plane plane)
   in
   Cmd.v
@@ -1137,7 +1122,7 @@ let simulate_cmd =
    registry until SIGINT, or for --for seconds in scripted runs. *)
 let telemetry_cmd =
   let run port duration =
-    match Distlock_obs.Expose.start ~port ~registries:serve_registries () with
+    match Distlock_obs.Expose.start ~port ~registries () with
     | Error msg ->
         Printf.eprintf "distlock: %s\n" msg;
         exit 2

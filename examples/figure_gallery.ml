@@ -15,15 +15,19 @@ let show_dgraph sys =
   Printf.printf "strongly connected: %b\n" (Dgraph.is_strongly_connected d)
 
 let show_verdict sys =
-  match Safety.decide_pair ~exhaustive_budget:5_000_000 sys with
-  | Safety.Safe why -> Printf.printf "verdict: SAFE — %s\n" why
-  | Safety.Unsafe ev ->
+  let module O = Distlock_engine.Outcome in
+  let o =
+    Checkers.decide ~budget:(Distlock_engine.Budget.of_steps 5_000_000) sys
+  in
+  match o.O.verdict with
+  | O.Safe -> Printf.printf "verdict: SAFE — %s\n" o.O.detail
+  | O.Unsafe ev ->
       Printf.printf "verdict: UNSAFE\n";
       (match ev with
-      | Safety.Certificate c -> Format.printf "%a@." (Certificate.pp sys) c
-      | Safety.Counterexample h ->
+      | Checkers.Certificate c -> Format.printf "%a@." (Certificate.pp sys) c
+      | Checkers.Counterexample h ->
           Printf.printf "  schedule: %s\n" (Distlock_sched.Schedule.to_string sys h))
-  | Safety.Unknown m -> Printf.printf "verdict: UNKNOWN — %s\n" m
+  | O.Unknown m -> Printf.printf "verdict: UNKNOWN — %s\n" m
 
 let cross_check sys =
   match Brute.safe_by_extensions sys with

@@ -44,15 +44,18 @@ let report label sys =
   Printf.printf "conflict graph: %d arcs; simple cycles: %d\n"
     (Distlock_graph.Digraph.num_arcs g)
     (List.length (Multisite.simple_cycles g));
-  (match Multisite.decide sys with
-  | Multisite.Safe -> Printf.printf "Proposition 2: SAFE\n"
-  | Multisite.Unsafe (Multisite.Unsafe_pair (i, j)) ->
+  let module O = Distlock_engine.Outcome in
+  (match (Decision.decide (Decision.create ()) sys).O.verdict with
+  | O.Safe -> Printf.printf "Proposition 2: SAFE\n"
+  | O.Unsafe (Decision.Multi (Multisite.Unsafe_pair (i, j))) ->
       Printf.printf "Proposition 2: UNSAFE — pair (%s, %s)\n"
         (Txn.name (System.txn sys i))
         (Txn.name (System.txn sys j))
-  | Multisite.Unsafe (Multisite.Acyclic_bc c) ->
+  | O.Unsafe (Decision.Multi (Multisite.Acyclic_bc c)) ->
       Printf.printf "Proposition 2: UNSAFE — cycle %s has acyclic B_c\n"
-        (String.concat "->" (List.map (fun i -> Txn.name (System.txn sys i)) c)));
+        (String.concat "->" (List.map (fun i -> Txn.name (System.txn sys i)) c))
+  | O.Unsafe (Decision.Pair _) -> Printf.printf "UNSAFE (pair pipeline)\n"
+  | O.Unknown m -> Printf.printf "UNKNOWN — %s\n" m);
   (match Brute.safe_by_schedules ~limit:5_000_000 sys with
   | Brute.Safe -> Printf.printf "oracle: SAFE\n"
   | Brute.Unsafe h ->

@@ -27,9 +27,10 @@ let advise sys =
        strong connectivity directly; strong 2PL and identical total orders
        are not guaranteed to make D strongly connected, so fall back to
        the exact two-site test / Lemma 1 oracle via the dispatcher. *)
-    match Safety.decide_pair candidate with
-    | Safety.Safe _ -> true
-    | Safety.Unsafe _ | Safety.Unknown _ -> false
+    match (Checkers.decide candidate).Distlock_engine.Outcome.verdict with
+    | Distlock_engine.Outcome.Safe -> true
+    | Distlock_engine.Outcome.Unsafe _ | Distlock_engine.Outcome.Unknown _ ->
+        false
   in
   let options = ref [] in
   (match Repair.make_safe sys with

@@ -1,4 +1,5 @@
 open Distlock_txn
+module O = Distlock_engine.Outcome
 
 type deadlock_info =
   | Deadlock_possible of int
@@ -19,14 +20,13 @@ type t = {
   d_vertices : int;
   d_arcs : int;
   strongly_connected : bool;
-  verdict : Safety.verdict;
   decision : Checkers.evidence Distlock_engine.Outcome.t;
   policies : txn_policies list;
   deadlock : deadlock_info;
   repair : (int * int) option;
 }
 
-let pair ?exhaustive_budget ?(try_repair = true) sys =
+let pair ?(try_repair = true) sys =
   let db = System.db sys in
   let violations =
     List.map
@@ -34,13 +34,7 @@ let pair ?exhaustive_budget ?(try_repair = true) sys =
       (System.validate sys)
   in
   let d = Dgraph.build_pair sys in
-  let budget =
-    match exhaustive_budget with
-    | Some n -> Distlock_engine.Budget.of_steps n
-    | None -> Distlock_engine.Budget.unlimited
-  in
-  let decision = Safety.decide ~budget sys in
-  let verdict = Safety.verdict_of_outcome decision in
+  let decision = Checkers.decide sys in
   let t1, t2 = System.pair sys in
   let policies =
     List.map
@@ -62,8 +56,8 @@ let pair ?exhaustive_budget ?(try_repair = true) sys =
     else Deadlock_unknown
   in
   let repair =
-    match verdict with
-    | Safety.Unsafe _ when try_repair -> (
+    match decision.O.verdict with
+    | O.Unsafe _ when try_repair -> (
         match Repair.make_safe sys with
         | Some (sys', ins) ->
             Some
@@ -80,7 +74,6 @@ let pair ?exhaustive_budget ?(try_repair = true) sys =
     d_vertices = Dgraph.num_vertices d;
     d_arcs = Distlock_graph.Digraph.num_arcs (Dgraph.graph d);
     strongly_connected = Dgraph.is_strongly_connected d;
-    verdict;
     decision;
     policies;
     deadlock;
@@ -109,17 +102,17 @@ let pp ppf r =
          else if p.two_phase_weak then "weak only"
          else "no"))
     r.policies;
-  (match r.verdict with
-  | Safety.Safe why -> Format.fprintf ppf "verdict: SAFE — %s@," why
-  | Safety.Unsafe ev ->
+  (match r.decision.O.verdict with
+  | O.Safe -> Format.fprintf ppf "verdict: SAFE — %s@," r.decision.O.detail
+  | O.Unsafe ev ->
       Format.fprintf ppf "verdict: UNSAFE@,";
       (match ev with
-      | Safety.Certificate c ->
+      | Checkers.Certificate c ->
           Format.fprintf ppf "%a@," (Certificate.pp sys) c
-      | Safety.Counterexample h ->
+      | Checkers.Counterexample h ->
           Format.fprintf ppf "counterexample: %s@,"
             (Distlock_sched.Schedule.to_string sys h))
-  | Safety.Unknown m -> Format.fprintf ppf "verdict: UNKNOWN — %s@," m);
+  | O.Unknown m -> Format.fprintf ppf "verdict: UNKNOWN — %s@," m);
   (match r.deadlock with
   | Deadlock_possible k ->
       Format.fprintf ppf "deadlock: possible (%d reachable state(s))@," k
@@ -132,8 +125,8 @@ let pp ppf r =
         "repair: %d inserted precedence(s) make it safe (loss: %d pairs)@,"
         ins loss
   | None -> (
-      match r.verdict with
-      | Safety.Unsafe _ ->
+      match r.decision.O.verdict with
+      | O.Unsafe _ ->
           Format.fprintf ppf "repair: no precedence insertion helps@,"
       | _ -> ()));
   Format.fprintf ppf "@]"

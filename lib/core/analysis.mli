@@ -25,10 +25,8 @@ type t = {
   d_vertices : int;
   d_arcs : int;
   strongly_connected : bool;
-  verdict : Safety.verdict;
   decision : Checkers.evidence Distlock_engine.Outcome.t;
-      (** The full engine outcome behind [verdict]: provenance, stage
-          trace, timings. *)
+      (** The verdict with its provenance, stage trace and timings. *)
   policies : txn_policies list;
   deadlock : deadlock_info;
   repair : (int * int) option;
@@ -36,7 +34,7 @@ type t = {
           repair was found. *)
 }
 
-val pair : ?exhaustive_budget:int -> ?try_repair:bool -> System.t -> t
+val pair : ?try_repair:bool -> System.t -> t
 (** [try_repair] defaults to [true]. *)
 
 val pp : Format.formatter -> t -> unit

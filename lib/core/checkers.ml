@@ -139,3 +139,8 @@ let lemma1 =
 
 let pair_checkers =
   [ trivial; theorem1; twosite; proposition1; corollary2; state_graph; lemma1 ]
+
+let decide ?stats ?budget sys =
+  if not (is_pair sys) then
+    invalid_arg "Checkers.decide: not a two-transaction system";
+  E.Engine.run ?stats ?budget pair_checkers sys

@@ -5,8 +5,7 @@ open Distlock_sched
 
     Each stage follows the common [Distlock_engine.Checker] signature:
     an applicability predicate, a cost class, and a budgeted run function
-    returning a structured result with provenance — replacing the
-    hard-wired if/else cascade that used to live in [Safety.decide_pair].
+    returning a structured result with provenance.
 
     Stage order in {!pair_checkers} (cheapest and strongest first):
 
@@ -49,6 +48,16 @@ val lemma1 : t
 val pair_checkers : t list
 (** The staged pipeline for two-transaction systems, in the order
     above. *)
+
+val decide :
+  ?stats:Distlock_engine.Stats.t ->
+  ?budget:Distlock_engine.Budget.t ->
+  System.t ->
+  evidence Distlock_engine.Outcome.t
+(** The stateless pair decision: one run of {!pair_checkers} under
+    [budget] (default unlimited), stage counters into [stats]. Raises
+    [Invalid_argument] unless the system has exactly two transactions;
+    {!Decision} is the cached service. *)
 
 val state_graph_result :
   counterexample:(Schedule.t -> 'ev) ->

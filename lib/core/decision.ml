@@ -5,70 +5,50 @@ type evidence =
   | Pair of Checkers.evidence
   | Multi of Multisite.unsafe_reason
 
-(* The Proposition 2 stage, generalized over where pair verdicts come
-   from. With [pair_cache] set, each conflicting pair is looked up by
-   its order-canonical {!System.pair_fingerprint} before the pair
-   pipeline runs, and decided pair verdicts are stored back — so a
-   system sharing pairs with earlier decisions (a batch of edits of one
-   base system, say) re-runs the pipeline only for pairs it does not
-   share. Unknown pairs raise out of the store un-cached, exactly like
-   the uncached path. Cycle enumeration runs under the meter's step
-   allowance and maps exhaustion to an inconclusive [Pass] — never a
-   hang, and the state-graph fallback still gets its chance. *)
-let proposition2_with ?pair_cache ?stats () =
+(* The Proposition 2 stage. With [pair_cache] set, each conflicting
+   pair is looked up by its order-canonical {!System.pair_fingerprint}
+   before the pair pipeline runs, and decided pair verdicts are stored
+   back — so a system sharing pairs with earlier decisions (a batch of
+   edits of one base system, say) re-runs the pipeline only for pairs it
+   does not share. An undecided pair is a stage [Error]. Cycle
+   enumeration runs under the meter's step allowance and maps
+   exhaustion to an inconclusive [Pass] — never a hang, and the
+   state-graph fallback still gets its chance. *)
+let proposition2 ?pair_cache stats =
   E.Checker.make ~name:"multisite" ~procedure:E.Checker.Proposition_2
     ~cost:E.Checker.Exponential
     ~applicable:(fun sys -> System.num_txns sys <> 2)
     ~run:(fun meter sys ->
-      let budget = E.Budget.budget meter in
-      let run_pair i j =
-        Safety.is_safe_exn ~budget (Multisite.pair_system sys i j)
-      in
-      (* Per-decision pair-cache traffic. The shared [stats] counters
-         are cumulative across the engine's whole lifetime; these local
-         refs meter this one decision, so the [Annotated] wrapper (and
-         through it [check --explain]) reports the traffic of the
-         decision being explained even mid-batch. *)
-      let hits = ref 0 and misses = ref 0 and redecided = ref 0 in
+      (* Per-decision pair-cache traffic: the shared [stats] counters
+         are cumulative across the engine's whole lifetime, the tally
+         meters this one decision, so [check --explain] reports the
+         traffic of the decision being explained even mid-batch. *)
+      let tally = Multisite.tally () in
       let pair_safe =
-        match pair_cache with
-        | None -> run_pair
-        | Some cache ->
-            fun i j -> (
-              let fp = System.pair_fingerprint sys i j in
-              match E.Lru_sharded.find cache fp with
-              | Some safe ->
-                  incr hits;
-                  Option.iter
-                    (fun st -> E.Stats.record_pair_lookup st ~hit:true)
-                    stats;
-                  safe
-              | None ->
-                  incr misses;
-                  Option.iter
-                    (fun st -> E.Stats.record_pair_lookup st ~hit:false)
-                    stats;
-                  let safe = run_pair i j in
-                  incr redecided;
-                  Option.iter
-                    (fun st -> E.Stats.record_pair_redecided st)
-                    stats;
-                  E.Lru_sharded.add cache fp safe;
-                  safe)
+        Multisite.pair_safe
+          ?store:
+            (Option.map
+               (fun cache -> (cache, stats, System.pair_fingerprint sys))
+               pair_cache)
+          ~budget:(E.Budget.budget meter) tally (lazy sys)
       in
       let annotate result =
-        if !hits + !misses = 0 then result
+        let Multisite.{ pairs_total; pair_hits; pairs_redecided; _ } = tally in
+        if Option.is_none pair_cache || pairs_total = 0 then result
         else
           E.Checker.Annotated
             ( [
-                Distlock_obs.Attr.int "pair_hits" !hits;
-                Distlock_obs.Attr.int "pair_misses" !misses;
-                Distlock_obs.Attr.int "pairs_redecided" !redecided;
+                Distlock_obs.Attr.int "pair_hits" pair_hits;
+                Distlock_obs.Attr.int "pair_misses" (pairs_total - pair_hits);
+                Distlock_obs.Attr.int "pairs_redecided" pairs_redecided;
               ],
               result )
       in
       let cycle_limit = E.Budget.step_allowance meter ~default:2_000_000 in
-      match Multisite.decide_with ~pair_safe ~cycle_limit sys with
+      match
+        Multisite.decide_with ~pair_safe ~cycle_limit tally (lazy sys)
+          (Multisite.conflict_graph sys)
+      with
       | Multisite.Decided Multisite.Safe ->
           annotate
             (E.Checker.Safe
@@ -78,15 +58,9 @@ let proposition2_with ?pair_cache ?stats () =
           annotate
             (E.Checker.Unsafe
                ("Proposition 2: unsafety witness found", Multi reason))
-      | Multisite.Exhausted { examined; limit } ->
-          annotate
-            (E.Checker.Pass
-               (Printf.sprintf
-                  "cycle-enumeration budget exhausted after %d of %d steps"
-                  examined limit))
-      | exception Failure msg -> annotate (E.Checker.Error msg))
-
-let proposition2 = proposition2_with ()
+      | Multisite.Exhausted e ->
+          annotate (E.Checker.Pass (Multisite.describe_exhaustion e))
+      | exception Multisite.Undecided msg -> annotate (E.Checker.Error msg))
 
 (* Exact fallback for many-transaction systems (the two-transaction
    table carries its own state-graph stage): memoized reachability over
@@ -100,12 +74,6 @@ let state_graph_multi =
       (Checkers.state_graph_result ~counterexample:(fun h ->
            Pair (Checkers.Counterexample h)))
 
-let checkers =
-  List.map
-    (E.Checker.map_evidence (fun ev -> Pair ev))
-    Checkers.pair_checkers
-  @ [ proposition2; state_graph_multi ]
-
 type t = (System.t, evidence) E.Engine.t
 
 let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) ?budget () =
@@ -118,7 +86,7 @@ let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) ?budget () =
     List.map
       (E.Checker.map_evidence (fun ev -> Pair ev))
       Checkers.pair_checkers
-    @ [ proposition2_with ?pair_cache ~stats (); state_graph_multi ]
+    @ [ proposition2 ?pair_cache stats; state_graph_multi ]
   in
   E.Engine.create ~cache_capacity ?budget ~stats
     ~fingerprint:System.fingerprint checkers

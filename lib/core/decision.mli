@@ -6,9 +6,13 @@ open Distlock_txn
     fingerprint-keyed LRU verdict cache, batch deduplication, and
     per-stage instrumentation.
 
-    This is what the CLI, the benchmarks, and the simulator consult; it
-    subsumes calling {!Safety.decide_pair} / {!Multisite.decide}
-    directly, which remain as thin stateless compatibility wrappers. *)
+    This is what the CLI, the benchmarks, and the simulator consult. The
+    stateless pieces it wires together are {!Checkers.decide} (one pair)
+    and {!Multisite.decide_with} (Proposition 2), which
+    {!Incremental.decide_delta} shares. The Proposition 2 stage turns
+    cycle-enumeration exhaustion into an inconclusive pass, so the
+    multi-transaction state graph still runs, and an undecided pair into
+    a stage error. *)
 
 type evidence =
   | Pair of Checkers.evidence
@@ -16,27 +20,6 @@ type evidence =
   | Multi of Multisite.unsafe_reason
       (** Proposition 2: an unsafe conflicting pair, or a conflict-graph
           cycle with acyclic [B_c]. *)
-
-val proposition2_with :
-  ?pair_cache:bool Distlock_engine.Lru_sharded.t ->
-  ?stats:Distlock_engine.Stats.t ->
-  unit ->
-  (System.t, evidence) Distlock_engine.Checker.t
-(** The Proposition 2 stage over an optional pair-verdict store:
-    applicable to any system that is not a pair; runs
-    {!Multisite.decide_with} under the stage budget, resolving each
-    conflicting pair through [pair_cache] (keyed by
-    {!System.pair_fingerprint}) when given, recording pair-cache
-    hits/misses into [stats]. Cycle-enumeration exhaustion becomes an
-    inconclusive [Pass] (never a hang); an undecided pair becomes a
-    stage [Error], as before. *)
-
-val proposition2 : (System.t, evidence) Distlock_engine.Checker.t
-(** [proposition2_with ()] — the uncached variant. *)
-
-val checkers : (System.t, evidence) Distlock_engine.Checker.t list
-(** {!Checkers.pair_checkers} (with evidence wrapped in {!Pair})
-    followed by {!proposition2}. *)
 
 type t = (System.t, evidence) Distlock_engine.Engine.t
 
@@ -50,7 +33,7 @@ val create :
     (default [1024]) bounds the LRU verdict cache; [0] disables caching
     entirely. [pair_cache_capacity] (default [4096]) bounds the
     pair-fingerprint verdict store consulted by the Proposition 2 stage
-    ({!proposition2_with}); [0] disables it, making every pair verdict
+    ({!Multisite.pair_safe}); [0] disables it, making every pair verdict
     a fresh pipeline run. [budget] (default unlimited) applies to every
     decision unless overridden per call. Decided verdicts are cached;
     [Unknown] outcomes never are, since they depend on the budget in

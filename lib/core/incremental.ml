@@ -4,13 +4,6 @@ module G = Distlock_graph
 module Obs = Distlock_obs.Obs
 module A = Distlock_obs.Attr
 
-(* Bounds on the content-keyed side tables. They are plain Hashtbls (one
-   session, one domain), so the cap is a reset, not an LRU: a workload
-   that genuinely cycles through more distinct SCCs or cycles than this
-   re-derives them — correctness never depends on a hit. *)
-let cycle_cache_cap = 65_536
-let scc_cache_cap = 4_096
-
 type verdict =
   | Safe
   | Unsafe of Multisite.unsafe_reason
@@ -37,9 +30,7 @@ type t = {
   pair_keys : (string * string, string) Hashtbl.t;
       (* sorted name pair -> pair_fingerprint; entries dropped when
          either endpoint mutates, so holds only live conflicting pairs *)
-  cycle_cache : (string, bool) Hashtbl.t; (* cycle content -> B_c cyclic? *)
-  scc_cycles : (string, int list list) Hashtbl.t;
-      (* SCC content -> its simple cycles, as fp-rank lists *)
+  memo : Multisite.memo; (* per-SCC cycle lists, per-cycle B_c verdicts *)
   stats : E.Stats.t;
   default_budget : E.Budget.t;
   mutable snapshot : System.t option;
@@ -99,8 +90,7 @@ let create ?(pair_cache_capacity = 4096) ?(budget = E.Budget.unlimited) db
       pair_cache =
         E.Lru_sharded.create ~capacity:(max 1 pair_cache_capacity) ();
       pair_keys = Hashtbl.create 64;
-      cycle_cache = Hashtbl.create 64;
-      scc_cycles = Hashtbl.create 16;
+      memo = Multisite.memo ();
       stats = E.Stats.create ();
       default_budget = budget;
       snapshot = None;
@@ -153,24 +143,10 @@ let replace_txn t name txn =
   t.txns <- List.map (fun x -> if Txn.name x = name then txn else x) t.txns;
   t.snapshot <- None
 
-exception Found_unsafe of Multisite.unsafe_reason
-exception Undecided of string
-
-let digest parts = Digest.to_hex (Digest.string (String.concat "|" parts))
-
-let capped_replace tbl ~cap key v =
-  if Hashtbl.length tbl >= cap then Hashtbl.reset tbl;
-  Hashtbl.replace tbl key v
-
 let decide_delta ?budget t =
   let budget = Option.value budget ~default:t.default_budget in
   let meter = E.Budget.start budget in
-  let pairs_total = ref 0
-  and pairs_reused = ref 0
-  and pairs_redecided = ref 0
-  and cycles_total = ref 0
-  and cycles_reused = ref 0
-  and cycles_rejudged = ref 0 in
+  let tally = Multisite.tally () in
   let sp = Obs.start_span "session.decide_delta" in
   let verdict =
     match t.txns with
@@ -183,10 +159,9 @@ let decide_delta ?budget t =
         let names = Array.of_list (txn_names t) in
         let n = Array.length names in
         let fp_of i = Hashtbl.find t.fps names.(i) in
-        (* Condition (a): each conflicting pair through the pair-verdict
-           store; only pairs whose fingerprint is new since the last
-           call reach the pipeline. Pair fingerprints themselves are
-           cached per name pair and dropped when an endpoint mutates. *)
+        (* Pair fingerprints are cached per name pair and dropped when
+           an endpoint mutates, so only pairs touched since the last
+           call are digested again. *)
         let pair_key i j =
           let key =
             if names.(i) <= names.(j) then (names.(i), names.(j))
@@ -201,136 +176,29 @@ let decide_delta ?budget t =
               Hashtbl.replace t.pair_keys key fp;
               fp
         in
-        let pair_safe i j =
-          let fp = pair_key i j in
-          match E.Lru_sharded.find t.pair_cache fp with
-          | Some safe ->
-              incr pairs_reused;
-              E.Stats.record_pair_lookup t.stats ~hit:true;
-              safe
-          | None -> (
-              E.Stats.record_pair_lookup t.stats ~hit:false;
-              let sub = Multisite.pair_system (Lazy.force sys) i j in
-              let o =
-                E.Engine.run ~stats:t.stats ~budget:(E.Budget.budget meter)
-                  Checkers.pair_checkers sub
-              in
-              match o.E.Outcome.verdict with
-              | E.Outcome.Unknown msg -> raise (Undecided msg)
-              | E.Outcome.Safe | E.Outcome.Unsafe _ ->
-                  let safe = o.E.Outcome.verdict = E.Outcome.Safe in
-                  incr pairs_redecided;
-                  E.Stats.record_pair_redecided t.stats;
-                  E.Lru_sharded.add t.pair_cache fp safe;
-                  safe)
+        let pair_safe =
+          Multisite.pair_safe ~store:(t.pair_cache, t.stats, pair_key)
+            ~run_stats:t.stats ~budget:(E.Budget.budget meter) tally sys
         in
-        let cycle_limit =
-          E.Budget.step_allowance meter ~default:2_000_000
+        let idx = Hashtbl.create n in
+        Array.iteri (fun i nm -> Hashtbl.replace idx nm i) names;
+        let g =
+          G.Dyngraph.to_digraph t.conflicts ~index_of:(Hashtbl.find idx) ~n
         in
-        try
-          for i = 0 to n - 1 do
-            for j = i + 1 to n - 1 do
-              if G.Dyngraph.has_edge t.conflicts names.(i) names.(j) then begin
-                incr pairs_total;
-                if not (pair_safe i j) then
-                  raise (Found_unsafe (Multisite.Unsafe_pair (i, j)))
-              end
-            done
-          done;
-          (* Condition (b), scoped to strongly connected components: a
-             directed simple cycle lives inside one SCC, so each
-             component's cycle list is enumerated over a canonical
-             (fingerprint-ranked) renumbering and cached by component
-             content — components untouched by recent edits hit. *)
-          let idx = Hashtbl.create n in
-          Array.iteri (fun i nm -> Hashtbl.replace idx nm i) names;
-          let g =
-            G.Dyngraph.to_digraph t.conflicts
-              ~index_of:(Hashtbl.find idx) ~n
-          in
-          let scc = G.Scc.compute g in
-          for comp = 0 to scc.G.Scc.count - 1 do
-            let mem = G.Scc.members scc comp in
-            if List.length mem >= 3 then begin
-              let ranked =
-                Array.of_list
-                  (List.sort (fun a b -> compare (fp_of a) (fp_of b)) mem)
-              in
-              let rank_of = Hashtbl.create (Array.length ranked) in
-              Array.iteri (fun r v -> Hashtbl.replace rank_of v r) ranked;
-              let arcs = ref [] in
-              List.iter
-                (fun u ->
-                  G.Digraph.iter_succ g u (fun v ->
-                      if scc.G.Scc.component.(v) = comp then
-                        arcs :=
-                          (Hashtbl.find rank_of u, Hashtbl.find rank_of v)
-                          :: !arcs))
-                mem;
-              let arcs = List.sort compare !arcs in
-              let key =
-                digest
-                  ("scc"
-                  :: Array.to_list (Array.map fp_of ranked)
-                  @ List.map
-                      (fun (u, v) -> Printf.sprintf "%d>%d" u v)
-                      arcs)
-              in
-              let cycles =
-                match Hashtbl.find_opt t.scc_cycles key with
-                | Some cs -> cs
-                | None -> (
-                    let gsub = G.Digraph.create (Array.length ranked) in
-                    List.iter
-                      (fun (u, v) -> G.Digraph.add_arc gsub u v)
-                      arcs;
-                    match
-                      Multisite.simple_cycles_bounded ~limit:cycle_limit gsub
-                    with
-                    | Multisite.Cut { examined; limit } ->
-                        raise
-                          (Undecided
-                             (Printf.sprintf
-                                "cycle-enumeration budget exhausted after \
-                                 %d of %d steps"
-                                examined limit))
-                    | Multisite.Cycles cs ->
-                        capped_replace t.scc_cycles ~cap:scc_cache_cap key cs;
-                        cs)
-              in
-              List.iter
-                (fun cyc ->
-                  incr cycles_total;
-                  let orig = List.map (fun r -> ranked.(r)) cyc in
-                  let ckey = digest ("cyc" :: List.map fp_of orig) in
-                  let bc_cyclic =
-                    match Hashtbl.find_opt t.cycle_cache ckey with
-                    | Some cyclic ->
-                        incr cycles_reused;
-                        cyclic
-                    | None ->
-                        incr cycles_rejudged;
-                        let cyclic =
-                          not
-                            (G.Topo.is_acyclic
-                               (Multisite.b_cycle_graph (Lazy.force sys)
-                                  orig))
-                        in
-                        capped_replace t.cycle_cache ~cap:cycle_cache_cap
-                          ckey cyclic;
-                        cyclic
-                  in
-                  if not bc_cyclic then
-                    raise (Found_unsafe (Multisite.Acyclic_bc orig)))
-                cycles
-            end
-          done;
-          Safe
+        let cycle_limit = E.Budget.step_allowance meter ~default:2_000_000 in
+        match
+          Multisite.decide_with ~pair_safe ~memo:(t.memo, fp_of) ~cycle_limit
+            tally sys g
         with
-        | Found_unsafe r -> Unsafe r
-        | Undecided msg -> Unknown msg)
+        | Multisite.Decided Multisite.Safe -> Safe
+        | Multisite.Decided (Multisite.Unsafe r) -> Unsafe r
+        | Multisite.Exhausted e -> Unknown (Multisite.describe_exhaustion e)
+        | exception Multisite.Undecided msg -> Unknown msg)
   in
   let seconds = E.Budget.elapsed meter in
+  let cycles_reused =
+    tally.Multisite.cycles_total - tally.Multisite.cycles_rejudged
+  in
   if Obs.enabled () then
     Obs.add_attrs sp
       [
@@ -339,21 +207,21 @@ let decide_delta ?budget t =
           | Safe -> "safe"
           | Unsafe _ -> "unsafe"
           | Unknown _ -> "unknown");
-        A.int "pairs_total" !pairs_total;
-        A.int "pairs_reused" !pairs_reused;
-        A.int "pairs_redecided" !pairs_redecided;
-        A.int "cycles_total" !cycles_total;
-        A.int "cycles_reused" !cycles_reused;
-        A.int "cycles_rejudged" !cycles_rejudged;
+        A.int "pairs_total" tally.Multisite.pairs_total;
+        A.int "pairs_reused" tally.Multisite.pair_hits;
+        A.int "pairs_redecided" tally.Multisite.pairs_redecided;
+        A.int "cycles_total" tally.Multisite.cycles_total;
+        A.int "cycles_reused" cycles_reused;
+        A.int "cycles_rejudged" tally.Multisite.cycles_rejudged;
       ];
   Obs.end_span sp;
   {
     verdict;
-    pairs_total = !pairs_total;
-    pairs_reused = !pairs_reused;
-    pairs_redecided = !pairs_redecided;
-    cycles_total = !cycles_total;
-    cycles_reused = !cycles_reused;
-    cycles_rejudged = !cycles_rejudged;
+    pairs_total = tally.Multisite.pairs_total;
+    pairs_reused = tally.Multisite.pair_hits;
+    pairs_redecided = tally.Multisite.pairs_redecided;
+    cycles_total = tally.Multisite.cycles_total;
+    cycles_reused;
+    cycles_rejudged = tally.Multisite.cycles_rejudged;
     seconds;
   }

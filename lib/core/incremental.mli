@@ -2,10 +2,11 @@ open Distlock_txn
 
 (** A mutable transaction system with incremental safety decisions.
 
-    {!Multisite.decide} re-derives everything from scratch on every
-    call, so editing one transaction of an [n]-transaction system costs
-    O(n²) pair re-checks plus a full cycle enumeration. A session keeps
-    the state Proposition 2 actually works at between calls:
+    A from-scratch {!Decision.decide} rebuilds the conflict graph and
+    re-runs every pair and every cycle, so editing one transaction of an
+    [n]-transaction system costs O(n²) conflict tests plus a full cycle
+    enumeration. A session runs the same Proposition 2 loop
+    ({!Multisite.decide_with}) but keeps its inputs between calls:
 
     - a {b pair-verdict store} ({!Distlock_engine.Lru_sharded}) keyed by
       the order-canonical {!System.pair_fingerprint}, so after a
@@ -15,11 +16,10 @@ open Distlock_txn
     - the {b conflict graph}, maintained edge-incrementally over
       transaction names ({!Distlock_graph.Dyngraph}) — an edit touches
       only the edges incident to the mutated vertex;
-    - {b per-cycle B_c verdicts} and {b per-SCC cycle enumerations},
-      keyed by content digests of their member transactions, so
-      condition (b) is re-judged only for cycles through a touched
-      component. [B_c] graphs are rebuilt only for cycles whose member
-      pairs changed.
+    - {b per-cycle B_c verdicts} and {b per-SCC cycle enumerations}
+      (a {!Multisite.memo}), keyed by content digests of their member
+      transactions, so condition (b) is re-judged only for cycles
+      through a touched component.
 
     Sessions are cheap to create and single-domain (the caches they
     reuse are domain-safe, but the mutation API is not serialized). *)
@@ -98,9 +98,10 @@ type outcome = {
 
 val decide_delta : ?budget:Distlock_engine.Budget.t -> t -> outcome
 (** Decide the current system, reusing every pair verdict, cycle list,
-    and B_c verdict whose inputs are untouched since the last call.
-    Semantically identical to a from-scratch {!Decision.decide} /
-    {!Multisite.decide} on {!system} (the qcheck mutation property in
-    the test suite pins this); an empty or single-transaction session
-    is trivially safe. An unsafe pair short-circuits: later pairs are
-    neither examined nor counted. *)
+    and B_c verdict whose inputs are untouched since the last call. A
+    decided verdict equals Proposition 2's on {!system}; an empty or
+    single-transaction session is trivially safe. Where Proposition 2
+    is inconclusive (an undecided pair, cycle-enumeration exhaustion)
+    the session answers [Unknown], while {!Decision.decide} goes on to
+    its state-graph fallback. An unsafe pair short-circuits: later pairs
+    are neither examined nor counted. *)

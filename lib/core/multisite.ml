@@ -1,5 +1,6 @@
 open Distlock_txn
 open Distlock_graph
+module E = Distlock_engine
 
 type unsafe_reason = Unsafe_pair of int * int | Acyclic_bc of int list
 
@@ -108,9 +109,14 @@ let b_cycle_graph sys cycle =
 
 type exhaustion = { examined : int; limit : int }
 
+let describe_exhaustion { examined; limit } =
+  Printf.sprintf "cycle-enumeration budget exhausted after %d of %d steps"
+    examined limit
+
 type cycle_enum = Cycles of int list list | Cut of exhaustion
 
-let simple_cycles_bounded ~limit g =
+(* The enumeration and the number of arcs it followed. *)
+let count_cycles ~limit g =
   let n = Digraph.n g in
   let cycles = ref [] in
   let steps = ref 0 in
@@ -134,74 +140,184 @@ let simple_cycles_bounded ~limit g =
       extend root [ root ] [ root ] root
     done
   with
-  | () -> Cycles !cycles
-  | exception Budget_cut -> Cut { examined = !steps; limit }
+  | () -> (Cycles !cycles, !steps)
+  | exception Budget_cut -> (Cut { examined = !steps; limit }, !steps)
+
+let simple_cycles_bounded ~limit g = fst (count_cycles ~limit g)
 
 let simple_cycles g =
   match simple_cycles_bounded ~limit:max_int g with
   | Cycles cs -> cs
   | Cut _ -> assert false (* max_int steps is unreachable *)
 
-let conflicting_pairs sys =
-  let r = System.num_txns sys in
-  let acc = ref [] in
-  for i = r - 1 downto 0 do
-    for j = r - 1 downto i + 1 do
-      if System.common_locked sys i j <> [] then acc := (i, j) :: !acc
-    done
-  done;
-  !acc
-
 let pair_system sys i j =
   System.make (System.db sys) [ System.txn sys i; System.txn sys j ]
 
 type result = Decided of verdict | Exhausted of exhaustion
 
-(* Condition (b) alone: every directed cycle of [g] must have a cyclic
-   B_c. Pure in the pair verdicts — callers that already know (a) holds
-   (e.g. from a pair-verdict store) come straight here. *)
-let check_cycles ?(cycle_limit = max_int) sys g =
-  match simple_cycles_bounded ~limit:cycle_limit g with
-  | Cut e -> Exhausted e
-  | Cycles cs -> (
-      match
-        List.find_opt
-          (fun c -> Distlock_graph.Topo.is_acyclic (b_cycle_graph sys c))
-          cs
-      with
-      | Some c -> Decided (Unsafe (Acyclic_bc c))
-      | None -> Decided Safe)
+type tally = {
+  mutable pairs_total : int;
+  mutable pair_hits : int;
+  mutable pairs_redecided : int;
+  mutable cycles_total : int;
+  mutable cycles_rejudged : int;
+}
 
-let decide_with ~pair_safe ?cycle_limit sys =
-  (* (a) all conflicting two-transaction subsystems safe *)
-  match
-    List.find_opt (fun (i, j) -> not (pair_safe i j)) (conflicting_pairs sys)
-  with
-  | Some (i, j) -> Decided (Unsafe (Unsafe_pair (i, j)))
+let tally () =
+  {
+    pairs_total = 0;
+    pair_hits = 0;
+    pairs_redecided = 0;
+    cycles_total = 0;
+    cycles_rejudged = 0;
+  }
+
+exception Undecided of string
+
+let pair_safe ?store ?run_stats ~budget tally sys i j =
+  let decide () =
+    let pair = pair_system (Lazy.force sys) i j in
+    match (Checkers.decide ?stats:run_stats ~budget pair).E.Outcome.verdict with
+    | E.Outcome.Safe -> true
+    | E.Outcome.Unsafe _ -> false
+    | E.Outcome.Unknown msg -> raise (Undecided msg)
+  in
+  match store with
+  | None -> decide ()
+  | Some (verdicts, stats, fingerprint) -> (
+      let fp = fingerprint i j in
+      match E.Lru_sharded.find verdicts fp with
+      | Some safe ->
+          tally.pair_hits <- tally.pair_hits + 1;
+          E.Stats.record_pair_lookup stats ~hit:true;
+          safe
+      | None ->
+          E.Stats.record_pair_lookup stats ~hit:false;
+          let safe = decide () in
+          tally.pairs_redecided <- tally.pairs_redecided + 1;
+          E.Stats.record_pair_redecided stats;
+          E.Lru_sharded.add verdicts fp safe;
+          safe)
+
+(* Bounds on the memo tables. They are plain Hashtbls (one session, one
+   domain), so the cap is a reset, not an LRU: a workload that genuinely
+   cycles through more distinct SCCs or cycles than this re-derives
+   them — correctness never depends on a hit. *)
+let cycle_cache_cap = 65_536
+let scc_cache_cap = 4_096
+
+type memo = {
+  scc_cycles : (string, int list list) Hashtbl.t;
+      (* SCC content -> its simple cycles, as fp-rank lists *)
+  cycle_cache : (string, bool) Hashtbl.t; (* cycle content -> B_c cyclic? *)
+}
+
+let memo () =
+  { scc_cycles = Hashtbl.create 16; cycle_cache = Hashtbl.create 64 }
+
+let digest parts = Digest.to_hex (Digest.string (String.concat "|" parts))
+
+let cached tbl ~cap key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
   | None ->
-      (* (b) every directed conflict-graph cycle has a cyclic B_c *)
-      check_cycles ?cycle_limit sys (conflict_graph sys)
+      let v = compute () in
+      if Hashtbl.length tbl >= cap then Hashtbl.reset tbl;
+      Hashtbl.replace tbl key v;
+      v
 
-let decide_bounded ?pair_decider ?budget ?cycle_limit sys =
-  let pair_safe =
-    match pair_decider with
-    | Some f -> fun i j -> f (pair_system sys i j)
-    | None -> fun i j -> Safety.is_safe_exn ?budget (pair_system sys i j)
-  in
-  let cycle_limit =
-    match (cycle_limit, budget) with
-    | Some l, _ -> Some l
-    | None, Some (b : Distlock_engine.Budget.t) -> b.Distlock_engine.Budget.max_steps
-    | None, None -> None
-  in
-  decide_with ~pair_safe ?cycle_limit sys
+exception Found_unsafe of unsafe_reason
+exception Cycles_cut of exhaustion
 
-let decide ?pair_decider ?budget sys =
-  match decide_bounded ?pair_decider ?budget sys with
-  | Decided v -> v
-  | Exhausted { examined; limit } ->
-      failwith
-        (Printf.sprintf
-           "Proposition 2: cycle-enumeration budget exhausted after %d of %d \
-            steps"
-           examined limit)
+(* Condition (b) for one strongly connected component [mem] (ascending,
+   at least three members): enumerate the cycles of its subgraph, built
+   from sorted arcs over a renumbering of the members, and judge each
+   cycle's B_c. With a memo the renumbering ranks members by
+   transaction fingerprint, so both the cycle list (keyed by the
+   component's content) and each B_c verdict (keyed by its members'
+   content) survive edits that leave them untouched. *)
+let judge_component ?memo ~enumerate tally sys g scc rank mem =
+  let ranked =
+    Array.of_list
+      (match memo with
+      | Some (_, fp) -> List.sort (fun a b -> compare (fp a) (fp b)) mem
+      | None -> mem)
+  in
+  Array.iteri (fun r v -> rank.(v) <- r) ranked;
+  let comp = scc.Scc.component.(ranked.(0)) in
+  let arcs = ref [] in
+  List.iter
+    (fun u ->
+      Digraph.iter_succ g u (fun v ->
+          if scc.Scc.component.(v) = comp then
+            arcs := (rank.(u), rank.(v)) :: !arcs))
+    mem;
+  let arcs = List.sort compare !arcs in
+  let enumerate () = enumerate (Digraph.of_arcs (Array.length ranked) arcs) in
+  let judge cycle =
+    tally.cycles_rejudged <- tally.cycles_rejudged + 1;
+    not (Topo.is_acyclic (b_cycle_graph (Lazy.force sys) cycle))
+  in
+  let cycles, bc_cyclic =
+    match memo with
+    | None -> (enumerate (), judge)
+    | Some (m, fp) ->
+        let key =
+          digest
+            ("scc"
+            :: Array.to_list (Array.map fp ranked)
+            @ List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) arcs)
+        in
+        ( cached m.scc_cycles ~cap:scc_cache_cap key enumerate,
+          fun cycle ->
+            cached m.cycle_cache ~cap:cycle_cache_cap
+              (digest ("cyc" :: List.map fp cycle))
+              (fun () -> judge cycle) )
+  in
+  List.iter
+    (fun cyc ->
+      tally.cycles_total <- tally.cycles_total + 1;
+      let orig = List.map (fun r -> ranked.(r)) cyc in
+      if not (bc_cyclic orig) then raise (Found_unsafe (Acyclic_bc orig)))
+    cycles
+
+let decide_with ~pair_safe ?memo ?(cycle_limit = max_int) tally sys g =
+  let n = Digraph.n g in
+  try
+    (* (a) every conflicting pair safe, in lexicographic order *)
+    for i = 0 to n - 1 do
+      List.iter
+        (fun j ->
+          tally.pairs_total <- tally.pairs_total + 1;
+          if not (pair_safe i j) then raise (Found_unsafe (Unsafe_pair (i, j))))
+        (List.sort compare (List.filter (fun j -> j > i) (Digraph.succ g i)))
+    done;
+    (* (b) every directed cycle has a cyclic B_c. A simple cycle lives
+       inside one SCC; components go in index order. The step allowance
+       is the decision's: each enumeration spends from what the ones
+       before it left, and a memo hit spends nothing. *)
+    let scc = Scc.compute g in
+    let members = Array.make scc.Scc.count [] in
+    for v = n - 1 downto 0 do
+      let c = scc.Scc.component.(v) in
+      members.(c) <- v :: members.(c)
+    done;
+    let spent = ref 0 in
+    let enumerate sub =
+      match count_cycles ~limit:(cycle_limit - !spent) sub with
+      | Cycles cs, steps ->
+          spent := !spent + steps;
+          cs
+      | Cut _, steps ->
+          raise (Cycles_cut { examined = !spent + steps; limit = cycle_limit })
+    in
+    let rank = Array.make n 0 in
+    Array.iter
+      (fun mem ->
+        if List.compare_length_with mem 3 >= 0 then
+          judge_component ?memo ~enumerate tally sys g scc rank mem)
+      members;
+    Decided Safe
+  with
+  | Found_unsafe r -> Decided (Unsafe r)
+  | Cycles_cut e -> Exhausted e

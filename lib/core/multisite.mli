@@ -41,6 +41,8 @@ type exhaustion = { examined : int; limit : int }
 (** A typed budget cut, mirroring [Brute.Exhausted]: the enumeration
     followed [examined] arcs of its [limit]-arc allowance and stopped. *)
 
+val describe_exhaustion : exhaustion -> string
+
 type cycle_enum = Cycles of int list list | Cut of exhaustion
 
 val simple_cycles_bounded : limit:int -> Digraph.t -> cycle_enum
@@ -54,49 +56,81 @@ val simple_cycles : Digraph.t -> int list list
 (** [simple_cycles g] = [simple_cycles_bounded ~limit:max_int g] — the
     unbudgeted enumeration, for graphs known to be small. *)
 
-val conflicting_pairs : System.t -> (int * int) list
-(** Index pairs [(i, j)], [i < j], locking a common entity — the edge
-    list of {!conflict_graph} — in lexicographic order. *)
-
 val pair_system : System.t -> int -> int -> System.t
 (** The two-transaction subsystem [{Ti, Tj}] over the same database. *)
 
 type result = Decided of verdict | Exhausted of exhaustion
 
-val check_cycles : ?cycle_limit:int -> System.t -> Digraph.t -> result
-(** Condition (b) alone, as a pure judge over a conflict graph [g]:
-    enumerate [g]'s directed simple cycles (within [cycle_limit] DFS
-    arcs, default unlimited) and find one whose [B_c] is acyclic.
-    Assumes condition (a) was already established elsewhere — e.g. from
-    a pair-verdict store. *)
+(** Per-call traffic of one Proposition 2 decision: what [--explain]
+    and a session's outcome report. With a pair store every examined
+    pair is one lookup, so misses are [pairs_total - pair_hits]; with a
+    memo every examined cycle is reused or judged, so reuses are
+    [cycles_total - cycles_rejudged]. *)
+type tally = {
+  mutable pairs_total : int;  (** Conflicting pairs examined. *)
+  mutable pair_hits : int;  (** Served by the pair-verdict store. *)
+  mutable pairs_redecided : int;  (** Pair pipeline runs on a miss. *)
+  mutable cycles_total : int;  (** Conflict-graph cycles examined. *)
+  mutable cycles_rejudged : int;  (** B_c graphs built and judged. *)
+}
+
+val tally : unit -> tally
+(** All zeros. *)
+
+exception Undecided of string
+(** The pair pipeline ended [Unknown] (the message says why). *)
+
+val pair_safe :
+  ?store:
+    bool Distlock_engine.Lru_sharded.t
+    * Distlock_engine.Stats.t
+    * (int -> int -> string) ->
+  ?run_stats:Distlock_engine.Stats.t ->
+  budget:Distlock_engine.Budget.t ->
+  tally ->
+  System.t Lazy.t ->
+  int ->
+  int ->
+  bool
+(** [pair_safe ~budget tally sys i j] is condition (a) for the pair
+    [(i, j)] of [sys]. Without [store], runs {!Checkers.decide} on
+    {!pair_system} under [budget]. With [store = (verdicts, stats, fp)],
+    first looks the pair's {!System.pair_fingerprint} ([fp i j]) up in
+    [verdicts]; on a miss it runs the pipeline and stores the decided
+    verdict, forcing [sys] only then. Lookups and re-decisions are
+    recorded into [stats] and [tally]; the pipeline's own stage counters
+    go to [run_stats] when given. Raises {!Undecided} when the pipeline
+    ends [Unknown]; nothing is stored then. *)
+
+type memo
+(** Content-keyed cycle lists per strongly connected component and B_c
+    verdicts per cycle, kept across calls (capped; a full table is
+    reset). Single-domain. *)
+
+val memo : unit -> memo
 
 val decide_with :
-  pair_safe:(int -> int -> bool) -> ?cycle_limit:int -> System.t -> result
-(** The Proposition 2 skeleton over an abstract pair-verdict store:
-    [pair_safe i j] answers condition (a) for the conflicting pair
-    [(i, j)] ([i < j], asked in lexicographic order, first failure
-    wins), then {!check_cycles} judges condition (b). This is the
-    function both {!decide} and the incremental
-    [Incremental.decide_delta] instantiate — they differ only in where
-    pair verdicts come from. *)
-
-val decide_bounded :
-  ?pair_decider:(System.t -> bool) ->
-  ?budget:Distlock_engine.Budget.t ->
+  pair_safe:(int -> int -> bool) ->
+  ?memo:memo * (int -> string) ->
   ?cycle_limit:int ->
-  System.t ->
+  tally ->
+  System.t Lazy.t ->
+  Digraph.t ->
   result
-(** {!decide_with} with pair verdicts computed on the fly:
-    [pair_decider] decides each two-transaction subsystem (default
-    {!Safety.is_safe_exn} under [budget]). [cycle_limit] defaults to
-    the budget's [max_steps] when set, otherwise unlimited. *)
+(** Proposition 2 over the conflict graph [g] of [sys] (symmetric, as
+    {!conflict_graph} builds it; [sys] is forced only to build a B_c).
+    Condition (a): [pair_safe i j] for every arc [i -> j] with [i < j],
+    in lexicographic order; the first unsafe pair wins. Condition (b):
+    one strongly connected component at a time, in {!Scc.compute}'s
+    index order (ascending smallest member on a symmetric graph),
+    enumerate the component's simple cycles and find one whose B_c is
+    acyclic. The enumerations share one allowance of [cycle_limit] DFS
+    arcs (default unlimited); exceeding it gives [Exhausted].
 
-val decide :
-  ?pair_decider:(System.t -> bool) ->
-  ?budget:Distlock_engine.Budget.t ->
-  System.t ->
-  verdict
-(** {!decide_bounded} collapsed to the historical API: raises [Failure]
-    on cycle-budget exhaustion (as {!Safety.is_safe_exn} already does on
-    an undecided pair). [budget] is ignored when an explicit
-    [pair_decider] is supplied, except for its cycle-enumeration cap. *)
+    With [memo = (m, fp)], where [fp i] is transaction [i]'s
+    {!Txn.fingerprint}, members are ranked by [fp], and cycle lists and
+    B_c verdicts are looked up in and stored to [m]; a component whose
+    cycle list is found spends none of the allowance. Without one,
+    members keep their index order. The verdict is the same either way;
+    the reported cycle and the counts may differ. Counts go to the
+    tally; {!Undecided} from [pair_safe] propagates. *)

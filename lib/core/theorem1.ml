@@ -1,9 +1,3 @@
-type verdict = Safe_strongly_connected | Unknown_not_strongly_connected
-
-let check sys =
+let guarantees_safe sys =
   let d = Dgraph.build_pair sys in
-  if Dgraph.num_vertices d < 2 || Dgraph.is_strongly_connected d then
-    Safe_strongly_connected
-  else Unknown_not_strongly_connected
-
-let guarantees_safe sys = check sys = Safe_strongly_connected
+  Dgraph.num_vertices d < 2 || Dgraph.is_strongly_connected d

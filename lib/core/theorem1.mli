@@ -5,17 +5,7 @@ open Distlock_txn
     exhibits a safe four-site system whose [D] is not strongly connected
     (see {!Examples.fig5} and experiment E5). *)
 
-type verdict =
-  | Safe_strongly_connected
-      (** [D] strongly connected (or fewer than two common entities):
-          guaranteed safe. *)
-  | Unknown_not_strongly_connected
-      (** The test is inconclusive; safety must be decided by Theorem 2
-          (two sites) or exhaustively. *)
-
-val check : System.t -> verdict
-(** For a two-transaction system. Fewer than two commonly locked entities
-    also yields [Safe_strongly_connected]: with at most one conflicting
-    entity no schedule can separate two rectangles. *)
-
 val guarantees_safe : System.t -> bool
+(** For a two-transaction system: [D(T1,T2)] is strongly connected.
+    Fewer than two commonly locked entities also counts: with at most
+    one conflicting entity no schedule can separate two rectangles. *)

@@ -37,7 +37,3 @@ let decide sys =
   end
 
 let is_safe sys = match decide sys with Safe -> true | Unsafe _ -> false
-
-let decide_connectivity_only sys =
-  let d = Dgraph.build_pair sys in
-  Dgraph.num_vertices d < 2 || Dgraph.is_strongly_connected d

@@ -10,11 +10,6 @@ type verdict = Safe | Unsafe of Certificate.t
 val decide : System.t -> verdict
 (** Raises [Invalid_argument] if the system does not have exactly two
     transactions or uses more than two sites (Theorem 2's hypothesis; use
-    {!Safety.decide_pair} for the general dispatcher). *)
+    {!Checkers.decide} for the general dispatcher). *)
 
 val is_safe : System.t -> bool
-
-val decide_connectivity_only : System.t -> bool
-(** The bare O(n²) test of Corollary 1 — strong connectivity of
-    [D(T1,T2)] — without certificate construction. Used by the scaling
-    benchmarks. *)

@@ -43,9 +43,6 @@ let remove_edge t u v =
       Hashtbl.remove vs u
   | _ -> ()
 
-let has_edge t u v =
-  match neighbour_tbl t u with Some us -> Hashtbl.mem us v | None -> false
-
 let num_edges t =
   Hashtbl.fold (fun _ ns acc -> acc + Hashtbl.length ns) t.adj 0 / 2
 

@@ -37,8 +37,6 @@ val add_edge : t -> string -> string -> unit
 val remove_edge : t -> string -> string -> unit
 (** No-op if the edge (or either endpoint) is absent. *)
 
-val has_edge : t -> string -> string -> bool
-
 val num_edges : t -> int
 (** Undirected edge count (each edge counted once). *)
 

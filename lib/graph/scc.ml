@@ -64,13 +64,6 @@ let compute g =
 
 let is_strongly_connected g = (compute g).count <= 1
 
-let members r c =
-  let acc = ref [] in
-  for v = Array.length r.component - 1 downto 0 do
-    if r.component.(v) = c then acc := v :: !acc
-  done;
-  !acc
-
 let condensation g r =
   let c = Digraph.create r.count in
   Digraph.iter_arcs g (fun u v ->

@@ -19,9 +19,6 @@ val is_strongly_connected : Digraph.t -> bool
 (** [true] iff the graph has exactly one SCC. The empty graph (0 vertices)
     counts as strongly connected; a single vertex always does. *)
 
-val members : result -> int -> int list
-(** Vertices of one component. *)
-
 val condensation : Digraph.t -> result -> Digraph.t
 (** The DAG of components: vertex [c] for each component, arc [a -> b]
     whenever some original arc crosses from component [a] to [b]. *)

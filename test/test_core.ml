@@ -223,19 +223,21 @@ let test_twosite_certificates_past_the_sorts () =
 (* Safety dispatcher *)
 
 let test_safety_dispatch () =
-  (match Safety.decide_pair (Figures.fig1 ()) with
-  | Safety.Unsafe (Safety.Certificate _) -> ()
+  let module O = Distlock_engine.Outcome in
+  (match (Checkers.decide (Figures.fig1 ())).O.verdict with
+  | O.Unsafe (Checkers.Certificate _) -> ()
   | _ -> Alcotest.fail "fig1: certificate expected");
-  (match Safety.decide_pair (Figures.fig5 ()) with
-  | Safety.Safe _ -> ()
+  (match (Checkers.decide (Figures.fig5 ())).O.verdict with
+  | O.Safe -> ()
   | _ -> Alcotest.fail "fig5: safe expected");
   let db = mkdb [ ("x", 1) ] in
   let t1 = Builder.locked_sequence db ~name:"T1" [ "x" ] in
   let t2 = Builder.locked_sequence db ~name:"T2" [ "x" ] in
-  match Safety.decide_pair (System.make db [ t1; t2 ]) with
-  | Safety.Safe why ->
+  let o = Checkers.decide (System.make db [ t1; t2 ]) in
+  match o.O.verdict with
+  | O.Safe ->
       Util.check "trivial reason" true
-        (why = "fewer than two commonly locked entities")
+        (o.O.detail = "fewer than two commonly locked entities")
   | _ -> Alcotest.fail "single entity is safe"
 
 let qcheck_safety_multisite_exact =
@@ -246,13 +248,14 @@ let qcheck_safety_multisite_exact =
            ~num_sites:(3 + Random.State.int st 2)
            ~cross_prob:(Random.State.float st 1.0) ()))
     (fun sys ->
-      match Safety.decide_pair sys with
-      | Safety.Safe _ -> Util.brute_safe (Brute.safe_by_extensions sys)
-      | Safety.Unsafe ev ->
-          let h = Safety.schedule_of_evidence ev in
+      let module O = Distlock_engine.Outcome in
+      match (Checkers.decide sys).O.verdict with
+      | O.Safe -> Util.brute_safe (Brute.safe_by_extensions sys)
+      | O.Unsafe ev ->
+          let h = Checkers.schedule_of_evidence ev in
           Distlock_sched.Legality.is_legal sys h
           && not (Distlock_sched.Conflict.is_serializable sys h)
-      | Safety.Unknown _ -> true)
+      | O.Unknown _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Policies *)

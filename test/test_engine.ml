@@ -74,7 +74,7 @@ let test_fingerprint_perturbation () =
 (* Provenance: each paper procedure decides its own territory *)
 
 let procedure_of sys =
-  (Safety.decide sys).E.Outcome.procedure
+  (Checkers.decide sys).E.Outcome.procedure
 
 let test_provenance () =
   Util.check "fig1 decided by Theorem 2" true
@@ -93,8 +93,8 @@ let test_provenance () =
 
 let test_proposition1_counterexample () =
   let sys = total_three_site_pair () in
-  match (Safety.decide sys).E.Outcome.verdict with
-  | E.Outcome.Unsafe (Safety.Counterexample h) ->
+  match (Checkers.decide sys).E.Outcome.verdict with
+  | E.Outcome.Unsafe (Checkers.Counterexample h) ->
       Util.check "legal" true (Distlock_sched.Legality.is_legal sys h);
       Util.check "non-serializable" false
         (Distlock_sched.Conflict.is_serializable sys h)
@@ -105,7 +105,7 @@ let test_proposition1_counterexample () =
 
 let test_budget_exhaustion () =
   (* fig5 needs an exhaustive oracle; one step is not enough. *)
-  let o = Safety.decide ~budget:(E.Budget.of_steps 1) (Figures.fig5 ()) in
+  let o = Checkers.decide ~budget:(E.Budget.of_steps 1) (Figures.fig5 ()) in
   (match o.E.Outcome.verdict with
   | E.Outcome.Unknown _ -> ()
   | _ -> Alcotest.fail "expected Unknown under a 1-step budget");
@@ -125,15 +125,11 @@ let test_budget_exhaustion () =
   Util.check "no stage is traced as an error" true
     (List.for_all
        (fun (s : E.Outcome.stage_trace) -> s.E.Outcome.status <> E.Outcome.Errored)
-       o.E.Outcome.trace);
-  (* The compatibility shim reports the same. *)
-  match Safety.decide_pair ~exhaustive_budget:1 (Figures.fig5 ()) with
-  | Safety.Unknown _ -> ()
-  | _ -> Alcotest.fail "decide_pair: expected Unknown under a 1-step budget"
+       o.E.Outcome.trace)
 
 let test_deadline_expiry () =
   let o =
-    Safety.decide
+    Checkers.decide
       ~budget:(E.Budget.make ~max_seconds:0. ())
       (Figures.fig5 ())
   in
@@ -432,7 +428,7 @@ let test_explain_fast_path () =
   (* Every checker in the table appears exactly once, and stages after
      the winner never ran. *)
   Util.check_int "full checker table present"
-    (List.length Decision.checkers)
+    (List.length (E.Engine.checkers eng))
     (List.length ex.E.Explain.stages);
   Util.check "state graph not reached on a fast path" true
     (stage_status ex "state-graph" = "not-reached");

@@ -3,6 +3,7 @@
 
 open Distlock_core
 open Distlock_txn
+module E = Distlock_engine
 
 let mkdb entities =
   let db = Database.create () in
@@ -298,8 +299,8 @@ let test_advisor_unsafe_pair () =
       Util.check
         (Advisor.strategy_name o.Advisor.strategy ^ " verified safe")
         true
-        (match Safety.decide_pair o.Advisor.system with
-        | Safety.Safe _ -> true
+        (match (Checkers.decide o.Advisor.system).E.Outcome.verdict with
+        | E.Outcome.Safe -> true
         | _ -> false);
       Util.check "loss positive" true (o.Advisor.concurrency_loss > 0))
     options;
@@ -321,8 +322,8 @@ let qcheck_advisor_options_safe =
     (fun sys ->
       List.for_all
         (fun o ->
-          (match Safety.decide_pair o.Advisor.system with
-          | Safety.Safe _ -> true
+          (match (Checkers.decide o.Advisor.system).E.Outcome.verdict with
+          | E.Outcome.Safe -> true
           | _ -> false)
           &&
           let preserved i =

@@ -24,13 +24,13 @@ let test_dyngraph_basic () =
   (* re-add, other orientation: still one edge *)
   G.Dyngraph.add_edge g "b" "c";
   Util.check_int "edges" 2 (G.Dyngraph.num_edges g);
-  Util.check "undirected" true (G.Dyngraph.has_edge g "c" "b");
+  Util.check "undirected" true (List.mem "b" (G.Dyngraph.neighbours g "c"));
   Alcotest.(check (list string)) "neighbours sorted" [ "a"; "c" ]
     (G.Dyngraph.neighbours g "b");
   G.Dyngraph.remove_vertex g "b";
   Util.check_int "incident edges dropped" 0 (G.Dyngraph.num_edges g);
   Util.check "vertex gone" false (G.Dyngraph.has_vertex g "b");
-  Util.check "edge gone" false (G.Dyngraph.has_edge g "a" "b");
+  Util.check "edge gone" false (List.mem "b" (G.Dyngraph.neighbours g "a"));
   G.Dyngraph.remove_edge g "a" "c";
   (* absent: no-op *)
   Alcotest.check_raises "self-loop rejected"
@@ -131,7 +131,7 @@ let test_session_reuse () =
   | Incremental.Unsafe (Multisite.Unsafe_pair (i, j)) ->
       let sys = Incremental.system s in
       Util.check "witness pair really unsafe" false
-        (Safety.is_safe_exn (Multisite.pair_system sys i j))
+        (Util.pair_safe (Multisite.pair_system sys i j))
   | _ -> Alcotest.fail "expected an unsafe pair");
   (* Restore the originals: every pair digest matches an earlier one. *)
   Incremental.replace_txn s "T1" t1;
@@ -167,6 +167,65 @@ let test_session_errors () =
   Util.check "empty safe" true (o.Incremental.verdict = Incremental.Safe);
   Util.check_int "empty examines nothing" 0 o.Incremental.pairs_total
 
+(* E17's n = 64 corpus (34 conflicting pairs, 20 cycles) and its 15
+   seeded replacements, then one removal and one addition: every
+   step's verdict and (pairs_total, pairs_reused, pairs_redecided,
+   cycles_total, cycles_reused, cycles_rejudged) is pinned. *)
+let test_e17_reuse_counters () =
+  let n = 64 in
+  let rng = Random.State.make [| 17 * n |] in
+  let base =
+    Txn_gen.random_multi_system rng ~num_txns:n ~num_entities:(4 * n)
+      ~entities_per_txn:2 ~num_sites:2 ~cross_prob:1.0 ()
+  in
+  let db = System.db base in
+  let pool = Array.of_list (Database.entities db) in
+  let random_txn name =
+    let e1 = Random.State.int rng (Array.length pool) in
+    let e2 =
+      (e1 + 1 + Random.State.int rng (Array.length pool - 1))
+      mod Array.length pool
+    in
+    Txn_gen.random_txn rng db ~name
+      ~entities:[ pool.(e1); pool.(e2) ]
+      ~cross_prob:1.0 ()
+  in
+  let s = Incremental.of_system base in
+  let check label expected =
+    let o = Incremental.decide_delta s in
+    Util.check (label ^ ": safe") true
+      (o.Incremental.verdict = Incremental.Safe);
+    Alcotest.(check (list int))
+      (label ^ ": counters")
+      expected
+      Incremental.
+        [
+          o.pairs_total; o.pairs_reused; o.pairs_redecided; o.cycles_total;
+          o.cycles_reused; o.cycles_rejudged;
+        ]
+  in
+  check "base" [ 34; 0; 34; 20; 0; 20 ];
+  List.iteri
+    (fun i expected ->
+      let k = ((i * 7) + 3) mod n in
+      let name = List.nth (Incremental.txn_names s) k in
+      Incremental.replace_txn s name (random_txn name);
+      check ("replace " ^ name) expected)
+    [
+      [ 33; 33; 0; 20; 20; 0 ]; [ 33; 33; 0; 20; 20; 0 ];
+      [ 32; 31; 1; 18; 18; 0 ]; [ 31; 31; 0; 18; 18; 0 ];
+      [ 30; 30; 0; 18; 18; 0 ]; [ 31; 30; 1; 18; 18; 0 ];
+      [ 30; 28; 2; 6; 6; 0 ]; [ 29; 28; 1; 4; 4; 0 ];
+      [ 29; 28; 1; 4; 4; 0 ]; [ 30; 29; 1; 4; 4; 0 ];
+      [ 31; 29; 2; 6; 4; 2 ]; [ 30; 30; 0; 6; 6; 0 ];
+      [ 29; 29; 0; 6; 6; 0 ]; [ 29; 27; 2; 8; 6; 2 ];
+      [ 29; 29; 0; 8; 8; 0 ];
+    ];
+  Incremental.remove_txn s "T10";
+  check "remove T10" [ 27; 27; 0; 6; 6; 0 ];
+  Incremental.add_txn s (random_txn "T65");
+  check "add T65" [ 28; 27; 1; 6; 6; 0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Budgeted cycle enumeration: typed exhaustion, never a hang *)
 
@@ -177,6 +236,22 @@ let triangle_system () =
       chained db "T1" [ "x"; "z" ];
       chained db "T2" [ "y"; "z" ];
       chained db "T3" [ "x"; "y" ];
+    ]
+
+(* Two conflict triangles on disjoint entities: two components, each
+   of whose cycle enumerations follows 16 arcs. *)
+let two_triangles () =
+  let db = Database.create () in
+  Database.add_all db
+    [ ("x", 1); ("y", 1); ("z", 2); ("u", 1); ("v", 1); ("w", 2) ];
+  System.make db
+    [
+      chained db "T1" [ "x"; "z" ];
+      chained db "T2" [ "y"; "z" ];
+      chained db "T3" [ "x"; "y" ];
+      chained db "T4" [ "u"; "w" ];
+      chained db "T5" [ "v"; "w" ];
+      chained db "T6" [ "u"; "v" ];
     ]
 
 let test_exhaustion () =
@@ -190,9 +265,24 @@ let test_exhaustion () =
   (match Multisite.simple_cycles_bounded ~limit:1_000_000 g with
   | Multisite.Cycles cs -> Util.check "cycles found" true (cs <> [])
   | Multisite.Cut _ -> Alcotest.fail "unexpected Cut");
-  (match Multisite.decide_bounded ~cycle_limit:2 sys with
+  (match Util.prop2 ~cycle_limit:2 sys with
   | Multisite.Exhausted _ -> ()
   | Multisite.Decided _ -> Alcotest.fail "expected Exhausted");
+  (* The allowance is the decision's, shared by its components. *)
+  let two = two_triangles () in
+  (match Util.prop2 ~cycle_limit:16 two with
+  | Multisite.Exhausted { examined; limit } ->
+      Util.check_int "examined across components" 17 examined;
+      Util.check_int "whole allowance echoed" 16 limit
+  | Multisite.Decided _ -> Alcotest.fail "expected Exhausted at 16 arcs");
+  Util.check "both components fit 32 arcs" true
+    (Util.prop2 ~cycle_limit:32 two = Multisite.Decided Multisite.Safe);
+  (match
+     Incremental.decide_delta ~budget:(E.Budget.of_steps 16)
+       (Incremental.of_system two)
+   with
+  | { Incremental.verdict = Incremental.Unknown _; _ } -> ()
+  | _ -> Alcotest.fail "expected a session Unknown at 16 steps");
   (* The session maps exhaustion to Unknown, not a hang or a crash. *)
   let s = Incremental.of_system sys in
   (match Incremental.decide_delta ~budget:(E.Budget.of_steps 2) s with
@@ -270,7 +360,7 @@ let run_script st =
     | Incremental.Unsafe (Multisite.Unsafe_pair (i, j)) ->
         let sys = Incremental.system s in
         Util.check (step_label ^ ": unsafe-pair witness valid") false
-          (Safety.is_safe_exn (Multisite.pair_system sys i j))
+          (Util.pair_safe (Multisite.pair_system sys i j))
     | Incremental.Unsafe (Multisite.Acyclic_bc cycle) ->
         let sys = Incremental.system s in
         Util.check
@@ -303,6 +393,19 @@ let run_script st =
     in
     Alcotest.(check string) (step_label ^ ": agrees with scratch") expected
       got;
+    (* The session and the zero-cache engine share one Proposition 2
+       loop, so the exhaustive state graph is the independent check. *)
+    (if n >= 2 && n <= 5 then
+       let module Sg = Distlock_sched.Stategraph in
+       let agrees oracle =
+         Alcotest.(check string)
+           (step_label ^ ": agrees with the state graph")
+           oracle got
+       in
+       match Sg.decide ~limit:20_000 (Incremental.system s) with
+       | Sg.Safe, _ -> agrees "safe"
+       | Sg.Unsafe _, _ -> agrees "unsafe"
+       | Sg.Exhausted _, _ -> ());
     got = "safe"
   in
   let prev = ref (check_step "base" false) in
@@ -351,6 +454,8 @@ let () =
           Alcotest.test_case "reuse across edits" `Quick test_session_reuse;
           Alcotest.test_case "errors and degenerate sizes" `Quick
             test_session_errors;
+          Alcotest.test_case "E17 corpus reuse counters" `Quick
+            test_e17_reuse_counters;
           Alcotest.test_case "budgeted cycle enumeration" `Quick
             test_exhaustion;
         ] );

@@ -64,7 +64,7 @@ let qcheck_multisite_degenerate =
   Util.qtest ~count:60 "Proposition 2 degenerates to pair safety for 2 txns"
     gen_two_site
     (fun sys ->
-      let p2 = Multisite.decide sys = Multisite.Safe in
+      let p2 = Util.prop2 sys = Multisite.Decided Multisite.Safe in
       p2 = Twosite.is_safe sys)
 
 (* Analysis reports are internally consistent. *)
@@ -74,7 +74,9 @@ let qcheck_analysis_consistent =
     (fun sys ->
       let r = Analysis.pair ~try_repair:false sys in
       let verdict_safe =
-        match r.Analysis.verdict with Safety.Safe _ -> true | _ -> false
+        match r.Analysis.decision.Distlock_engine.Outcome.verdict with
+        | Distlock_engine.Outcome.Safe -> true
+        | _ -> false
       in
       r.Analysis.strongly_connected = Dgraph.is_strongly_connected (Dgraph.build_pair sys)
       && verdict_safe = Twosite.is_safe sys
@@ -154,10 +156,16 @@ let test_figures_roundtrip () =
       | Error m -> Alcotest.fail (name ^ ": " ^ m)
       | Ok sys' ->
           let verdict s =
-            match Safety.decide_pair ~exhaustive_budget:5_000_000 s with
-            | Safety.Safe _ -> true
-            | Safety.Unsafe _ -> false
-            | Safety.Unknown m -> Alcotest.fail m
+            let module O = Distlock_engine.Outcome in
+            match
+              (Checkers.decide
+                 ~budget:(Distlock_engine.Budget.of_steps 5_000_000)
+                 s)
+                .O.verdict
+            with
+            | O.Safe -> true
+            | O.Unsafe _ -> false
+            | O.Unknown m -> Alcotest.fail m
           in
           Util.check (name ^ " verdict preserved") (verdict sys) (verdict sys'))
     (Figures.all ())

@@ -61,7 +61,7 @@ let gen_small_multi ~sites =
 let prop2_vs_oracle sys =
   let oracle_pair sub = Util.brute_safe (Brute.safe_by_extensions sub) in
   let p2 =
-    Multisite.decide ~pair_decider:oracle_pair sys = Multisite.Safe
+    Util.prop2 ~pair_decider:oracle_pair sys = Multisite.Decided Multisite.Safe
   in
   let oracle = Util.brute_safe (Brute.safe_by_schedules ~limit:2_000_000 sys) in
   p2 = oracle
@@ -85,16 +85,17 @@ let test_decide_known () =
   let t2 = Builder.two_phase_sequence db ~name:"T2" [ "y"; "z" ] in
   let t3 = Builder.two_phase_sequence db ~name:"T3" [ "z"; "x" ] in
   let sys = System.make db [ t1; t2; t3 ] in
-  Util.check "2PL ring safe" true (Multisite.decide sys = Multisite.Safe);
+  Util.check "2PL ring safe" true
+    (Util.prop2 sys = Multisite.Decided Multisite.Safe);
   (* sequential ring is unsafe *)
   let db2 = mkdb [ ("x", 1); ("y", 2); ("z", 3) ] in
   let s1 = Builder.locked_sequence db2 ~name:"T1" [ "x"; "y" ] in
   let s2 = Builder.locked_sequence db2 ~name:"T2" [ "y"; "z" ] in
   let s3 = Builder.locked_sequence db2 ~name:"T3" [ "z"; "x" ] in
   let sys2 = System.make db2 [ s1; s2; s3 ] in
-  (match Multisite.decide sys2 with
-  | Multisite.Safe -> Alcotest.fail "sequential ring is unsafe"
-  | Multisite.Unsafe _ -> ());
+  (match Util.prop2 sys2 with
+  | Multisite.Decided (Multisite.Unsafe _) -> ()
+  | _ -> Alcotest.fail "sequential ring is unsafe");
   Util.check "oracle agrees" false (Util.brute_safe (Brute.safe_by_schedules sys2))
 
 let test_unsafe_pair_detected () =
@@ -108,8 +109,8 @@ let test_unsafe_pair_detected () =
   in
   let t3 = Builder.locked_sequence db ~name:"T3" [ "w" ] in
   let sys = System.make db [ mk "T1"; mk "T2"; t3 ] in
-  match Multisite.decide sys with
-  | Multisite.Unsafe (Multisite.Unsafe_pair (0, 1)) -> ()
+  match Util.prop2 sys with
+  | Multisite.Decided (Multisite.Unsafe (Multisite.Unsafe_pair (0, 1))) -> ()
   | _ -> Alcotest.fail "expected unsafe pair (0,1)"
 
 let test_disconnected_conflict_graph () =
@@ -121,7 +122,7 @@ let test_disconnected_conflict_graph () =
   let sys = System.make db [ t1; t2; t3 ] in
   Util.check_int "no conflict arcs" 0
     (Distlock_graph.Digraph.num_arcs (Multisite.conflict_graph sys));
-  Util.check "safe" true (Multisite.decide sys = Multisite.Safe);
+  Util.check "safe" true (Util.prop2 sys = Multisite.Decided Multisite.Safe);
   Util.check "oracle agrees" true (Util.brute_safe (Brute.safe_by_schedules sys))
 
 let test_pair_decider_injection () =
@@ -130,11 +131,11 @@ let test_pair_decider_injection () =
   let t1 = Builder.locked_sequence db ~name:"T1" [ "x" ] in
   let t2 = Builder.locked_sequence db ~name:"T2" [ "x" ] in
   let sys = System.make db [ t1; t2 ] in
-  (match Multisite.decide ~pair_decider:(fun _ -> false) sys with
-  | Multisite.Unsafe (Multisite.Unsafe_pair (0, 1)) -> ()
+  (match Util.prop2 ~pair_decider:(fun _ -> false) sys with
+  | Multisite.Decided (Multisite.Unsafe (Multisite.Unsafe_pair (0, 1))) -> ()
   | _ -> Alcotest.fail "expected injected unsafe pair");
-  match Multisite.decide ~pair_decider:(fun _ -> true) sys with
-  | Multisite.Safe -> ()
+  match Util.prop2 ~pair_decider:(fun _ -> true) sys with
+  | Multisite.Decided Multisite.Safe -> ()
   | _ -> Alcotest.fail "expected safe with permissive decider"
 
 let test_bc_union () =
@@ -160,6 +161,36 @@ let test_bc_union () =
   let tp = System.make db2 [ p1; p2; p3 ] in
   Util.check "2PL ring: every B_c cyclic" false (acyclic_orientation tp)
 
+let test_component_order () =
+  (* Two sequential rings on disjoint entities: two components, each
+     with an acyclic B_c. Components go in index order, so the engine
+     loop and a session both report the ring of T1..T3. *)
+  let db =
+    mkdb [ ("x", 1); ("y", 2); ("z", 3); ("u", 1); ("v", 2); ("w", 3) ]
+  in
+  let ring names (a, b, c) =
+    List.map2
+      (fun name es -> Builder.locked_sequence db ~name es)
+      names [ [ a; b ]; [ b; c ]; [ c; a ] ]
+  in
+  let sys =
+    System.make db
+      (ring [ "T1"; "T2"; "T3" ] ("x", "y", "z")
+      @ ring [ "T4"; "T5"; "T6" ] ("u", "v", "w"))
+  in
+  let first_ring = function
+    | Multisite.Acyclic_bc c -> List.for_all (fun i -> i < 3) c
+    | Multisite.Unsafe_pair _ -> false
+  in
+  (match Util.prop2 sys with
+  | Multisite.Decided (Multisite.Unsafe r) ->
+      Util.check "loop reports the first ring" true (first_ring r)
+  | _ -> Alcotest.fail "expected an acyclic B_c");
+  match (Incremental.decide_delta (Incremental.of_system sys)).Incremental.verdict with
+  | Incremental.Unsafe r ->
+      Util.check "session reports the first ring" true (first_ring r)
+  | _ -> Alcotest.fail "expected a session Unsafe"
+
 let () =
   Alcotest.run "multisite"
     [
@@ -174,6 +205,7 @@ let () =
           Alcotest.test_case "disconnected graph" `Quick test_disconnected_conflict_graph;
           Alcotest.test_case "pair decider injection" `Quick test_pair_decider_injection;
           Alcotest.test_case "B_c union" `Quick test_bc_union;
+          Alcotest.test_case "component order" `Quick test_component_order;
         ] );
       ( "proposition2",
         [

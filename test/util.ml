@@ -20,6 +20,22 @@ let brute_safe = function
       Alcotest.failf "brute-force oracle exhausted (%d of %d steps)" examined
         limit
 
+(* The pair pipeline's verdict as a boolean; [Unknown] fails the test. *)
+let pair_safe sys =
+  let module O = Distlock_engine.Outcome in
+  match (Distlock_core.Checkers.decide sys).O.verdict with
+  | O.Safe -> true
+  | O.Unsafe _ -> false
+  | O.Unknown m -> Alcotest.fail m
+
+(* Proposition 2 from scratch, each conflicting pair decided by
+   [pair_decider] (default {!pair_safe}). *)
+let prop2 ?(pair_decider = pair_safe) ?cycle_limit sys =
+  let module M = Distlock_core.Multisite in
+  M.decide_with
+    ~pair_safe:(fun i j -> pair_decider (M.pair_system sys i j))
+    ?cycle_limit (M.tally ()) (lazy sys) (M.conflict_graph sys)
+
 (* A random DAG on [n] vertices as an arc list (arcs only go forward in a
    random permutation, so acyclicity is guaranteed). *)
 let random_dag_arcs st n density =
