@@ -21,7 +21,6 @@
      E11  [7]     deadlock and safety are orthogonal axes
      E12  Sec 1   shared locks: the theory is unchanged
      E13  --      decision-engine verdict cache and batch throughput
-     E14  --      observability overhead: no-op sink vs JSONL export
      E15  --      parallel batch speedup over 1/2/4/8 domains
      E16  --      memoized state graph vs the factorial schedule tree
      E17  --      incremental session: warm-edit latency vs from-scratch
@@ -657,59 +656,6 @@ let e13 () =
   Format.printf "%a@." E.Stats.pp (Decision.stats eng_on)
 
 (* ------------------------------------------------------------------ *)
-(* E14: observability overhead — no-op sink vs JSONL trace export *)
-
-let e14 () =
-  rule "E14 (obs): tracing overhead on the E13 batch workload";
-  let module E = Distlock_engine in
-  let module Obs = Distlock_obs.Obs in
-  let rng = Random.State.make [| 13 |] in
-  let pool =
-    Array.of_list
-      (List.init 10 (fun i ->
-           Txn_gen.random_pair_system rng
-             ~num_shared:(2 + (i mod 3))
-             ~num_private:1
-             ~num_sites:(2 + (i mod 2))
-             ~cross_prob:0.5 ()))
-  in
-  let queries =
-    List.init 400 (fun _ -> pool.(Random.State.int rng (Array.length pool)))
-  in
-  let n = List.length queries in
-  let run_once () =
-    let eng = Decision.create () in
-    ignore (Decision.decide_batch eng queries)
-  in
-  (* median of [reps] runs, first run as warm-up *)
-  let median_time () =
-    run_once ();
-    let reps = 5 in
-    let ts =
-      List.sort compare (List.init reps (fun _ -> snd (time run_once)))
-    in
-    List.nth ts (reps / 2)
-  in
-  let t_noop = median_time () in
-  let oc = open_out Filename.null in
-  Obs.set_sink (Distlock_obs.Sink.jsonl oc);
-  let t_jsonl = median_time () in
-  Obs.set_sink Distlock_obs.Sink.noop;
-  close_out oc;
-  let per_decision t = t /. float_of_int n *. 1e6 in
-  pf "batch of %d decisions (median of 5):\n" n;
-  pf "no-op sink: %8.2f ms  (%6.2f us/decision)\n" (ms t_noop)
-    (per_decision t_noop);
-  pf "JSONL sink: %8.2f ms  (%6.2f us/decision)  overhead: %.2fx\n"
-    (ms t_jsonl) (per_decision t_jsonl)
-    (t_jsonl /. max 1e-9 t_noop);
-  param_i "queries" n;
-  param_s "jsonl_target" "null device";
-  metric_f "noop_seconds" t_noop;
-  metric_f "jsonl_seconds" t_jsonl;
-  metric_f "jsonl_overhead_ratio" (t_jsonl /. max 1e-9 t_noop)
-
-(* ------------------------------------------------------------------ *)
 (* E15: parallel batch decisions — speedup curve over domain counts *)
 
 let e15 () =
@@ -975,14 +921,16 @@ let e17 () =
 
 (* ------------------------------------------------------------------ *)
 (* E18: flight-recorder overhead — no-op sink vs recorder-only vs the
-   full export stack (JSONL to the null device + Chrome-trace collector
-   + recorder, teed). The recorder is on by default in the CLI, so its
-   overhead budget (< 5% median vs no-op) is an acceptance gate. *)
+   full export stack (a keep-all recorder plus its JSONL and Chrome
+   renderings, written to the null device at the end of each run: what
+   --trace and --chrome-trace pay). The recorder is on by default in
+   the CLI, so its overhead budget (< 5% median vs no-op) is an
+   acceptance gate. *)
 
 let e18 () =
-  rule "E18 (obs): flight-recorder overhead on the E14 batch workload";
+  rule "E18 (obs): flight-recorder overhead on a pair-system batch workload";
   let module Obs = Distlock_obs.Obs in
-  let module Sink = Distlock_obs.Sink in
+  let module Recorder = Distlock_obs.Recorder in
   let rng = Random.State.make [| 13 |] in
   let pool =
     Array.of_list
@@ -1001,29 +949,28 @@ let e18 () =
     let eng = Decision.create () in
     ignore (Decision.decide_batch eng queries)
   in
-  (* median of [reps] runs, first run as warm-up; more reps than E14
-     because the effect measured here is small *)
-  let median_time () =
-    run_once ();
+  (* median of [reps] runs, first run as warm-up; 9 reps because the
+     effect measured here is small *)
+  let median_time run =
+    run ();
     let reps = 9 in
-    let ts =
-      List.sort compare (List.init reps (fun _ -> snd (time run_once)))
-    in
+    let ts = List.sort compare (List.init reps (fun _ -> snd (time run))) in
     List.nth ts (reps / 2)
   in
-  let t_noop = median_time () in
-  let recorder = Distlock_obs.Recorder.create () in
-  Obs.set_sink (Distlock_obs.Recorder.sink recorder);
-  let t_recorder = median_time () in
-  let oc = open_out Filename.null in
-  let chrome_sink, _render = Distlock_obs.Trace_export.collector () in
-  Obs.set_sink
-    (Sink.tee
-       (Sink.tee (Distlock_obs.Recorder.sink recorder) (Sink.jsonl oc))
-       chrome_sink);
-  let t_full = median_time () in
-  Obs.set_sink Sink.noop;
-  close_out oc;
+  let t_noop = median_time run_once in
+  Obs.set_sink (Recorder.sink (Recorder.create ()));
+  let t_recorder = median_time run_once in
+  let null = open_out Filename.null in
+  let t_full =
+    median_time (fun () ->
+        let r = Recorder.create ~capacity:max_int () in
+        Obs.set_sink (Recorder.sink r);
+        run_once ();
+        Recorder.write_jsonl r null;
+        Distlock_obs.Trace_export.write r null)
+  in
+  Obs.set_sink Distlock_obs.Sink.noop;
+  close_out null;
   let per_decision t = t /. float_of_int n *. 1e6 in
   let ratio t = t /. Float.max 1e-9 t_noop in
   pf "batch of %d decisions (median of 9):\n" n;
@@ -1034,7 +981,7 @@ let e18 () =
   pf "full export:     %8.2f ms  (%6.2f us/decision)  overhead: %.3fx\n"
     (ms t_full) (per_decision t_full) (ratio t_full);
   param_i "queries" n;
-  param_s "full_stack" "recorder + jsonl(null) + chrome collector";
+  param_s "full_stack" "keep-all recorder + jsonl(null) + chrome(null)";
   metric_f "noop_seconds" t_noop;
   metric_f "recorder_seconds" t_recorder;
   metric_f "full_seconds" t_full;
@@ -1469,7 +1416,7 @@ let experiments =
   [ ("E1", e1); ("E2", e2); ("E2b", e2b); ("E3", e3); ("E4", e4);
     ("E5", e5); ("E6", e6); ("E7", e7); ("E8", e8); ("E8b", e8b);
     ("E8c", e8c); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
-    ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17);
+    ("E13", e13); ("E15", e15); ("E16", e16); ("E17", e17);
     ("E18", e18); ("E19", e19); ("E20", e20) ]
 
 (* Host metadata, so an archived BENCH_results.json says what machine
@@ -1523,17 +1470,14 @@ let () =
     match !only with
     | None -> experiments
     | Some ids ->
-        let wanted id =
-          List.exists
-            (fun s -> String.lowercase_ascii s = String.lowercase_ascii id)
-            ids
-        in
-        let sel = List.filter (fun (id, _) -> wanted id) experiments in
-        if sel = [] then begin
-          Printf.eprintf "bench: --only matched no experiment\n";
-          usage ()
-        end;
-        sel
+        let same a b = String.lowercase_ascii a = String.lowercase_ascii b in
+        let known id = List.exists (fun (e, _) -> same e id) experiments in
+        (match List.find_opt (fun id -> not (known id)) ids with
+        | Some id ->
+            Printf.eprintf "bench: --only: unknown experiment %S\n" id;
+            usage ()
+        | None -> ());
+        List.filter (fun (e, _) -> List.exists (same e) ids) experiments
   in
   pf "distlock benchmark harness — reproducing Kanellakis & Papadimitriou 1982\n";
   let records =

@@ -16,12 +16,19 @@ module E = Distlock_engine
 module Obs = Distlock_obs.Obs
 module J = Distlock_obs.Json
 
+(* A file the run cannot read or create ends it like a parse error:
+   one line naming the path, exit 2. *)
+let or_exit path f =
+  try f path
+  with Sys_error msg ->
+    Printf.eprintf "error: %s\n"
+      (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg);
+    exit 2
+
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  or_exit path (fun p -> In_channel.with_open_bin p In_channel.input_all)
+
+let create_file path = or_exit path open_out
 
 let load_system path =
   match Parse.system_of_string (read_file path) with
@@ -56,25 +63,12 @@ let engine = lazy (register_engine (Decision.create ()))
    subcommands; [--trace] means "JSONL spans/events" everywhere except
    `simulate`, where it exports the step event stream instead. *)
 
-let dump_metrics path =
-  let oc = open_out path in
+let write_metrics oc =
   let ppf = Format.formatter_of_out_channel oc in
   List.iter
     (fun (_, r) -> Distlock_obs.Registry.pp_prometheus ppf r)
     (registries ());
-  Format.pp_print_flush ppf ();
-  close_out oc
-
-(* The flight recorder rides along on every invocation: a bounded ring
-   of the most recent spans/events, dumped to stderr (with a Gc snapshot
-   and the current counter/histogram values) when a decision ends
-   Unknown or a --verify cross-check diverges. Cheap enough to leave on;
-   bench E18 measures the overhead. *)
-let install_recorder () =
-  let r = Distlock_obs.Recorder.create () in
-  Distlock_obs.Recorder.set_registries r registries;
-  Distlock_obs.Recorder.set_global (Some r);
-  Distlock_obs.Recorder.sink r
+  Format.pp_print_flush ppf ()
 
 let start_metrics_server port =
   match Distlock_obs.Expose.start ~port ~registries () with
@@ -90,37 +84,40 @@ let start_metrics_server port =
       Printf.eprintf "distlock: %s\n" msg;
       exit 2
 
+(* The flight recorder rides along on every invocation as the one
+   sink. --trace and --chrome-trace render it at exit, and an anomaly
+   (a decision ending Unknown, a --verify divergence) dumps its newest
+   records to stderr with a Gc snapshot and the current metric values.
+   A run that names a trace file keeps every record until exit; any
+   other run keeps the default bounded ring. Every output file is
+   created before any work, so a bad path fails the run up front. *)
 let setup_obs span_trace chrome metrics metrics_port level =
+  let span_trace = Option.map create_file span_trace in
+  let chrome = Option.map create_file chrome in
+  let metrics = Option.map create_file metrics in
   Obs.set_level level;
   (match metrics_port with
   | None -> ()
   | Some port -> ignore (start_metrics_server port));
-  let sinks = ref [ install_recorder () ] in
-  (match span_trace with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      sinks := Distlock_obs.Sink.jsonl oc :: !sinks;
-      at_exit (fun () ->
-        Obs.flush ();
-        close_out oc));
-  (match chrome with
-  | None -> ()
-  | Some path ->
-      let sink, render = Distlock_obs.Trace_export.collector () in
-      sinks := sink :: !sinks;
-      at_exit (fun () ->
-        Obs.flush ();
-        let oc = open_out path in
-        render oc;
-        close_out oc));
-  (match !sinks with
-  | [] -> ()
-  | s :: rest ->
-      Obs.set_sink (List.fold_left Distlock_obs.Sink.tee s rest));
-  match metrics with
-  | None -> ()
-  | Some path -> at_exit (fun () -> dump_metrics path)
+  let module R = Distlock_obs.Recorder in
+  let r =
+    if Option.is_none span_trace && Option.is_none chrome then R.create ()
+    else R.create ~capacity:max_int ()
+  in
+  R.set_registries r registries;
+  R.set_global (Some r);
+  Obs.set_sink (R.sink r);
+  let at_exit_write file render =
+    Option.iter
+      (fun oc ->
+        at_exit (fun () ->
+            render oc;
+            close_out oc))
+      file
+  in
+  at_exit_write span_trace (R.write_jsonl r);
+  at_exit_write chrome (Distlock_obs.Trace_export.write r);
+  at_exit_write metrics write_metrics
 
 let metrics_arg =
   Arg.(
@@ -162,9 +159,9 @@ let chrome_trace_arg =
     & opt (some string) None
     & info [ "chrome-trace" ] ~docv:"FILE"
         ~doc:
-          "Write the span/event stream as a Chrome trace-event JSON file \
-           to $(docv) — open it in chrome://tracing or Perfetto; one \
-           thread track per OCaml domain")
+          "On exit, write the span/event stream as a Chrome trace-event \
+           JSON file to $(docv) — open it in chrome://tracing or \
+           Perfetto; one thread track per OCaml domain")
 
 (* Full setup: --trace carries structured spans/events as JSON Lines. *)
 let obs_setup =
@@ -174,8 +171,9 @@ let obs_setup =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Write structured spans and events (engine pipeline stages, \
-             simulator lifecycle) as JSON Lines to $(docv)")
+            "On exit, write structured spans and events (engine \
+             pipeline stages, simulator lifecycle) as JSON Lines to \
+             $(docv)")
   in
   Term.(const setup_obs $ span_trace $ chrome_trace_arg $ metrics_arg
         $ metrics_port_arg $ log_level_arg)
@@ -982,6 +980,7 @@ let plane_cmd =
 let simulate_cmd =
   let run () file seeds backend lease_ttl crash_rate down_time latency sites
       trace_file =
+    let trace_oc = Option.map create_file trace_file in
     let sys = load_system file in
     let sys =
       match sites with
@@ -1001,12 +1000,11 @@ let simulate_cmd =
     let summary =
       Distlock_sim.Esim.measure ~scenario ~seeds:(List.init seeds Fun.id) sys
     in
-    (match trace_file with
+    (match trace_oc with
     | None -> ()
-    | Some path ->
+    | Some oc ->
         (* Re-run each seed deterministically and export the full step
            event stream — committed and aborted attempts alike. *)
-        let oc = open_out path in
         for seed = 0 to seeds - 1 do
           match
             Distlock_sim.Esim.run ~policy:(Distlock_sim.Engine.Random seed)

@@ -19,4 +19,4 @@ val to_json : t -> Json.t
 val value_to_string : value -> string
 
 val pp : Format.formatter -> t -> unit
-(** Space-separated [k=v] pairs, the pretty-sink form. *)
+(** Space-separated [k=v] pairs, as [--explain] prints stage metrics. *)

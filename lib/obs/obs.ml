@@ -25,7 +25,6 @@ let global = Registry.create ()
 
 let set_sink s = Atomic.set current_sink s
 
-let sink () = Atomic.get current_sink
 
 let set_level l = Atomic.set current_level l
 
@@ -146,5 +145,3 @@ let event ?(level = Info) ?attrs name =
           Attr.int "domain" (domain_id ())
           :: (match attrs with None -> [] | Some f -> f ());
       }
-
-let flush () = (Atomic.get current_sink).Sink.flush ()

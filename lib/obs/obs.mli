@@ -4,15 +4,16 @@
 
     Overhead contract: with the default no-op sink, {!enabled} is a
     pointer comparison and every [?attrs] thunk goes unforced, so
-    instrumented hot paths pay essentially nothing (the E14 experiment
-    in [bench/] measures this).
+    instrumented hot paths pay essentially nothing (bench E18 times the
+    flight recorder against this no-op baseline).
 
     Domain-safety: span ids are allocated from one [Atomic]; the
     open-span stack is {e per domain} ([Domain.DLS]), so spans parent
     only within their own domain; every span and event carries a
-    ["domain"] attribute; and the shipped sinks serialize writes, so
-    concurrent JSONL lines never interleave. Install the sink and level
-    from the main domain before spawning workers. *)
+    ["domain"] attribute; and the flight recorder stores each record
+    whole under one stripe lock, so its renderings never hold a torn
+    record. Install the sink and level from the main domain before
+    spawning workers. *)
 
 type level = Error | Warn | Info | Debug
 
@@ -22,8 +23,6 @@ val level_of_string : string -> level option
 (** Accepts ["error"], ["warn"]/["warning"], ["info"], ["debug"]. *)
 
 val set_sink : Sink.t -> unit
-
-val sink : unit -> Sink.t
 
 val set_level : level -> unit
 
@@ -92,5 +91,3 @@ val event : ?level:level -> ?attrs:(unit -> Attr.t) -> string -> unit
 (** Emits a point event (default level [Info]) attached to the innermost
     open span of the calling domain; dropped unless [logs level].
     Carries a ["domain"] attribute like spans do. *)
-
-val flush : unit -> unit

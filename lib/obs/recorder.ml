@@ -1,21 +1,20 @@
-(* The flight recorder: a bounded, lock-striped ring buffer of recent
-   spans and events, cheap enough to leave on by default, dumped only
-   when something anomalous happens (a decision errors, a budget
-   exhausts, a --verify cross-check diverges).
+(* The flight recorder: the one store of finished spans and events.
+   The three outputs render it: the JSONL trace ([write_jsonl]), the
+   Chrome trace ([Trace_export.write]) and the anomaly dump ([dump]).
+   Bounded by default and cheap enough to leave on; [~capacity:max_int]
+   keeps everything, which the CLI asks for when a trace file is named.
 
    Concurrency: each push locks exactly one stripe, chosen by the
    emitting domain's id, so domains contend only when their ids collide
-   modulo the stripe count. Inside a stripe the buffer is a classic
-   ring: `next` wraps, old records are overwritten, nothing allocates
-   beyond the record already in hand. A record is an immutable OCaml
-   value stored under the stripe mutex, so a snapshot can never observe
-   a torn (half-written) record. *)
+   modulo the stripe count. Inside a stripe the buffer grows by
+   doubling up to the capacity and is then a classic ring: old records
+   are overwritten. Under the stripe lock each push takes a sequence
+   number from one [Atomic], so a stripe holds its records in delivery
+   order and a snapshot merges the stripes on that number. A record is
+   an immutable OCaml value stored under the stripe mutex, so a snapshot
+   can never observe a torn (half-written) record. *)
 
 type record = Rspan of Span.span | Revent of Span.event
-
-let record_time = function
-  | Rspan s -> s.Span.start_s
-  | Revent e -> e.Span.time_s
 
 let record_to_json = function
   | Rspan s -> Span.span_to_json s
@@ -23,37 +22,39 @@ let record_to_json = function
 
 type stripe = {
   lock : Mutex.t;
-  buf : record option array;
-  mutable next : int;  (* next write slot *)
-  mutable pushes : int;  (* lifetime pushes into this stripe *)
+  mutable buf : (int * record) array;  (* (sequence number, record) *)
+  mutable pushes : int;  (* lifetime pushes; slot [pushes mod length] is next *)
 }
+
+let stripe_count = 8
+
+(* At most this many automatic [anomaly] dumps per recorder. *)
+let dump_limit = 5
+
+(* A dump renders at most this many of each stripe's newest records,
+   however many a keep-all recorder holds. *)
+let dump_window = 512
 
 type t = {
   stripes : stripe array;
   capacity : int;  (* per stripe *)
+  seq : int Atomic.t;
   registries : (unit -> (string * Registry.t) list) Atomic.t;
   dump_dest : (unit -> out_channel) Atomic.t;
   dumps : int Atomic.t;
-  dump_limit : int;
 }
 
-let create ?(stripes = 8) ?(capacity = 512) ?(dump_limit = 5) () =
-  if stripes < 1 then invalid_arg "Recorder.create: stripes must be >= 1";
+let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
   {
     stripes =
-      Array.init stripes (fun _ ->
-          {
-            lock = Mutex.create ();
-            buf = Array.make capacity None;
-            next = 0;
-            pushes = 0;
-          });
+      Array.init stripe_count (fun _ ->
+          { lock = Mutex.create (); buf = [||]; pushes = 0 });
     capacity;
+    seq = Atomic.make 0;
     registries = Atomic.make (fun () -> []);
     dump_dest = Atomic.make (fun () -> stderr);
     dumps = Atomic.make 0;
-    dump_limit;
   }
 
 let with_lock lock f =
@@ -67,56 +68,57 @@ let with_lock lock f =
       raise e
 
 let push t r =
-  let st =
-    t.stripes.((Domain.self () :> int) mod Array.length t.stripes)
-  in
+  let st = t.stripes.((Domain.self () :> int) mod stripe_count) in
   with_lock st.lock (fun () ->
-      st.buf.(st.next) <- Some r;
-      st.next <- (st.next + 1) mod t.capacity;
+      let len = Array.length st.buf in
+      if st.pushes = len && len < t.capacity then begin
+        let grown = Array.make (min t.capacity (max 16 (2 * len))) (0, r) in
+        Array.blit st.buf 0 grown 0 len;
+        st.buf <- grown
+      end;
+      st.buf.(st.pushes mod Array.length st.buf) <-
+        (Atomic.fetch_and_add t.seq 1, r);
       st.pushes <- st.pushes + 1)
 
 let sink t =
   {
     Sink.on_span = (fun s -> push t (Rspan s));
     on_event = (fun e -> push t (Revent e));
-    flush = ignore;
   }
 
 let set_registries t f = Atomic.set t.registries f
 
 let set_dump_dest t f = Atomic.set t.dump_dest f
 
-(* Oldest-first snapshot of one stripe: the ring reads from `next`
-   (oldest surviving slot once the buffer has wrapped) around to
-   `next - 1`. *)
-let stripe_records st capacity =
+(* One locked copy of a stripe: its newest [limit] entries, oldest
+   first, and its lifetime push count. The i-th newest entry sits in
+   slot [pushes - 1 - i], modulo the buffer length once it has wrapped. *)
+let snapshot ~limit st =
   with_lock st.lock (fun () ->
+      let len = Array.length st.buf in
       let out = ref [] in
-      for i = capacity - 1 downto 0 do
-        match st.buf.((st.next + i) mod capacity) with
-        | Some r -> out := r :: !out
-        | None -> ()
+      for i = 0 to min limit (min st.pushes len) - 1 do
+        out := st.buf.((st.pushes - 1 - i) mod len) :: !out
       done;
       (!out, st.pushes))
 
-let records t =
-  let per_stripe =
-    Array.to_list
-      (Array.map (fun st -> fst (stripe_records st t.capacity)) t.stripes)
+(* Every stripe's newest [limit] records in delivery order, and the
+   stripes' total push count, from one snapshot per stripe. *)
+let collect ~limit t =
+  let snaps = Array.to_list (Array.map (snapshot ~limit) t.stripes) in
+  let entries =
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.concat_map fst snaps)
   in
-  (* Merge the stripes on the records' wall-clock stamps so the dump
-     reads chronologically; stable sort keeps same-stamp records in
-     stripe order. *)
-  List.stable_sort
-    (fun a b -> Float.compare (record_time a) (record_time b))
-    (List.concat per_stripe)
+  (List.map snd entries, List.fold_left (fun n (_, p) -> n + p) 0 snaps)
 
-let dropped t =
-  Array.fold_left
-    (fun acc st ->
-      let _, pushes = stripe_records st t.capacity in
-      acc + max 0 (pushes - t.capacity))
-    0 t.stripes
+let records t = fst (collect ~limit:max_int t)
+
+let line oc j =
+  output_string oc (Json.to_string j);
+  output_char oc '\n'
+
+let write_jsonl t oc =
+  List.iter (fun r -> line oc (record_to_json r)) (records t)
 
 let gc_json () =
   let q = Gc.quick_stat () in
@@ -173,30 +175,27 @@ let instrument_json (e : Registry.entry) =
         ]
 
 let dump t ~reason oc =
-  let line j =
-    output_string oc (Json.to_string j);
-    output_char oc '\n'
-  in
-  let recs = records t in
-  line
+  let recs, pushes = collect ~limit:dump_window t in
+  let n = List.length recs in
+  line oc
     (Json.Obj
        [
          ("type", Json.Str "flight_dump");
          ("reason", Json.Str reason);
          ("time_s", Json.Float (Unix.gettimeofday ()));
-         ("records", Json.Int (List.length recs));
-         ("dropped", Json.Int (dropped t));
+         ("records", Json.Int n);
+         ("dropped", Json.Int (pushes - n));
          ("gc", gc_json ());
        ]);
-  List.iter (fun r -> line (record_to_json r)) recs;
+  List.iter (fun r -> line oc (record_to_json r)) recs;
   List.iter
     (fun (label, reg) ->
       List.iter
         (fun e ->
           match instrument_json e with
           | Json.Obj fields ->
-              line (Json.Obj (("registry", Json.Str label) :: fields))
-          | j -> line j)
+              line oc (Json.Obj (("registry", Json.Str label) :: fields))
+          | j -> line oc j)
         (Registry.entries reg))
     ((Atomic.get t.registries) ());
   flush oc
@@ -219,7 +218,7 @@ let anomaly ~reason =
   | Some t ->
       (* Cap the dumps: one anomaly per decision in a pathological batch
          would flood stderr with near-identical flight dumps. *)
-      if Atomic.fetch_and_add t.dumps 1 < t.dump_limit then
+      if Atomic.fetch_and_add t.dumps 1 < dump_limit then
         dump t ~reason ((Atomic.get t.dump_dest) ())
 
 let dump_count t = Atomic.get t.dumps

@@ -1,89 +1,8 @@
 type t = {
   on_span : Span.span -> unit;
   on_event : Span.event -> unit;
-  flush : unit -> unit;
 }
 
-let noop = { on_span = ignore; on_event = ignore; flush = ignore }
+let noop = { on_span = ignore; on_event = ignore }
 
 let is_noop s = s == noop
-
-(* One mutex over all three callbacks: worker domains deliver records
-   concurrently, and a text sink that interleaves two half-written lines
-   is corrupt. Delivery sections are short (format + write), so a plain
-   mutex is fine. *)
-let serialized s =
-  let lock = Mutex.create () in
-  let guarded f x =
-    Mutex.lock lock;
-    match f x with
-    | r ->
-        Mutex.unlock lock;
-        r
-    | exception e ->
-        Mutex.unlock lock;
-        raise e
-  in
-  {
-    on_span = guarded s.on_span;
-    on_event = guarded s.on_event;
-    flush = guarded s.flush;
-  }
-
-let pretty ppf =
-  serialized
-    {
-      on_span = (fun s -> Format.fprintf ppf "%a@." Span.pp_span s);
-      on_event = (fun e -> Format.fprintf ppf "%a@." Span.pp_event e);
-      flush = (fun () -> Format.pp_print_flush ppf ());
-    }
-
-let jsonl oc =
-  let line j =
-    output_string oc (Json.to_string j);
-    output_char oc '\n'
-  in
-  serialized
-    {
-      on_span = (fun s -> line (Span.span_to_json s));
-      on_event = (fun e -> line (Span.event_to_json e));
-      flush = (fun () -> flush oc);
-    }
-
-let tee a b =
-  {
-    on_span =
-      (fun s ->
-        a.on_span s;
-        b.on_span s);
-    on_event =
-      (fun e ->
-        a.on_event e;
-        b.on_event e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
-  }
-
-(* The reader closure takes the same mutex as the writers so reading
-   while worker domains are still emitting sees a consistent snapshot. *)
-let collecting () =
-  let lock = Mutex.create () in
-  let spans = ref [] and events = ref [] in
-  let guarded f x =
-    Mutex.lock lock;
-    match f x with
-    | r ->
-        Mutex.unlock lock;
-        r
-    | exception e ->
-        Mutex.unlock lock;
-        raise e
-  in
-  ( {
-      on_span = guarded (fun s -> spans := s :: !spans);
-      on_event = guarded (fun e -> events := e :: !events);
-      flush = ignore;
-    },
-    fun () -> guarded (fun () -> (List.rev !spans, List.rev !events)) () )

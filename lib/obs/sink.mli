@@ -1,11 +1,11 @@
-(** Pluggable destinations for spans and events. The tracer ({!Obs})
-    holds exactly one sink; callers compose with {!tee} if they want
-    more. *)
+(** Where {!Obs} delivers finished spans and events. The tracer holds
+    exactly one sink: {!noop}, or the flight recorder's
+    ({!Recorder.sink}), the one store that the trace files and the
+    anomaly dump render. *)
 
 type t = {
   on_span : Span.span -> unit;
   on_event : Span.event -> unit;
-  flush : unit -> unit;
 }
 
 val noop : t
@@ -14,23 +14,3 @@ val noop : t
     skips attribute construction entirely. *)
 
 val is_noop : t -> bool
-
-val serialized : t -> t
-(** Wraps every callback of a sink in one shared mutex, so concurrent
-    deliveries from several domains never interleave. The sinks below
-    are already serialized; use this for hand-rolled ones. *)
-
-val pretty : Format.formatter -> t
-(** One human-readable line per record. Serialized. *)
-
-val jsonl : out_channel -> t
-(** One compact JSON object per line ({!Span.span_to_json} /
-    {!Span.event_to_json}). The channel is not closed by the sink;
-    [flush] flushes it. Serialized: lines from concurrent domains never
-    interleave. *)
-
-val tee : t -> t -> t
-
-val collecting : unit -> t * (unit -> Span.span list * Span.event list)
-(** In-memory sink for tests: the closure returns everything received so
-    far, in emission order. Serialized. *)

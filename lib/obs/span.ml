@@ -39,13 +39,3 @@ let event_to_json (e : event) =
       | Some p -> [ ("span", Json.Int p) ]
       | None -> [])
     @ attrs_field e.attrs)
-
-let pp_span ppf (s : span) =
-  Format.fprintf ppf "span %s (%.3f ms)%s%a" s.name (s.duration_s *. 1_000.)
-    (if s.attrs = [] then "" else " ")
-    Attr.pp s.attrs
-
-let pp_event ppf (e : event) =
-  Format.fprintf ppf "event %s%s%a" e.name
-    (if e.attrs = [] then "" else " ")
-    Attr.pp e.attrs

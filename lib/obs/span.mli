@@ -21,7 +21,3 @@ type event = {
 val span_to_json : span -> Json.t
 
 val event_to_json : event -> Json.t
-
-val pp_span : Format.formatter -> span -> unit
-
-val pp_event : Format.formatter -> event -> unit

@@ -1,5 +1,5 @@
-(* Chrome trace-event export: render collected spans and events in the
-   JSON format chrome://tracing and Perfetto read natively.
+(* Chrome trace-event export: render the recorder's spans and events in
+   the JSON format chrome://tracing and Perfetto read natively.
 
    Mapping:
      span   -> a "complete" event  (ph "X", ts + dur in microseconds)
@@ -12,24 +12,27 @@
    relative to the earliest record, which keeps them small and lines the
    viewer up at t=0. *)
 
+let pid = 1
+
 let domain_of (attrs : Attr.t) =
   match List.assoc_opt "domain" attrs with
   | Some (Attr.Int d) -> d
   | Some (Attr.Str _ | Attr.Float _ | Attr.Bool _) | None -> 0
 
+let attrs_of = function
+  | Recorder.Rspan s -> s.Span.attrs
+  | Recorder.Revent e -> e.Span.attrs
+
 let us_since t0 t = (t -. t0) *. 1e6
 
 (* The earliest wall-clock timestamp in the stream, the export's t=0. *)
-let origin spans events =
-  let m =
-    List.fold_left
-      (fun acc (s : Span.span) -> Float.min acc s.Span.start_s)
-      infinity spans
+let origin records =
+  let time = function
+    | Recorder.Rspan s -> s.Span.start_s
+    | Recorder.Revent e -> e.Span.time_s
   in
   let m =
-    List.fold_left
-      (fun acc (e : Span.event) -> Float.min acc e.Span.time_s)
-      m events
+    List.fold_left (fun acc r -> Float.min acc (time r)) infinity records
   in
   if m = infinity then 0. else m
 
@@ -44,7 +47,7 @@ let args_field (attrs : Attr.t) extra =
             @ List.map (fun (k, v) -> (k, Attr.json_of_value v)) attrs) );
       ]
 
-let span_record ~pid ~t0 (s : Span.span) =
+let span_record ~t0 (s : Span.span) =
   Json.Obj
     ([
        ("name", Json.Str s.Span.name);
@@ -62,7 +65,7 @@ let span_record ~pid ~t0 (s : Span.span) =
         | Some p -> [ ("parent", Json.Int p) ]
         | None -> [])))
 
-let event_record ~pid ~t0 (e : Span.event) =
+let event_record ~t0 (e : Span.event) =
   Json.Obj
     ([
        ("name", Json.Str e.Span.name);
@@ -78,13 +81,17 @@ let event_record ~pid ~t0 (e : Span.event) =
         | Some p -> [ ("span", Json.Int p) ]
         | None -> []))
 
-let metadata ~pid ~process_name tids =
+let trace_event ~t0 = function
+  | Recorder.Rspan s -> span_record ~t0 s
+  | Recorder.Revent e -> event_record ~t0 e
+
+let metadata tids =
   Json.Obj
     [
       ("name", Json.Str "process_name");
       ("ph", Json.Str "M");
       ("pid", Json.Int pid);
-      ("args", Json.Obj [ ("name", Json.Str process_name) ]);
+      ("args", Json.Obj [ ("name", Json.Str "distlock") ]);
     ]
   :: List.map
        (fun tid ->
@@ -100,37 +107,19 @@ let metadata ~pid ~process_name tids =
            ])
        tids
 
-let tracks spans events =
-  let seen = Hashtbl.create 8 in
-  let note attrs =
-    let d = domain_of attrs in
-    if not (Hashtbl.mem seen d) then Hashtbl.add seen d ()
+let to_json records =
+  let t0 = origin records in
+  let tracks =
+    List.sort_uniq Int.compare
+      (List.map (fun r -> domain_of (attrs_of r)) records)
   in
-  List.iter (fun (s : Span.span) -> note s.Span.attrs) spans;
-  List.iter (fun (e : Span.event) -> note e.Span.attrs) events;
-  List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) seen [])
-
-let to_json ?(pid = 1) ?(process_name = "distlock") ~spans ~events () =
-  let t0 = origin spans events in
   Json.Obj
     [
       ( "traceEvents",
-        Json.List
-          (metadata ~pid ~process_name (tracks spans events)
-          @ List.map (span_record ~pid ~t0) spans
-          @ List.map (event_record ~pid ~t0) events) );
+        Json.List (metadata tracks @ List.map (trace_event ~t0) records) );
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-let write ?pid ?process_name oc ~spans ~events () =
-  output_string oc (Json.to_string_pretty (to_json ?pid ?process_name ~spans ~events ()));
+let write t oc =
+  output_string oc (Json.to_string_pretty (to_json (Recorder.records t)));
   output_char oc '\n'
-
-(* A sink that buffers everything plus a closure that renders the
-   buffer; what `--chrome-trace FILE` tees into. *)
-let collector ?pid ?process_name () =
-  let sink, read = Sink.collecting () in
-  ( sink,
-    fun oc ->
-      let spans, events = read () in
-      write ?pid ?process_name oc ~spans ~events () )

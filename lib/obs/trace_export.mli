@@ -1,39 +1,18 @@
 (** Chrome trace-event export.
 
-    Renders a collected span/event stream as the JSON object format of
-    [chrome://tracing] / Perfetto: spans become "complete" events
-    ([ph:"X"], microsecond [ts]/[dur]), events become thread-scoped
-    "instants" ([ph:"i"]), and every OCaml domain becomes its own
-    thread track ([tid] = the record's ["domain"] attribute, named by
-    [ph:"M"] metadata). Timestamps are microseconds relative to the
-    earliest record in the stream. *)
+    Renders the flight recorder's span/event stream as the JSON object
+    format of [chrome://tracing] / Perfetto: spans become "complete"
+    events ([ph:"X"], microsecond [ts]/[dur]), events become
+    thread-scoped "instants" ([ph:"i"]), and every OCaml domain becomes
+    its own thread track ([tid] = the record's ["domain"] attribute,
+    named by [ph:"M"] metadata). Timestamps are microseconds relative to
+    the earliest record in the stream. *)
 
-val to_json :
-  ?pid:int ->
-  ?process_name:string ->
-  spans:Span.span list ->
-  events:Span.event list ->
-  unit ->
-  Json.t
-(** The [{"traceEvents": [...], "displayTimeUnit": "ms"}] object.
-    [pid] defaults to [1]; [process_name] (default ["distlock"]) names
-    the process track. *)
+val to_json : Recorder.record list -> Json.t
+(** The [{"traceEvents": [...], "displayTimeUnit": "ms"}] object: the
+    metadata records (process ["distlock"], pid [1], one thread name per
+    domain), then one trace event per record, in list order. *)
 
-val write :
-  ?pid:int ->
-  ?process_name:string ->
-  out_channel ->
-  spans:Span.span list ->
-  events:Span.event list ->
-  unit ->
-  unit
-(** {!to_json} pretty-printed to a channel (not closed). *)
-
-val collector :
-  ?pid:int ->
-  ?process_name:string ->
-  unit ->
-  Sink.t * (out_channel -> unit)
-(** A buffering sink plus the closure that renders everything received
-    so far — tee it with the live sink and call the closure at exit.
-    Serialized (built on {!Sink.collecting}). *)
+val write : Recorder.t -> out_channel -> unit
+(** {!to_json} of {!Recorder.records} — every buffered record, in
+    delivery order — pretty-printed to a channel (not closed). *)

@@ -326,7 +326,8 @@ def check_e17(e):
 def check_e18(e):
     """The recorder-overhead artifact: the always-on flight recorder must
     cost under 5% at the median against a noop sink; the full stack
-    (recorder + JSONL + Chrome collector) just has to be measured."""
+    (a keep-all recorder plus its JSONL and Chrome renderings, as
+    --trace and --chrome-trace run it) just has to be measured."""
     m = e["metrics"]
     need(e["params"], ["queries", "full_stack"], "E18.params")
     need(m, ["noop_seconds", "recorder_seconds", "full_seconds",

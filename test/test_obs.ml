@@ -146,12 +146,47 @@ let test_registry_reset () =
 (* ------------------------------------------------------------------ *)
 (* Spans, events, sinks *)
 
-(* Install a collecting sink for the duration of [f]. *)
+(* Install a keep-all recorder for the duration of [f]; returns its
+   spans and its events, each in delivery order. *)
 let with_collecting f =
-  let sink, collected = Sink.collecting () in
-  Obs.set_sink sink;
+  let r = Recorder.create ~capacity:max_int () in
+  Obs.set_sink (Recorder.sink r);
   Fun.protect ~finally:(fun () -> Obs.set_sink Sink.noop) f;
-  collected ()
+  List.partition_map
+    (function
+      | Recorder.Rspan s -> Either.Left s | Recorder.Revent e -> Either.Right e)
+    (Recorder.records r)
+
+(* The lines [write] puts in a file. *)
+let render_lines write =
+  let path = Filename.temp_file "distlock_obs" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      write oc;
+      close_out oc;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match List.rev (String.split_on_char '\n' text) with
+      | "" :: lines -> List.rev lines
+      | lines -> List.rev lines)
+
+(* The integer after ["key":] in a compact JSON line. *)
+let int_field line key =
+  let pat = Printf.sprintf "%S:" key in
+  let n = String.length line and k = String.length pat in
+  let rec find i =
+    if i + k > n then Alcotest.failf "no %s in %s" key line
+    else if String.sub line i k = pat then i + k
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let numeric c = c = '-' || (c >= '0' && c <= '9') in
+  let stop = ref start in
+  while !stop < n && numeric line.[!stop] do
+    incr stop
+  done;
+  int_of_string (String.sub line start (!stop - start))
 
 let test_span_nesting () =
   let spans, _ =
@@ -274,50 +309,39 @@ let test_span_domain_attr () =
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
 
 let test_jsonl_no_interleaving () =
-  (* 4 domains each emit 50 spans with long attribute payloads through
-     one jsonl sink; every line of the file must be a complete, parseable
-     record — a torn write would break the shape check. *)
-  let path = Filename.temp_file "distlock_obs" ".jsonl" in
+  (* 4 domains each emit 50 spans with long attribute payloads into one
+     keep-all recorder; every line of its JSONL rendering must be a
+     complete, parseable record — a torn record would break the shape
+     check. *)
+  let r = Recorder.create ~capacity:max_int () in
+  Obs.set_sink (Recorder.sink r);
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () -> Obs.set_sink Sink.noop)
     (fun () ->
-      let oc = open_out path in
-      let sink = Sink.jsonl oc in
-      Obs.set_sink sink;
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.set_sink Sink.noop;
-          close_out oc)
-        (fun () ->
-          let payload = String.make 256 'x' in
-          let emit d =
-            for i = 0 to 49 do
-              Obs.with_span "concurrent" (fun sp ->
-                  Obs.add_attrs sp
-                    [ Attr.int "task" ((100 * d) + i); Attr.str "pad" payload ])
-            done
-          in
-          let workers = List.init 3 (fun d -> Domain.spawn (fun () -> emit (d + 1))) in
-          emit 0;
-          List.iter Domain.join workers;
-          sink.Sink.flush ());
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      check int "every span is exactly one line" 200 (List.length !lines);
-      check bool "every line is a complete record" true
-        (List.for_all
-           (fun l ->
-             String.length l > 0
-             && l.[0] = '{'
-             && l.[String.length l - 1] = '}'
-             && contains l {|"type":"span"|}
-             && contains l {|"name":"concurrent"|})
-           !lines))
+      let payload = String.make 256 'x' in
+      let emit d =
+        for i = 0 to 49 do
+          Obs.with_span "concurrent" (fun sp ->
+              Obs.add_attrs sp
+                [ Attr.int "task" ((100 * d) + i); Attr.str "pad" payload ])
+        done
+      in
+      let workers =
+        List.init 3 (fun d -> Domain.spawn (fun () -> emit (d + 1)))
+      in
+      emit 0;
+      List.iter Domain.join workers);
+  let lines = render_lines (Recorder.write_jsonl r) in
+  check int "every span is exactly one line" 200 (List.length lines);
+  check bool "every line is a complete record" true
+    (List.for_all
+       (fun l ->
+         String.length l > 0
+         && l.[0] = '{'
+         && l.[String.length l - 1] = '}'
+         && contains l {|"type":"span"|}
+         && contains l {|"name":"concurrent"|})
+       lines)
 
 let test_registry_concurrent_get_or_create () =
   (* 4 domains race get-or-create on the same name and bump it 100 times
@@ -403,7 +427,11 @@ let test_trace_export_shape () =
       };
     ]
   in
-  match Trace_export.to_json ~spans ~events () with
+  match
+    Trace_export.to_json
+      (List.map (fun s -> Recorder.Rspan s) spans
+      @ List.map (fun e -> Recorder.Revent e) events)
+  with
   | Json.Obj fields ->
       check bool "displayTimeUnit ms" true
         (List.assoc_opt "displayTimeUnit" fields = Some (Json.Str "ms"));
@@ -461,7 +489,7 @@ let rspan ~id ~start_s ~task =
        ())
 
 let test_recorder_ring_wrap () =
-  let r = Recorder.create ~stripes:1 ~capacity:4 () in
+  let r = Recorder.create ~capacity:4 () in
   let sink = Recorder.sink r in
   for i = 1 to 10 do
     match rspan ~id:i ~start_s:(float_of_int i) ~task:i with
@@ -486,7 +514,7 @@ let test_recorder_multi_domain_hammer () =
      records, each with its payload intact — a torn record (or a lost
      push) breaks the count or the per-emitter reconstruction. *)
   let per_domain = 200 in
-  let r = Recorder.create ~stripes:8 ~capacity:1_024 () in
+  let r = Recorder.create ~capacity:1_024 () in
   let sink = Recorder.sink r in
   let emit e =
     for i = 0 to per_domain - 1 do
@@ -529,7 +557,7 @@ let test_recorder_multi_domain_hammer () =
     seen
 
 let test_recorder_dump_and_anomaly_cap () =
-  let r = Recorder.create ~stripes:1 ~capacity:8 ~dump_limit:2 () in
+  let r = Recorder.create ~capacity:8 () in
   let sink = Recorder.sink r in
   (match rspan ~id:1 ~start_s:1. ~task:1 with
   | Recorder.Rspan s -> sink.Sink.on_span s
@@ -550,10 +578,11 @@ let test_recorder_dump_and_anomaly_cap () =
           Recorder.set_global None;
           close_out oc)
         (fun () ->
-          Recorder.anomaly ~reason:"first";
-          Recorder.anomaly ~reason:"second";
-          Recorder.anomaly ~reason:"third (over the cap)");
-      check int "every anomaly counted" 3 (Recorder.dump_count r);
+          for i = 1 to 5 do
+            Recorder.anomaly ~reason:(Printf.sprintf "anomaly %d" i)
+          done;
+          Recorder.anomaly ~reason:"sixth (over the cap)");
+      check int "every anomaly counted" 6 (Recorder.dump_count r);
       let ic = open_in path in
       let lines = ref [] in
       (try
@@ -562,7 +591,7 @@ let test_recorder_dump_and_anomaly_cap () =
          done
        with End_of_file -> close_in ic);
       let lines = List.rev !lines in
-      check int "dump cap held: 2 headers" 2
+      check int "dump cap held: 5 headers" 5
         (List.length
            (List.filter (fun l -> contains l {|"type":"flight_dump"|}) lines));
       check bool "header carries the gc snapshot" true
@@ -581,6 +610,65 @@ let test_recorder_dump_and_anomaly_cap () =
              && contains l {|"cumulative":[1,1]|}
              && contains l {|"sum":0.5|})
            lines))
+
+let test_recorder_keep_all_renderings () =
+  (* Two domains emit 1 500 spans and 1 500 events each through [Obs]
+     into a keep-all recorder: 6 000 records, more than the default
+     ring's 8 x 512 slots. Both file renderings hold every record; the
+     flight dump stays bounded to the newest 512 records per stripe. *)
+  let per_domain = 1_500 in
+  let r = Recorder.create ~capacity:max_int () in
+  Obs.set_level Obs.Info;
+  Obs.set_sink (Recorder.sink r);
+  let emit e =
+    for i = 0 to per_domain - 1 do
+      let attrs () = [ Attr.int "emitter" e; Attr.int "seq" i ] in
+      Obs.with_span ~attrs "kept" ignore;
+      Obs.event ~attrs "kept"
+    done
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_sink Sink.noop)
+    (fun () ->
+      let worker = Domain.spawn (fun () -> emit 1) in
+      emit 0;
+      Domain.join worker);
+  let total = 4 * per_domain in
+  let lines = render_lines (Recorder.write_jsonl r) in
+  check int "JSONL holds every record" total (List.length lines);
+  (* Emitter e's k-th record is span k/2 when k is even, else event k/2. *)
+  let next = Array.make 2 0 in
+  List.iter
+    (fun l ->
+      let e = int_field l "emitter" and i = int_field l "seq" in
+      let k = (2 * i) + if contains l {|"type":"span"|} then 0 else 1 in
+      if k <> next.(e) then
+        Alcotest.failf "emitter %d: record %d arrived as number %d" e k
+          next.(e);
+      next.(e) <- k + 1)
+    lines;
+  let chrome = render_lines (Trace_export.write r) in
+  let count pat = List.length (List.filter (fun l -> contains l pat) chrome) in
+  check int "one complete event per span" (2 * per_domain)
+    (count {|"ph": "X"|});
+  check int "one instant per event" (2 * per_domain) (count {|"ph": "i"|});
+  match render_lines (Recorder.dump r ~reason:"bounded") with
+  | [] -> Alcotest.fail "empty dump"
+  | header :: recs ->
+      (* No registries are set, so every line after the header is a
+         record. *)
+      check int "header counts the listed records"
+        (int_field header "records") (List.length recs);
+      check int "records + dropped = every push" total
+        (int_field header "records" + int_field header "dropped");
+      let per_stripe = Array.make 8 0 in
+      List.iter
+        (fun l ->
+          let s = int_field l "domain" mod 8 in
+          per_stripe.(s) <- per_stripe.(s) + 1)
+        recs;
+      check bool "at most 512 records per stripe" true
+        (Array.for_all (fun c -> c <= 512) per_stripe)
 
 let test_anomaly_uninstalled_noop () =
   Recorder.set_global None;
@@ -915,6 +1003,8 @@ let () =
           Alcotest.test_case "ring wrap" `Quick test_recorder_ring_wrap;
           Alcotest.test_case "multi-domain hammer" `Quick
             test_recorder_multi_domain_hammer;
+          Alcotest.test_case "keep-all renderings" `Quick
+            test_recorder_keep_all_renderings;
           Alcotest.test_case "dump + anomaly cap" `Quick
             test_recorder_dump_and_anomaly_cap;
           Alcotest.test_case "anomaly uninstalled" `Quick
