@@ -10,7 +10,9 @@ type evidence =
    before the pair pipeline runs, and decided pair verdicts are stored
    back — so a system sharing pairs with earlier decisions (a batch of
    edits of one base system, say) re-runs the pipeline only for pairs it
-   does not share. An undecided pair is a stage [Error]. Cycle
+   does not share. Each transaction is digested at most once per
+   decision, on its first pair lookup, however many pairs it is in. An
+   undecided pair is a stage [Error]. Cycle
    enumeration runs under the meter's step allowance and maps
    exhaustion to an inconclusive [Pass] — never a hang, and the
    state-graph fallback still gets its chance. *)
@@ -24,11 +26,16 @@ let proposition2 ?pair_cache stats =
          meters this one decision, so [check --explain] reports the
          traffic of the decision being explained even mid-batch. *)
       let tally = Multisite.tally () in
+      let digests =
+        Array.map (fun txn -> lazy (Txn.fingerprint txn)) (System.txns sys)
+      in
+      let fp i = Lazy.force digests.(i) in
       let pair_safe =
         Multisite.pair_safe
           ?store:
             (Option.map
-               (fun cache -> (cache, stats, System.pair_fingerprint sys))
+               (fun cache ->
+                 (cache, stats, System.pair_fingerprint_with ~fp sys))
                pair_cache)
           ~budget:(E.Budget.budget meter) tally (lazy sys)
       in

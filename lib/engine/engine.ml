@@ -206,7 +206,10 @@ let verdict_label (o : _ Outcome.t) =
   | Outcome.Unsafe _ -> "unsafe"
   | Outcome.Unknown _ -> "unknown"
 
-let decide ?budget t sys =
+(* A decision keyed by the caller's fingerprint of [sys], so a caller
+   that already holds it ([decide_batch], [decide_explained]) does not
+   digest the system again. *)
+let decide_keyed ?budget t fp sys =
   let budget = Option.value budget ~default:t.default_budget in
   let sp = Obs.start_span "engine.decide" in
   let finish fp (o : _ Outcome.t) =
@@ -221,7 +224,6 @@ let decide ?budget t sys =
     Obs.end_span sp;
     o
   in
-  let fp = t.fingerprint sys in
   match Option.bind t.cache (fun c -> Lru_sharded.find c fp) with
   | Some o ->
       Stats.record_decision t.stats ~cached:true
@@ -236,13 +238,16 @@ let decide ?budget t sys =
       | None, _ -> ());
       finish fp o
 
+let decide ?budget t sys = decide_keyed ?budget t (t.fingerprint sys) sys
+
 let explain t sys (o : _ Outcome.t) =
   Explain.of_outcome ~checkers:t.checkers ~fingerprint:(t.fingerprint sys) sys
     o
 
 let decide_explained ?budget t sys =
-  let o = decide ?budget t sys in
-  (o, explain t sys o)
+  let fingerprint = t.fingerprint sys in
+  let o = decide_keyed ?budget t fingerprint sys in
+  (o, Explain.of_outcome ~checkers:t.checkers ~fingerprint sys o)
 
 type batch_report = {
   submitted : int;
@@ -328,7 +333,7 @@ let decide_batch ?budget ?(jobs = 1) t syss =
     in
     let outs =
       Par.with_pool ~domains:jobs (fun pool ->
-          Par.map pool (fun (_, sys) -> decide ?budget t sys) uniq)
+          Par.map pool (fun (fp, sys) -> decide_keyed ?budget t fp sys) uniq)
     in
     List.iter2 (fun (fp, _) o -> Hashtbl.replace predecided fp o) uniq outs
   end;
@@ -354,7 +359,7 @@ let decide_batch ?budget ?(jobs = 1) t syss =
               | Some o ->
                   Hashtbl.remove predecided fp;
                   o
-              | None -> decide ?budget t sys
+              | None -> decide_keyed ?budget t fp sys
             in
             if o.Outcome.cached then incr hits else incr misses;
             (* Unknowns are not replicated across the batch either: a

@@ -76,7 +76,8 @@ val explain : ('sys, 'ev) t -> 'sys -> 'ev Outcome.t -> Explain.t
 
 val decide_explained :
   ?budget:Budget.t -> ('sys, 'ev) t -> 'sys -> 'ev Outcome.t * Explain.t
-(** {!decide} followed by {!explain} on the result. *)
+(** {!decide} followed by {!explain} on the result, fingerprinting
+    [sys] once for both. *)
 
 (** What happened to one batch. *)
 type batch_report = {
@@ -107,8 +108,10 @@ val decide_batch :
   'sys list ->
   'ev Outcome.t list * batch_report
 (** Decide many systems at once: duplicates (by fingerprint) are decided
-    once and their outcome replicated, in submission order. Per-stage
-    counters and timings accumulate in [stats t].
+    once and their outcome replicated, in submission order. Each
+    submitted system is fingerprinted once; the decision of a distinct
+    one reuses that digest. Per-stage counters and timings accumulate in
+    [stats t].
 
     [jobs] (default [1]) is the number of domains deciding the batch's
     distinct systems. [jobs:1] runs everything on the calling domain and

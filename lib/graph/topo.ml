@@ -1,75 +1,83 @@
-(* A tiny binary min-heap on (priority, vertex) pairs; the standard library
-   has no priority queue and the priority sorts below are on hot paths of
-   the Theorem 2 certificate construction. *)
+(* A binary min-heap of vertices keyed by [(priority, vertex)], compared
+   lexicographically. Keys are unique, so the pop order is fully
+   determined. The standard library has no priority queue, and the
+   priority sorts below are on hot paths of the Theorem 2 certificate
+   construction; priorities and vertices sit in two int arrays, so
+   neither a push nor a comparison allocates. A heap never holds more
+   than [n] vertices. *)
 module Heap = struct
-  type t = { mutable data : (int * int) array; mutable size : int }
+  type t = { prio : int array; vert : int array; mutable size : int }
 
-  let create () = { data = Array.make 16 (0, 0); size = 0 }
+  let create n = { prio = Array.make n 0; vert = Array.make n 0; size = 0 }
+
+  let less h i j =
+    let pi = h.prio.(i) and pj = h.prio.(j) in
+    pi < pj || (pi = pj && h.vert.(i) < h.vert.(j))
 
   let swap h i j =
-    let t = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- t
+    let p = h.prio.(i) and v = h.vert.(i) in
+    h.prio.(i) <- h.prio.(j);
+    h.vert.(i) <- h.vert.(j);
+    h.prio.(j) <- p;
+    h.vert.(j) <- v
 
-  let push h x =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) (0, 0) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- x;
+  let push h p v =
+    let i = ref h.size in
+    h.prio.(!i) <- p;
+    h.vert.(!i) <- v;
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && h.data.((!i - 1) / 2) > h.data.(!i) do
+    while !i > 0 && less h !i ((!i - 1) / 2) do
       swap h ((!i - 1) / 2) !i;
       i := (!i - 1) / 2
     done
 
+  (* The least vertex; the heap must be non-empty. *)
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && h.data.(l) < h.data.(!smallest) then smallest := l;
-        if r < h.size && h.data.(r) < h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
+    let top = h.vert.(0) in
+    h.size <- h.size - 1;
+    h.prio.(0) <- h.prio.(h.size);
+    h.vert.(0) <- h.vert.(h.size);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.size && less h l !smallest then smallest := l;
+      if r < h.size && less h r !smallest then smallest := r;
+      if !smallest <> !i then begin
+        swap h !i !smallest;
+        i := !smallest
+      end
+      else continue := false
+    done;
+    top
 end
 
-let sort_with_priority g ~priority =
-  let n = Digraph.n g in
-  let indeg = Array.init n (Digraph.in_degree g) in
-  let heap = Heap.create () in
+let kahn ~in_degree ~iter_succ ~priority =
+  let n = Array.length in_degree in
+  let heap = Heap.create n in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Heap.push heap (priority v, v)
+    if in_degree.(v) = 0 then Heap.push heap (priority v) v
   done;
   let order = Array.make n (-1) in
   let emitted = ref 0 in
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (_, v) ->
-        order.(!emitted) <- v;
-        incr emitted;
-        Digraph.iter_succ g v (fun w ->
-            indeg.(w) <- indeg.(w) - 1;
-            if indeg.(w) = 0 then Heap.push heap (priority w, w));
-        drain ()
+  let release w =
+    let d = in_degree.(w) - 1 in
+    in_degree.(w) <- d;
+    if d = 0 then Heap.push heap (priority w) w
   in
-  drain ();
+  while heap.Heap.size > 0 do
+    let v = Heap.pop heap in
+    order.(!emitted) <- v;
+    incr emitted;
+    iter_succ v release
+  done;
   if !emitted = n then Some order else None
+
+let sort_with_priority g ~priority =
+  kahn
+    ~in_degree:(Array.init (Digraph.n g) (Digraph.in_degree g))
+    ~iter_succ:(Digraph.iter_succ g) ~priority
 
 let sort g = sort_with_priority g ~priority:(fun _ -> 0)
 

@@ -15,6 +15,20 @@ val sort_with_priority : Digraph.t -> priority:(int -> int) -> int array option
     [priority v] — with the vertex id as final tie-break for determinism —
     is emitted first. [None] if the graph has a cycle. *)
 
+val kahn :
+  in_degree:int array ->
+  iter_succ:(int -> (int -> unit) -> unit) ->
+  priority:(int -> int) ->
+  int array option
+(** The Kahn loop behind {!sort_with_priority}, over any graph on the
+    vertices [0 .. n-1] ([n] the length of [in_degree]) given by its
+    in-degrees and a successor iterator ([iter_succ v f] calls [f] once
+    per arc [v -> w]). Among the available vertices it emits the one
+    with the least [(priority v, v)]. [in_degree] is consumed
+    (decremented in place). [None] if some vertex is never emitted, i.e.
+    the graph has a cycle. Posets run it directly over their closure
+    rows. *)
+
 val is_acyclic : Digraph.t -> bool
 
 val find_cycle : Digraph.t -> int list option

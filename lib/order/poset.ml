@@ -34,12 +34,15 @@ let concurrent t a b = a <> b && (not (precedes t a b)) && not (precedes t b a)
 
 let comparable t a b = precedes t a b || precedes t b a
 
+let iter_relation f t =
+  for a = 0 to t.size - 1 do
+    Bitset.iter (f a) t.after.(a)
+  done
+
 let relation t =
   let acc = ref [] in
-  for a = t.size - 1 downto 0 do
-    List.iter (fun b -> acc := (a, b) :: !acc) (List.rev (Bitset.elements t.after.(a)))
-  done;
-  !acc
+  iter_relation (fun a b -> acc := (a, b) :: !acc) t;
+  List.rev !acc
 
 let to_digraph t =
   let g = Digraph.create t.size in
@@ -105,12 +108,35 @@ let total_on t elems =
   in
   pairs elems
 
+(* Read off the rows: [order] is an extension iff it is a permutation
+   and no element's row meets the elements placed before it. *)
 let is_linear_extension t order =
-  Array.length order = t.size
-  && Topo.is_topological_order (to_digraph t) order
+  let n = t.size in
+  Array.length order = n
+  &&
+  let before = Bitset.create n in
+  Array.for_all
+    (fun v ->
+      v >= 0 && v < n
+      && (not (Bitset.mem before v))
+      && Bitset.disjoint t.after.(v) before
+      &&
+      (Bitset.add before v;
+       true))
+    order
 
+(* Kahn over the closure itself: an element's in-degree is the number
+   of its predecessors, its column count. The closure and the covering
+   DAG make the same elements available at every step, so the order is
+   the one a sort of any generating digraph would give. *)
 let linearize_with_priority t ~priority =
-  match Topo.sort_with_priority (to_digraph t) ~priority with
+  let in_degree = Array.make t.size 0 in
+  iter_relation (fun _ b -> in_degree.(b) <- in_degree.(b) + 1) t;
+  match
+    Topo.kahn ~in_degree
+      ~iter_succ:(fun v f -> Bitset.iter f t.after.(v))
+      ~priority
+  with
   | Some o -> o
   | None -> assert false (* posets are acyclic by construction *)
 
@@ -126,7 +152,9 @@ let pp ppf t =
        (fun ppf (a, b) -> Format.fprintf ppf "%d<%d" a b))
     (covers t)
 
+(* The transpose of the closure rows: the dual of a transitively closed
+   acyclic relation is itself closed and acyclic. *)
 let reverse t =
-  match of_digraph (Distlock_graph.Digraph.transpose (to_digraph t)) with
-  | Some p -> p
-  | None -> assert false (* reversing an acyclic relation keeps it acyclic *)
+  let after = Array.init t.size (fun _ -> Bitset.create t.size) in
+  iter_relation (fun a b -> Bitset.add after.(b) a) t;
+  { t with after }

@@ -100,32 +100,35 @@ let is_total t = Poset.is_total t.order
 (* Canonical serialization backing [fingerprint]. The name is
    length-prefixed so no choice of transaction names can make two
    different transactions serialize identically; the order relation is
-   emitted sorted so the digest does not depend on insertion order. *)
+   emitted in lexicographic pair order — the order {!Poset.iter_relation}
+   reads the closure rows in — so the digest does not depend on
+   insertion order. Each step index is formatted once. *)
 let serialize t =
-  let buf = Buffer.create 128 in
-  let add = Buffer.add_string buf in
+  let buf = Buffer.create 1024 in
+  let add = Buffer.add_string buf and addc = Buffer.add_char buf in
   add (string_of_int (String.length t.name));
-  add ":";
+  addc ':';
   add t.name;
-  add ":";
+  addc ':';
   Array.iter
     (fun (s : Step.t) ->
-      add
+      addc
         (match s.Step.action with
-        | Step.Lock -> "L"
-        | Step.Unlock -> "U"
-        | Step.Update -> "u");
+        | Step.Lock -> 'L'
+        | Step.Unlock -> 'U'
+        | Step.Update -> 'u');
       add (string_of_int s.Step.entity);
-      add ",")
+      addc ',')
     t.steps;
-  add "#";
-  List.iter
-    (fun (a, b) ->
-      add (string_of_int a);
-      add "<";
-      add (string_of_int b);
-      add ";")
-    (List.sort compare (Poset.relation t.order));
+  addc '#';
+  let index = Array.init (num_steps t) string_of_int in
+  Poset.iter_relation
+    (fun a b ->
+      add index.(a);
+      addc '<';
+      add index.(b);
+      addc ';')
+    t.order;
   Buffer.contents buf
 
 let fingerprint t = Digest.to_hex (Digest.string (serialize t))

@@ -65,8 +65,9 @@ val is_total : t -> bool
 val fingerprint : t -> string
 (** Order-canonical fingerprint (32-char hex digest) of this one
     transaction: its name (length-prefixed), step list, and full step
-    partial order (emitted sorted, so the digest is independent of how
-    the relation was built). Depends on nothing outside the
+    partial order (its pairs in lexicographic order, read off the
+    closure rows, so the digest is independent of how the relation was
+    built). Depends on nothing outside the
     transaction, so it is stable under any change to other transactions
     or to entities the transaction does not mention —
     {!System.fingerprint} and {!System.pair_fingerprint} are derived

@@ -216,6 +216,8 @@ def check_bench(path):
              f"experiments[{i}]")
         if e["id"] == "E6":
             check_e6(e)
+        if e["id"] == "E13":
+            check_e13(e)
         if e["id"] == "E15":
             check_e15(e)
         if e["id"] == "E16":
@@ -248,6 +250,25 @@ def check_e6(e):
     need(m, ["all_agree"], "E6.metrics")
     if m["all_agree"] is not True:
         die("E6: some row's sweep disagrees with DPLL")
+
+
+def check_e13(e):
+    """The verdict-cache artifact: the batch must give the per-query
+    decisions' verdicts, and its hit rate must be the batch's own hit
+    counts over the queries submitted."""
+    m = e["metrics"]
+    need(e["params"], ["queries"], "E13.params")
+    need(m, ["verdicts_agree", "batch_dedup_hits", "cache_hits", "hit_rate"],
+         "E13.metrics")
+    if m["verdicts_agree"] is not True:
+        die("E13: decide_batch disagrees with per-query decide")
+    queries = e["params"]["queries"]
+    if queries <= 0:
+        die(f"E13: implausible query count {queries}")
+    expected = (m["batch_dedup_hits"] + m["cache_hits"]) / queries
+    if abs(m["hit_rate"] - expected) > 1e-9:
+        die(f"E13: hit_rate {m['hit_rate']} is not (batch_dedup_hits + "
+            f"cache_hits) / queries = {expected}")
 
 
 def check_e15(e):

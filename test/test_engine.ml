@@ -70,6 +70,60 @@ let test_fingerprint_perturbation () =
   Util.check "adding a precedence changes the fingerprint" true
     (System.fingerprint loose <> System.fingerprint tight)
 
+(* The digests' bytes, pinned: every cache key and perfbench's pool
+   prefixes rest on them, so a change to how a transaction is
+   serialized must show up here. [txns] lists [Txn.fingerprint] in
+   system order; [pairs] lists [System.pair_fingerprint] by indices. *)
+let pinned_fingerprints =
+  let seeded_pair () =
+    Txn_gen.random_pair_system (Random.State.make [| 18 |]) ~num_shared:3
+      ~num_private:2 ~num_sites:2 ~cross_prob:0.5 ()
+  in
+  let seeded_multi () =
+    Txn_gen.random_multi_system (Random.State.make [| 18 |]) ~num_txns:4
+      ~num_entities:5 ~entities_per_txn:3 ~num_sites:2 ~cross_prob:0.3 ()
+  in
+  [
+    ( "fig1", Figures.fig1, "3e732f6a49087140380700ea0e9d418e",
+      [ "aea2faafe7dbb11320319a4b7ca0ca09"; "36147225a63afdcead853ce30045bf6a" ],
+      [ ((0, 1), "b1b186f5b93dcec2c2e7ee730cbe0933") ] );
+    ( "fig2", Figures.fig2, "378d66ce275751773973354cc31adbc2",
+      [ "c0b3c8d262c2d838032bb255139f3ae5"; "784fe23968e85728e8aa662b871636e4" ],
+      [ ((0, 1), "2af066d542f2ffda16b927a8153b9f3c") ] );
+    ( "fig5", Figures.fig5, "91ff843a320794cdcbd06e52e9a59b26",
+      [ "9ea71e8c1b21038b687bed7c2f17648d"; "2f632c2bdd36bcfa6c8645a1caf374b5" ],
+      [ ((0, 1), "5be1cade3d7cdf81635963891d091e0b") ] );
+    ( "seeded pair", seeded_pair, "aca1c179ebf9839e491d5abc2b0f91a1",
+      [ "a599c6c923fa8ac735957a09d9a5abbf"; "0a63d5815245ee31c9d2daa6bb8f9c20" ],
+      [ ((0, 1), "2d810d2fff417c272eb587b5b993a832") ] );
+    ( "seeded multi", seeded_multi, "335f61d7085eaac100aaca5bebfbd54f",
+      [
+        "d76fe55569f6976e3cd30981058e2a35"; "97145e9617c9131602f30aa16b8fa5db";
+        "c98ca6803eb81e473f05de1892dbb440"; "b969c52a57a9d1652aff401513529716";
+      ],
+      [
+        ((0, 1), "b83cc4dfba9fc37af7b0446650fc351d");
+        ((2, 3), "e044b81de8ff18bab8b0b01fd2ab9c2e");
+      ] );
+  ]
+
+let test_fingerprint_pinned () =
+  List.iter
+    (fun (name, mk, sys_fp, txn_fps, pair_fps) ->
+      let sys = mk () in
+      Alcotest.(check string) (name ^ ": system") sys_fp (System.fingerprint sys);
+      Alcotest.(check (list string))
+        (name ^ ": transactions") txn_fps
+        (Array.to_list (Array.map Txn.fingerprint (System.txns sys)));
+      List.iter
+        (fun ((i, j), fp) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: pair %d,%d" name i j)
+            fp
+            (System.pair_fingerprint sys i j))
+        pair_fps)
+    pinned_fingerprints
+
 (* ------------------------------------------------------------------ *)
 (* Provenance: each paper procedure decides its own territory *)
 
@@ -331,6 +385,38 @@ let test_batch_agrees_with_decide () =
         (E.Outcome.decided plain = E.Outcome.decided b))
     sys batched
 
+(* Each submitted system is digested once: the batch keys every
+   submission, and the decision of a distinct one reuses that key, at
+   any job count. [decide_explained] digests once for both halves. *)
+let test_batch_fingerprints_once () =
+  let calls = Atomic.make 0 in
+  let counting () =
+    let checker =
+      E.Checker.make ~name:"constant" ~procedure:(E.Checker.Custom "constant")
+        ~cost:E.Checker.Constant
+        ~applicable:(fun _ -> true)
+        ~run:(fun _ _ -> E.Checker.Safe "constant says safe")
+    in
+    E.Engine.create
+      ~fingerprint:(fun (s : string) ->
+        Atomic.incr calls;
+        s)
+      [ checker ]
+  in
+  List.iter
+    (fun jobs ->
+      Atomic.set calls 0;
+      let _, report = E.Engine.decide_batch ~jobs (counting ()) [ "a"; "b"; "a" ] in
+      Util.check_int (Printf.sprintf "jobs:%d: two distinct systems" jobs) 2
+        report.E.Engine.unique;
+      Util.check_int
+        (Printf.sprintf "jobs:%d: one fingerprint per submission" jobs)
+        3 (Atomic.get calls))
+    [ 1; 2 ];
+  Atomic.set calls 0;
+  let _ = E.Engine.decide_explained (counting ()) "a" in
+  Util.check_int "decide_explained: one fingerprint" 1 (Atomic.get calls)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel batches: jobs:k must be observationally equal to jobs:1 *)
 
@@ -516,6 +602,7 @@ let () =
           Alcotest.test_case "stable" `Quick test_fingerprint_stable;
           Alcotest.test_case "perturbation" `Quick
             test_fingerprint_perturbation;
+          Alcotest.test_case "pinned digests" `Quick test_fingerprint_pinned;
         ] );
       ( "pipeline",
         [
@@ -549,6 +636,8 @@ let () =
             test_batch_dedup_and_stats;
           Alcotest.test_case "agrees with decide" `Quick
             test_batch_agrees_with_decide;
+          Alcotest.test_case "one fingerprint per submission" `Quick
+            test_batch_fingerprints_once;
           Alcotest.test_case "warm-cache jobs equivalence" `Quick
             test_batch_jobs_warm_cache;
           Alcotest.test_case "jobs validation" `Quick

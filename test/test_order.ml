@@ -153,6 +153,71 @@ let qcheck_priority_extension =
       let ext = Poset.linearize_with_priority p ~priority:(fun v -> abs (v - pivot)) in
       Poset.is_linear_extension p ext)
 
+(* The kernels that read the closure rows against the digraph path they
+   replaced: [Topo] on [to_digraph] is the reference for the sorts and
+   the extension test, a re-closed transpose for [reverse], and a scan
+   of [precedes] for the row iterator. Priorities come from a small
+   range so ties are common; the arrays tested as extensions cover
+   valid, permuted, reversed and malformed ones. *)
+let qcheck_kernels_vs_digraph =
+  let module G = Distlock_graph in
+  Util.qtest ~count:1000 "row kernels agree with the digraph path"
+    (Util.gen_with_state (fun st ->
+         let n = Random.State.int st 41 in
+         let density = Random.State.float st 0.5 in
+         let p = Option.get (Poset.of_arcs n (Util.random_dag_arcs st n density)) in
+         let prio = Array.init n (fun _ -> Random.State.int st 4 - 1) in
+         let valid = Linext.random st p in
+         let perm = Linext.random st (Poset.empty n) in
+         let malformed =
+           if n = 0 then [ [| 0 |]; [| -1 |] ]
+           else
+             let i = Random.State.int st n in
+             let with_at v = Array.mapi (fun k x -> if k = i then v else x) valid in
+             [
+               Array.append valid [| Random.State.int st n |];
+               Array.sub valid 0 (n - 1);
+               with_at valid.((i + 1) mod n);
+               with_at n;
+               with_at (-1);
+             ]
+         in
+         let orders =
+           (valid :: perm :: Poset.linearize p :: malformed)
+           @ [ Array.of_list (List.rev (Array.to_list valid)) ]
+         in
+         (p, prio, orders)))
+    (fun (p, prio, orders) ->
+      let n = Poset.size p in
+      let g = Poset.to_digraph p in
+      let priority v = prio.(v) in
+      let sorted =
+        G.Topo.sort_with_priority g ~priority
+        = Some (Poset.linearize_with_priority p ~priority)
+      in
+      let reversed =
+        match Poset.of_digraph (G.Digraph.transpose g) with
+        | Some r -> Poset.equal r (Poset.reverse p)
+        | None -> false
+      in
+      let extension order =
+        Poset.is_linear_extension p order
+        = (Array.length order = n && G.Topo.is_topological_order g order)
+      in
+      let pairs =
+        List.concat
+          (List.init n (fun a ->
+               List.filter_map
+                 (fun b -> if Poset.precedes p a b then Some (a, b) else None)
+                 (List.init n Fun.id)))
+      in
+      let iterated = ref [] in
+      Poset.iter_relation (fun a b -> iterated := (a, b) :: !iterated) p;
+      sorted && reversed
+      && List.for_all extension orders
+      && List.rev !iterated = pairs
+      && Poset.relation p = pairs)
+
 let test_find_exists () =
   let p = Poset.empty 3 in
   Util.check "exists" true
@@ -195,5 +260,6 @@ let () =
           qcheck_extension_count_vs_perms;
           qcheck_random_extension;
           qcheck_priority_extension;
+          qcheck_kernels_vs_digraph;
         ] );
     ]
