@@ -72,13 +72,20 @@ let disjoint a b =
   done;
   !ok
 
+(* Shifts each word right past its zero bytes and stops at its highest
+   set bit; [lsr] shifts the sign bit (bit 62) down like any other. *)
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    let word = ref t.words.(w) and i = ref (w * bits_per_word) in
+    while !word <> 0 do
+      while !word land 0xff = 0 do
+        word := !word lsr 8;
+        i := !i + 8
+      done;
+      if !word land 1 <> 0 then f !i;
+      word := !word lsr 1;
+      incr i
+    done
   done
 
 let fold f t init =

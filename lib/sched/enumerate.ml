@@ -2,23 +2,42 @@ open Distlock_txn
 
 exception Stop
 
+let successors sys =
+  Array.map
+    (fun txn ->
+      let order = Txn.order txn in
+      Array.init (Txn.num_steps txn) (fun s ->
+          Array.of_list
+            (Distlock_graph.Bitset.elements
+               (Distlock_order.Poset.up_set order s))))
+    (System.txns sys)
+
+let in_degrees succ =
+  Array.map
+    (fun succ_i ->
+      let d = Array.make (Array.length succ_i) 0 in
+      Array.iter (Array.iter (fun q -> d.(q) <- d.(q) + 1)) succ_i;
+      d)
+    succ
+
 (* Shared stepping machinery: a mutable execution state over the system.
    Alongside the indegree/lock bookkeeping it maintains the set of
    currently enabled steps (as flat step ids with positions, swap-remove
    on disable), updated in O(affected steps) by [apply]/[undo] — so
    random walks pick a step in O(1) instead of rescanning every step. *)
 type state = {
-  sys : System.t;
+  steps : Step.t array array;
+  succ : int array array array; (* (txn, step) -> its successor steps *)
   indeg : int array array; (* remaining unexecuted predecessors per step *)
   done_ : bool array array;
-  holder : (Database.entity, int) Hashtbl.t;
+  holder : int array; (* entity -> holding txn, or -1 when free *)
   mutable executed : int;
   total : int;
   trace : Schedule.event array;
   flat_base : int array; (* txn -> first flat id of its steps *)
   flat_txn : int array; (* flat id -> txn *)
   flat_step : int array; (* flat id -> step *)
-  lockers : (int * int) list array; (* entity -> its Lock steps *)
+  lockers : int array array; (* entity -> flat ids of its Lock steps *)
   enab_list : int array; (* enabled flat ids, first [enab_n] entries *)
   enab_pos : int array; (* flat id -> index in enab_list, or -1 *)
   mutable enab_n : int;
@@ -28,9 +47,9 @@ let enabled st i s =
   (not st.done_.(i).(s))
   && st.indeg.(i).(s) = 0
   &&
-  let step = Txn.step (System.txn st.sys i) s in
+  let step = st.steps.(i).(s) in
   match step.Step.action with
-  | Step.Lock -> not (Hashtbl.mem st.holder step.Step.entity)
+  | Step.Lock -> st.holder.(step.Step.entity) < 0
   | Step.Unlock | Step.Update -> true
 
 (* Reconciles one step's membership in the enabled set with [enabled]. *)
@@ -55,24 +74,15 @@ let sync st i s =
 
 let init sys =
   let n = System.num_txns sys in
-  let indeg =
-    Array.init n (fun i ->
-        let txn = System.txn sys i in
-        let k = Txn.num_steps txn in
-        Array.init k (fun s ->
-            let d = ref 0 in
-            for p = 0 to k - 1 do
-              if Txn.precedes txn p s then incr d
-            done;
-            !d))
-  in
+  let succ = successors sys in
   let done_ =
     Array.init n (fun i -> Array.make (Txn.num_steps (System.txn sys i)) false)
   in
   let total = System.total_steps sys in
+  let ne = Database.num_entities (System.db sys) in
   let flat_base = Array.make n 0 in
   let flat_txn = Array.make total 0 and flat_step = Array.make total 0 in
-  let lockers = Array.make (Database.num_entities (System.db sys)) [] in
+  let lockers = Array.make ne [] in
   let fid = ref 0 in
   for i = 0 to n - 1 do
     let txn = System.txn sys i in
@@ -80,26 +90,29 @@ let init sys =
     for s = 0 to Txn.num_steps txn - 1 do
       flat_txn.(!fid) <- i;
       flat_step.(!fid) <- s;
-      incr fid;
       let step = Txn.step txn s in
-      match step.Step.action with
-      | Step.Lock -> lockers.(step.Step.entity) <- (i, s) :: lockers.(step.Step.entity)
-      | Step.Unlock | Step.Update -> ()
+      (match step.Step.action with
+      | Step.Lock ->
+          let e = step.Step.entity in
+          lockers.(e) <- !fid :: lockers.(e)
+      | Step.Unlock | Step.Update -> ());
+      incr fid
     done
   done;
   let st =
     {
-      sys;
-      indeg;
+      steps = Array.map Txn.steps (System.txns sys);
+      succ;
+      indeg = in_degrees succ;
       done_;
-      holder = Hashtbl.create 16;
+      holder = Array.make ne (-1);
       executed = 0;
       total;
       trace = Array.make total (-1, -1);
       flat_base;
       flat_txn;
       flat_step;
-      lockers;
+      lockers = Array.map Array.of_list lockers;
       enab_list = Array.make total 0;
       enab_pos = Array.make total (-1);
       enab_n = 0;
@@ -116,42 +129,45 @@ let init sys =
    itself, of s's successors within the transaction, and — for lock
    steps' entity — of the Lock steps on that entity. *)
 let sync_affected st i s (step : Step.t) =
-  let txn = System.txn st.sys i in
   sync st i s;
-  for q = 0 to Txn.num_steps txn - 1 do
-    if Txn.precedes txn s q then sync st i q
+  let succ = st.succ.(i).(s) in
+  for k = 0 to Array.length succ - 1 do
+    sync st i succ.(k)
   done;
   match step.Step.action with
   | Step.Lock | Step.Unlock ->
-      List.iter (fun (j, t) -> sync st j t) st.lockers.(step.Step.entity)
+      let lockers = st.lockers.(step.Step.entity) in
+      for k = 0 to Array.length lockers - 1 do
+        sync st st.flat_txn.(lockers.(k)) st.flat_step.(lockers.(k))
+      done
   | Step.Update -> ()
 
 let apply st i s =
-  let txn = System.txn st.sys i in
-  let step = Txn.step txn s in
+  let step = st.steps.(i).(s) in
   st.done_.(i).(s) <- true;
   st.trace.(st.executed) <- (i, s);
   st.executed <- st.executed + 1;
-  for q = 0 to Txn.num_steps txn - 1 do
-    if Txn.precedes txn s q then st.indeg.(i).(q) <- st.indeg.(i).(q) - 1
+  let indeg = st.indeg.(i) and succ = st.succ.(i).(s) in
+  for k = 0 to Array.length succ - 1 do
+    indeg.(succ.(k)) <- indeg.(succ.(k)) - 1
   done;
   (match step.Step.action with
-  | Step.Lock -> Hashtbl.replace st.holder step.Step.entity i
-  | Step.Unlock -> Hashtbl.remove st.holder step.Step.entity
+  | Step.Lock -> st.holder.(step.Step.entity) <- i
+  | Step.Unlock -> st.holder.(step.Step.entity) <- -1
   | Step.Update -> ());
   sync_affected st i s step
 
 let undo st i s =
-  let txn = System.txn st.sys i in
-  let step = Txn.step txn s in
+  let step = st.steps.(i).(s) in
   st.done_.(i).(s) <- false;
   st.executed <- st.executed - 1;
-  for q = 0 to Txn.num_steps txn - 1 do
-    if Txn.precedes txn s q then st.indeg.(i).(q) <- st.indeg.(i).(q) + 1
+  let indeg = st.indeg.(i) and succ = st.succ.(i).(s) in
+  for k = 0 to Array.length succ - 1 do
+    indeg.(succ.(k)) <- indeg.(succ.(k)) + 1
   done;
   (match step.Step.action with
-  | Step.Lock -> Hashtbl.remove st.holder step.Step.entity
-  | Step.Unlock -> Hashtbl.replace st.holder step.Step.entity i
+  | Step.Lock -> st.holder.(step.Step.entity) <- -1
+  | Step.Unlock -> st.holder.(step.Step.entity) <- i
   | Step.Update -> ());
   sync_affected st i s step
 

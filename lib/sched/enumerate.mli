@@ -8,6 +8,16 @@ open Distlock_txn
     deadlock) are abandoned: schedules are total orderings of *all* steps,
     so deadlocked prefixes are not schedules. *)
 
+val successors : System.t -> int array array array
+(** [(successors sys).(i).(s)] lists, ascending, the steps that
+    transaction [i] orders after its step [s]. Listed once per walk, so
+    executing a step updates only its successors; {!Stategraph} steps
+    over the same tables. *)
+
+val in_degrees : int array array array -> int array array
+(** Per step of a {!successors} table, the number of steps whose lists
+    name it: its unexecuted predecessors before anything has run. *)
+
 val iter_legal : System.t -> (Schedule.t -> unit) -> unit
 (** Every complete legal schedule, each exactly once. Exponential: meant
     for the brute-force oracle on small systems. *)

@@ -36,26 +36,100 @@ let m_dups () =
 
 let bits_per_word = 63
 
-module Key = struct
-  type t = int array
+(* The visited table. States get ids 0, 1, ... in discovery order; state
+   [id]'s key is the [w] words of [keys] from [id * w], and its discovery
+   edge is [parent.(id)] (-1 at the root) and the event [(event.(2 id),
+   event.(2 id + 1))]. [slots] is an open-addressing (linear probing)
+   index over the ids: a slot holds [id + 1], or 0 when empty, and is
+   never more than half full. Nothing here is boxed, so a known state
+   costs one probe and a new state a copy of its [w] words. *)
+type visited = {
+  w : int;
+  mutable keys : int array;
+  mutable parent : int array;
+  mutable event : int array;
+  mutable count : int;
+  mutable slots : int array; (* length [1 lsl bits] *)
+  mutable bits : int;
+}
 
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
+(* Multiplicative hashing over every key word; the slot is the top
+   [bits] bits of the product, so it depends on every bit of every word
+   (a bucket mask over the low bits would see only the low bits). *)
+let hash a off w bits =
+  let h = ref 0 in
+  for k = off to off + w - 1 do
+    h := (!h lxor a.(k)) * 0x1E3779B97F4A7C15
+  done;
+  !h lsr (Sys.int_size - bits)
 
-  (* FNV-1a over the words, folded to a non-negative int. *)
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x01000193 land max_int
+(* Small enough that a small search's arrays start in the minor heap. *)
+let visited_create w =
+  let cap = 64 and bits = 7 in
+  {
+    w;
+    keys = Array.make (cap * w) 0;
+    parent = Array.make cap 0;
+    event = Array.make (2 * cap) 0;
+    count = 0;
+    slots = Array.make (1 lsl bits) 0;
+    bits;
+  }
+
+let same_key t words id =
+  let off = id * t.w in
+  let k = ref 0 in
+  while !k < t.w && t.keys.(off + !k) = words.(!k) do
+    incr k
+  done;
+  !k = t.w
+
+(* The id of the state keyed by [words], or [-1 - slot] with the empty
+   slot where it belongs. *)
+let rec probe t words slot =
+  let v = t.slots.(slot) in
+  if v = 0 then -1 - slot
+  else if same_key t words (v - 1) then v - 1
+  else probe t words ((slot + 1) land (Array.length t.slots - 1))
+
+let find t words = probe t words (hash words 0 t.w t.bits)
+
+let grow_slots t =
+  let bits = t.bits + 1 in
+  let slots = Array.make (1 lsl bits) 0 in
+  let mask = Array.length slots - 1 in
+  for id = 0 to t.count - 1 do
+    let slot = ref (hash t.keys (id * t.w) t.w bits) in
+    while slots.(!slot) <> 0 do
+      slot := (!slot + 1) land mask
     done;
-    !h
-end
+    slots.(!slot) <- id + 1
+  done;
+  t.slots <- slots;
+  t.bits <- bits
 
-module Tbl = Hashtbl.Make (Key)
+let grow_store t =
+  let extend a = Array.append a (Array.make (Array.length a) 0) in
+  t.keys <- extend t.keys;
+  t.parent <- extend t.parent;
+  t.event <- extend t.event
+
+(* Records the state keyed by [words] in the empty [slot] that [find]
+   returned, discovered from [parent] by step [s] of transaction [i];
+   returns its id. *)
+let insert t words slot ~parent i s =
+  let id = t.count in
+  if id = Array.length t.parent then grow_store t;
+  for k = 0 to t.w - 1 do
+    t.keys.((id * t.w) + k) <- words.(k)
+  done;
+  t.parent.(id) <- parent;
+  t.event.(2 * id) <- i;
+  t.event.((2 * id) + 1) <- s;
+  t.slots.(slot) <- id + 1;
+  t.count <- id + 1;
+  if 2 * t.count > Array.length t.slots then grow_slots t;
+  id
 
 (* Mutable search context: the same apply/undo walk as [Enumerate], plus
    the packed key words and the per-(txn, entity) access-span counters
@@ -72,34 +146,23 @@ type ctx = {
   mutable executed : int;
   touch_total : int array array; (* txn i, entity e -> |accesses of e| *)
   touch_done : int array array; (* executed accesses so far *)
-  touchers : int list array; (* entity -> transactions accessing it *)
+  touchers : int array array; (* entity -> transactions accessing it *)
   words : int array; (* the packed key of the current state *)
   mask_words : int;
   conflicts : bool;
   bit_word : int array array; (* (txn, step) -> word index of its bit *)
   bit_mask : int array array;
+  (* Conflict bits set along the current path, innermost last. A path
+     sets each of the n*n bits at most once, so [n * n] entries suffice. *)
+  trail : int array;
+  mutable trail_top : int;
 }
 
 let init ~conflicts sys =
   let n = System.num_txns sys in
   let ne = Database.num_entities (System.db sys) in
   let total = System.total_steps sys in
-  let succ =
-    Array.init n (fun i ->
-        let txn = System.txn sys i in
-        let k = Txn.num_steps txn in
-        Array.init k (fun s ->
-            Array.of_list
-              (List.filter (fun q -> Txn.precedes txn s q) (List.init k Fun.id))))
-  in
-  let indeg =
-    Array.map
-      (fun succ_i ->
-        let d = Array.make (Array.length succ_i) 0 in
-        Array.iter (Array.iter (fun q -> d.(q) <- d.(q) + 1)) succ_i;
-        d)
-      succ
-  in
+  let succ = Enumerate.successors sys in
   let done_ =
     Array.init n (fun i -> Array.make (Txn.num_steps (System.txn sys i)) false)
   in
@@ -130,27 +193,30 @@ let init ~conflicts sys =
     total;
     steps = Array.map Txn.steps (System.txns sys);
     succ;
-    indeg;
+    indeg = Enumerate.in_degrees succ;
     done_;
     holder = Array.make ne (-1);
     executed = 0;
     touch_total;
     touch_done = Array.make_matrix n ne 0;
-    touchers;
+    touchers = Array.map Array.of_list touchers;
     words = Array.make (mask_words + conf_words) 0;
     mask_words;
     conflicts;
     bit_word;
     bit_mask;
+    trail = Array.make (if conflicts then n * n else 0) 0;
+    trail_top = 0;
   }
 
-let set_edge ctx a b trail =
+let set_edge ctx a b =
   let p = (a * ctx.n) + b in
   let w = ctx.mask_words + (p / bits_per_word)
   and m = 1 lsl (p mod bits_per_word) in
   if ctx.words.(w) land m = 0 then begin
     ctx.words.(w) <- ctx.words.(w) lor m;
-    trail := p :: !trail
+    ctx.trail.(ctx.trail_top) <- p;
+    ctx.trail_top <- ctx.trail_top + 1
   end
 
 let clear_edge_bit ctx p =
@@ -173,12 +239,12 @@ let enabled ctx i s =
   | Step.Lock -> ctx.holder.(step.Step.entity) < 0
   | Step.Unlock | Step.Update -> true
 
-(* Executes step (i,s). Returns the conflict bit positions this call
-   flipped 0->1: an edge can be implied by several events along one
-   path, so [undo] must clear exactly the bits its [apply] set. Edges
-   are decided at span starts — when this is [i]'s first access to [e],
-   every transaction whose [e]-span already closed conflicts before [i],
-   and every still-open span overlaps (both directions) — reproducing
+(* Executes step (i,s), pushing the conflict bits it flipped 0->1 on the
+   trail: an edge can be implied by several events along one path, so
+   [undo] must clear exactly the bits its [apply] set. Edges are decided
+   at span starts — when this is [i]'s first access to [e], every
+   transaction whose [e]-span already closed conflicts before [i], and
+   every still-open span overlaps (both directions) — reproducing
    [Conflict.graph]'s span rule incrementally. *)
 let apply ctx i s =
   let step = ctx.steps.(i).(s) in
@@ -187,42 +253,50 @@ let apply ctx i s =
   ctx.executed <- ctx.executed + 1;
   ctx.words.(ctx.bit_word.(i).(s)) <-
     ctx.words.(ctx.bit_word.(i).(s)) lor ctx.bit_mask.(i).(s);
-  let indeg = ctx.indeg.(i) in
-  Array.iter (fun q -> indeg.(q) <- indeg.(q) - 1) ctx.succ.(i).(s);
+  let indeg = ctx.indeg.(i) and succ = ctx.succ.(i).(s) in
+  for k = 0 to Array.length succ - 1 do
+    indeg.(succ.(k)) <- indeg.(succ.(k)) - 1
+  done;
   (match step.Step.action with
   | Step.Lock -> ctx.holder.(e) <- i
   | Step.Unlock -> ctx.holder.(e) <- -1
   | Step.Update -> ());
-  let trail = ref [] in
-  if ctx.conflicts && ctx.touch_done.(i).(e) = 0 then
-    List.iter
-      (fun j ->
-        if j <> i then begin
-          let dj = ctx.touch_done.(j).(e) in
-          if dj > 0 then begin
-            set_edge ctx j i trail;
-            if dj < ctx.touch_total.(j).(e) then set_edge ctx i j trail
-          end
-        end)
-      ctx.touchers.(e);
-  ctx.touch_done.(i).(e) <- ctx.touch_done.(i).(e) + 1;
-  !trail
+  if ctx.conflicts && ctx.touch_done.(i).(e) = 0 then begin
+    let touchers = ctx.touchers.(e) in
+    for k = 0 to Array.length touchers - 1 do
+      let j = touchers.(k) in
+      if j <> i then begin
+        let dj = ctx.touch_done.(j).(e) in
+        if dj > 0 then begin
+          set_edge ctx j i;
+          if dj < ctx.touch_total.(j).(e) then set_edge ctx i j
+        end
+      end
+    done
+  end;
+  ctx.touch_done.(i).(e) <- ctx.touch_done.(i).(e) + 1
 
-let undo ctx i s trail =
+(* Reverts [apply ctx i s]; [mark] is the trail height before it. *)
+let undo ctx i s mark =
   let step = ctx.steps.(i).(s) in
   let e = step.Step.entity in
   ctx.done_.(i).(s) <- false;
   ctx.executed <- ctx.executed - 1;
   ctx.words.(ctx.bit_word.(i).(s)) <-
     ctx.words.(ctx.bit_word.(i).(s)) land lnot ctx.bit_mask.(i).(s);
-  let indeg = ctx.indeg.(i) in
-  Array.iter (fun q -> indeg.(q) <- indeg.(q) + 1) ctx.succ.(i).(s);
+  let indeg = ctx.indeg.(i) and succ = ctx.succ.(i).(s) in
+  for k = 0 to Array.length succ - 1 do
+    indeg.(succ.(k)) <- indeg.(succ.(k)) + 1
+  done;
   (match step.Step.action with
   | Step.Lock -> ctx.holder.(e) <- -1
   | Step.Unlock -> ctx.holder.(e) <- i
   | Step.Update -> ());
   ctx.touch_done.(i).(e) <- ctx.touch_done.(i).(e) - 1;
-  List.iter (fun p -> clear_edge_bit ctx p) trail
+  for k = mark to ctx.trail_top - 1 do
+    clear_edge_bit ctx ctx.trail.(k)
+  done;
+  ctx.trail_top <- mark
 
 exception Cyclic
 
@@ -250,7 +324,7 @@ let conflict_cyclic ctx =
 
 type mode = Decide | Census | Deadlock
 
-exception Found_unsafe of int array
+exception Found_unsafe of int
 exception Deadlock_found
 exception Limit_hit
 
@@ -269,24 +343,18 @@ let run mode limit sys =
       (* Deadlock dynamics ignore conflict history, so that mode keys on
          the done masks alone — a strictly coarser (sound) memoization. *)
       let ctx = init ~conflicts:(mode <> Deadlock) sys in
-      let visited : (Key.t * (int * int)) option Tbl.t = Tbl.create 1024 in
-      let states = ref 0
-      and dups = ref 0
-      and complete = ref 0
-      and deadlocked = ref 0 in
-      let first_unsafe = ref None in
+      let visited = visited_create (Array.length ctx.words) in
+      let dups = ref 0 and complete = ref 0 and deadlocked = ref 0 in
+      let first_unsafe = ref (-1) in
       let mstates = m_states () and mdups = m_dups () in
-      (* [visit] is called with (i) the state applied in [ctx] and (ii)
-         its key already inserted in [visited]; [my_key] is that key, the
-         parent pointer for the children discovered here. *)
-      let rec visit my_key =
+      (* [visit id] is called with state [id] applied in [ctx]. *)
+      let rec visit id =
         if ctx.executed = ctx.total then begin
           incr complete;
           if mode <> Deadlock && conflict_cyclic ctx then
             match mode with
-            | Decide -> raise (Found_unsafe my_key)
-            | Census ->
-                if !first_unsafe = None then first_unsafe := Some my_key
+            | Decide -> raise (Found_unsafe id)
+            | Census -> if !first_unsafe < 0 then first_unsafe := id
             | Deadlock -> ()
         end
         else begin
@@ -295,22 +363,19 @@ let run mode limit sys =
             for s = 0 to Array.length ctx.steps.(i) - 1 do
               if enabled ctx i s then begin
                 any := true;
-                let trail = apply ctx i s in
-                (* Probe with the live words; only a new state pays for a
-                   key of its own. *)
-                if Tbl.mem visited ctx.words then begin
+                let mark = ctx.trail_top in
+                apply ctx i s;
+                let found = find visited ctx.words in
+                if found >= 0 then begin
                   incr dups;
                   Distlock_obs.Metric.incr mdups
                 end
                 else begin
-                  if !states >= limit then raise Limit_hit;
-                  incr states;
+                  if visited.count >= limit then raise Limit_hit;
                   Distlock_obs.Metric.incr mstates;
-                  let key = Array.copy ctx.words in
-                  Tbl.add visited key (Some (my_key, (i, s)));
-                  visit key
+                  visit (insert visited ctx.words (-1 - found) ~parent:id i s)
                 end;
-                undo ctx i s trail
+                undo ctx i s mark
               end
             done
           done;
@@ -323,34 +388,32 @@ let run mode limit sys =
       (* Parent-pointer walk: first-discovery edges form a tree rooted at
          the empty state, so the chain up from a complete state is a
          legal schedule reaching it. *)
-      let rebuild key =
-        let rec go key acc =
-          match Tbl.find visited key with
-          | None -> acc
-          | Some (parent, ev) -> go parent (ev :: acc)
+      let rebuild id =
+        let rec go id acc =
+          if id = 0 (* the root *) then acc
+          else
+            go visited.parent.(id)
+              ((visited.event.(2 * id), visited.event.((2 * id) + 1)) :: acc)
         in
-        Schedule.of_events (go key [])
+        Schedule.of_events (go id [])
       in
       let outcome =
         if limit < 1 then Exhausted { visited = 0; limit }
         else begin
-          let root = Array.copy ctx.words in
-          Tbl.add visited root None;
-          incr states;
           Distlock_obs.Metric.incr mstates;
-          match visit root with
-          | () -> (
-              match !first_unsafe with
-              | Some k -> Unsafe (rebuild k)
-              | None -> Safe)
-          | exception Found_unsafe k -> Unsafe (rebuild k)
+          let root = -1 - find visited ctx.words in
+          match visit (insert visited ctx.words root ~parent:(-1) (-1) (-1)) with
+          | () ->
+              if !first_unsafe >= 0 then Unsafe (rebuild !first_unsafe)
+              else Safe
+          | exception Found_unsafe id -> Unsafe (rebuild id)
           | exception Deadlock_found -> Safe (* only [has_deadlock] asks *)
-          | exception Limit_hit -> Exhausted { visited = !states; limit }
+          | exception Limit_hit -> Exhausted { visited = visited.count; limit }
         end
       in
       let st =
         {
-          states = !states;
+          states = visited.count;
           dup_hits = !dups;
           complete = !complete;
           deadlocked = !deadlocked;

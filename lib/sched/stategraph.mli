@@ -12,13 +12,18 @@ open Distlock_txn
     interchangeable and the search collapses to a DFS over distinct
     states pruned by a visited table.
 
-    States are packed into immutable [int array] keys: first the done
-    bitmasks (one bit per step, 63 bits per word), then — word-aligned —
-    the [n*n] conflict-edge bits. Lock holders are derivable from the
-    done masks (an entity is held by the transaction that has executed
-    its lock but not its unlock), so they stay out of the key. The search
-    probes its visited table with the live words of the current state
-    and copies them into a key only when the state is new.
+    States are packed into keys of [w] words: first the done bitmasks
+    (one bit per step, 63 bits per word), then — word-aligned — the
+    [n*n] conflict-edge bits. Lock holders are derivable from the done
+    masks (an entity is held by the transaction that has executed its
+    lock but not its unlock), so they stay out of the key. The visited
+    table is flat: state [id]'s key is [w] consecutive words of one
+    growable int array, parent pointers and discovery events are int
+    arrays indexed by [id], and an open-addressing index of [id + 1]
+    slots is probed with a multiplicative hash of the live words, whose
+    top bits pick the slot. A known state costs one probe and a new
+    state a copy of its words; stepping, undoing and probing allocate
+    nothing, for any key width.
 
     The system is unsafe iff some reachable complete state's conflict
     digraph is cyclic; the witness schedule is rebuilt from parent

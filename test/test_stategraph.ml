@@ -130,6 +130,75 @@ let test_pinned_work () =
       ("2pl seed 3", two_phase_system 3, [ 3128; 4877; 24; 98 ], [ 3128; 4877; 24; 98 ]);
     ]
 
+(* The witness schedules are rebuilt from parent pointers; a different
+   successor order or parent bookkeeping would change them. *)
+let test_pinned_witnesses () =
+  let witness name sys (outcome, _) =
+    match outcome with
+    | Stategraph.Unsafe h -> Schedule.to_string sys h
+    | _ -> Alcotest.failf "%s: expected an unsafe witness" name
+  in
+  let fig1 = Figures.fig1 () and pair = unsafe_pair () in
+  let fig1_witness =
+    "Lx_1 x_1 Ly_1 y_1 Ux_1 Uy_1 Lw_1 w_1 Uw_1 Ly_2 y_2 Uy_2 Lx_2 x_2 Ux_2 \
+     Lz_2 z_2 Lw_2 w_2 Uw_2 Uz_2 Lz_1 z_1 Uz_1"
+  in
+  Alcotest.(check string) "fig1 decide" fig1_witness
+    (witness "fig1 decide" fig1 (Stategraph.decide fig1));
+  Alcotest.(check string) "unsafe pair decide"
+    "Lx_1 Ux_1 Lx_2 Ux_2 Lz_2 Uz_2 Lz_1 Uz_1"
+    (witness "unsafe pair decide" pair (Stategraph.decide pair));
+  Alcotest.(check string) "fig1 census" fig1_witness
+    (witness "fig1 census" fig1 (Stategraph.census fig1))
+
+(* Closed forms with three-word keys and several table growths. Chains
+   of [k] lock-update-unlock triples over private entities reach every
+   combination of their progress counters, so the states are the
+   product of the (3k + 1)s, the transitions sum each chain's 3k moves
+   over the others' counters, and all but the tree edges are duplicate
+   hits. Chains of 8, 8 and 8 entities: 25^3 = 15 625 states and 45 000
+   transitions. Chains of 21, 3 and 3: the first fills the first key
+   word (63 done bits), so most states share it with many others and
+   only the later words tell them apart; 64 * 10 * 10 = 6 400 states
+   and 6 300 + 5 760 + 5 760 = 17 820 transitions. The live counters
+   advance by exactly the same amounts. *)
+let test_closed_form_census () =
+  let census chains expected =
+    let entities t k = List.init k (Printf.sprintf "e%d_%d" t) in
+    let db =
+      mkdb
+        (List.concat
+           (List.mapi
+              (fun t k -> List.map (fun e -> (e, 1)) (entities t k))
+              chains))
+    in
+    let chain t k =
+      Builder.locked_sequence db ~name:(Printf.sprintf "T%d" (t + 1))
+        (entities t k)
+    in
+    let sys = System.make db (List.mapi chain chains) in
+    let counter name =
+      Distlock_obs.Registry.counter Distlock_obs.Obs.global ~help:"" name
+    in
+    let states_total = counter "distlock_stategraph_states_total"
+    and dups_total = counter "distlock_stategraph_duplicate_hits_total" in
+    let states0 = Distlock_obs.Metric.counter_value states_total
+    and dups0 = Distlock_obs.Metric.counter_value dups_total in
+    let outcome, st = Stategraph.census sys in
+    (match outcome with
+    | Stategraph.Safe -> ()
+    | _ -> Alcotest.fail "private chains must be safe");
+    Alcotest.(check (list int)) "states, dup_hits, complete, deadlocked"
+      expected
+      Stategraph.[ st.states; st.dup_hits; st.complete; st.deadlocked ];
+    Util.check_int "states counter advance" st.Stategraph.states
+      (Distlock_obs.Metric.counter_value states_total - states0);
+    Util.check_int "duplicate-hit counter advance" st.Stategraph.dup_hits
+      (Distlock_obs.Metric.counter_value dups_total - dups0)
+  in
+  census [ 8; 8; 8 ] [ 15_625; 45_000 - 15_624; 1; 0 ];
+  census [ 21; 3; 3 ] [ 6_400; 17_820 - 6_399; 1; 0 ]
+
 let test_exhaustion () =
   (match Stategraph.decide ~limit:1 (tiny_pair ()) with
   | Stategraph.Exhausted { visited; limit }, _ ->
@@ -216,6 +285,9 @@ let () =
           Alcotest.test_case "known verdicts" `Quick test_known_verdicts;
           Alcotest.test_case "memoization collapse" `Quick test_collapse;
           Alcotest.test_case "pinned work" `Quick test_pinned_work;
+          Alcotest.test_case "pinned witnesses" `Quick test_pinned_witnesses;
+          Alcotest.test_case "closed-form census" `Quick
+            test_closed_form_census;
           Alcotest.test_case "typed exhaustion" `Quick test_exhaustion;
           Alcotest.test_case "deadlock" `Quick test_deadlock;
         ] );
