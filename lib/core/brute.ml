@@ -69,15 +69,6 @@ let safe_by_states ?(limit = 10_000_000) sys =
   | Stategraph.Exhausted { visited; limit }, _ ->
       Exhausted { examined = visited; limit }
 
-let is_safe sys =
-  match safe_by_states sys with
-  | Safe -> true
-  | Unsafe _ -> false
-  | Exhausted { examined; _ } ->
-      failwith
-        (Printf.sprintf "Brute.is_safe: state budget exhausted after %d states"
-           examined)
-
 let probe_random rng ~trials sys =
   let rec go k =
     if k = 0 then None

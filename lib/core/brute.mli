@@ -44,9 +44,6 @@ val safe_by_extensions : ?limit:int -> System.t -> verdict
     unbounded; pass an explicit [limit] — including [max_int] — to raise
     it. *)
 
-val is_safe : System.t -> bool
-(** [safe_by_states] with defaults; raises [Failure] on {!Exhausted}. *)
-
 val probe_random :
   Random.State.t -> trials:int -> System.t -> Schedule.t option
 (** Randomized refutation: sample random legal schedules and return the

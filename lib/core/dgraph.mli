@@ -45,8 +45,6 @@ val graph : t -> Digraph.t
 val entities : t -> Database.entity array
 (** Vertex index to entity id. *)
 
-val vertex_of : t -> Database.entity -> int option
-
 val num_vertices : t -> int
 
 val mem_arc : t -> Database.entity -> Database.entity -> bool

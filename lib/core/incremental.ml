@@ -78,8 +78,7 @@ let unregister t name =
   drop_pair_keys t name;
   G.Dyngraph.remove_vertex t.conflicts name
 
-let create ?(pair_cache_capacity = 4096) ?(budget = E.Budget.unlimited) db
-    txns =
+let create ?(budget = E.Budget.unlimited) db txns =
   let t =
     {
       db;
@@ -87,8 +86,7 @@ let create ?(pair_cache_capacity = 4096) ?(budget = E.Budget.unlimited) db
       conflicts = G.Dyngraph.create ();
       locked = Hashtbl.create 64;
       fps = Hashtbl.create 64;
-      pair_cache =
-        E.Lru_sharded.create ~capacity:(max 1 pair_cache_capacity) ();
+      pair_cache = E.Lru_sharded.create ~capacity:4096 ();
       pair_keys = Hashtbl.create 64;
       memo = Multisite.memo ();
       stats = E.Stats.create ();
@@ -103,9 +101,8 @@ let create ?(pair_cache_capacity = 4096) ?(budget = E.Budget.unlimited) db
     txns;
   t
 
-let of_system ?pair_cache_capacity ?budget sys =
-  create ?pair_cache_capacity ?budget (System.db sys)
-    (Array.to_list (System.txns sys))
+let of_system ?budget sys =
+  create ?budget (System.db sys) (Array.to_list (System.txns sys))
 
 let system t =
   match t.snapshot with

@@ -26,23 +26,13 @@ open Distlock_txn
 
 type t
 
-val create :
-  ?pair_cache_capacity:int ->
-  ?budget:Distlock_engine.Budget.t ->
-  Database.t ->
-  Txn.t list ->
-  t
-(** An empty-or-seeded session over one database.
-    [pair_cache_capacity] (default [4096], minimum [1]) bounds the
-    pair-verdict store; [budget] (default unlimited) applies to every
-    {!decide_delta} that does not pass its own. Raises
+val create : ?budget:Distlock_engine.Budget.t -> Database.t -> Txn.t list -> t
+(** An empty-or-seeded session over one database. Its pair-verdict
+    store holds 4096 entries; [budget] (default unlimited) applies to
+    every {!decide_delta} that does not pass its own. Raises
     [Invalid_argument] on duplicate transaction names. *)
 
-val of_system :
-  ?pair_cache_capacity:int ->
-  ?budget:Distlock_engine.Budget.t ->
-  System.t ->
-  t
+val of_system : ?budget:Distlock_engine.Budget.t -> System.t -> t
 
 val system : t -> System.t
 (** The current snapshot (cached between edits). Raises

@@ -121,8 +121,7 @@ let violations f txn =
         | [] -> [ "no lock precedes all other locks (no first entity)" ]
         | x0 :: _ -> violations_for f txn x0 (Database.name f.db))
 
-let random_protocol_txn rng db f ~name ?(subtree_size = 4) ?(cross_prob = 0.3)
-    () =
+let random_protocol_txn rng db f ~name ?(cross_prob = 0.3) () =
   let n = Database.num_entities db in
   if n = 0 then invalid_arg "Tree_policy.random_protocol_txn: empty database";
   let x0 = Random.State.int rng n in
@@ -134,7 +133,7 @@ let random_protocol_txn rng db f ~name ?(subtree_size = 4) ?(cross_prob = 0.3)
   (* grow a random connected subtree below x0 *)
   let chosen = ref [ x0 ] in
   let frontier = ref children.(x0) in
-  while List.length !chosen < subtree_size && !frontier <> [] do
+  while List.length !chosen < 4 && !frontier <> [] do
     let arr = Array.of_list !frontier in
     let pick = arr.(Random.State.int rng (Array.length arr)) in
     chosen := pick :: !chosen;

@@ -49,13 +49,12 @@ val random_protocol_txn :
   Database.t ->
   forest ->
   name:string ->
-  ?subtree_size:int ->
   ?cross_prob:float ->
   unit ->
   Txn.t
 (** A random well-formed transaction following the protocol: picks a
     random start entity, grows a random connected subtree of at most
-    [subtree_size] (default 4) entities below it, locks parents before
+    4 entities below it, locks parents before
     children (each child under its parent's section), and — like
     {!Txn_gen} — keeps per-site chains plus a [cross_prob] fraction of
     other cross-site precedences from a base linear order, never dropping

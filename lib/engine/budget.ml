@@ -13,13 +13,6 @@ let make ?max_steps ?max_seconds () =
 
 let of_steps n = make ~max_steps:n ()
 
-let describe t =
-  match (t.max_steps, t.max_seconds) with
-  | None, None -> "unlimited"
-  | Some n, None -> Printf.sprintf "%d steps" n
-  | None, Some s -> Printf.sprintf "%.3f s" s
-  | Some n, Some s -> Printf.sprintf "%d steps, %.3f s" n s
-
 (* Deadlines are monotonic wall time ([Obs.mono_s]), not process CPU
    time: with several domains running, CPU time advances domain-count
    times faster than the clock on the wall, which would expire

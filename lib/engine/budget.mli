@@ -28,9 +28,6 @@ val make : ?max_steps:int -> ?max_seconds:float -> unit -> t
 val of_steps : int -> t
 (** [of_steps n] = [make ~max_steps:n ()]. *)
 
-val describe : t -> string
-(** Human-readable rendering, e.g. ["2000000 steps"] or ["unlimited"]. *)
-
 (** {1 Started budgets} *)
 
 type meter

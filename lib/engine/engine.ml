@@ -34,12 +34,6 @@ let checkers t = t.checkers
 
 let stats t = t.stats
 
-let cache_len t =
-  match t.cache with None -> 0 | Some c -> Lru_sharded.length c
-
-let clear_cache t =
-  match t.cache with None -> () | Some c -> Lru_sharded.clear c
-
 (* One staged pass over the pipeline. Applicable stages run in order;
    once the deadline has expired the remaining ones are marked Skipped.
    A stage Error is recorded and the pipeline continues — the final

@@ -39,11 +39,6 @@ val checkers : ('sys, 'ev) t -> ('sys, 'ev) Checker.t list
 
 val stats : _ t -> Stats.t
 
-val cache_len : _ t -> int
-(** Current number of cached verdicts ([0] when caching is disabled). *)
-
-val clear_cache : _ t -> unit
-
 val run :
   ?stats:Stats.t ->
   ?budget:Budget.t ->

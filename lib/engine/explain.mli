@@ -8,9 +8,6 @@
     checker table plus the recorded {!Outcome.t} — deciding costs
     nothing extra when nobody asks for an explanation. *)
 
-val schema_version : string
-(** ["distlock.explain/1"], emitted as the record's ["schema"] field. *)
-
 type stage = {
   checker : string;
   procedure : string;  (** Paper-style label, e.g. ["Thm 1"]. *)
@@ -62,6 +59,7 @@ val of_outcome :
   t
 
 val to_json : t -> Distlock_obs.Json.t
+(** Tagged ["schema": "distlock.explain/1"]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human rendering for [check --explain]. *)

@@ -70,10 +70,3 @@ let clear t =
   Hashtbl.reset t.tbl;
   t.first <- None;
   t.last <- None
-
-let keys t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n.key :: acc) n.next
-  in
-  go [] t.first

@@ -26,6 +26,3 @@ val evictions : 'a t -> int
 (** Total entries evicted since creation. *)
 
 val clear : 'a t -> unit
-
-val keys : 'a t -> string list
-(** Most-recently used first. *)

@@ -12,13 +12,11 @@
 type 'a t
 
 val create : ?shards:int -> capacity:int -> unit -> 'a t
-(** [shards] defaults to {!default_shards} and is rounded up to a power
-    of two (and down to [capacity] when the cache is tiny). Raises
-    [Invalid_argument] when [capacity < 1] or [shards < 1]. *)
-
-val default_shards : int
-(** 16 — above any plausible [--jobs] width on one machine, small
-    enough that per-shard capacity stays meaningful. *)
+(** [shards] defaults to 16 — above any plausible [--jobs] width on one
+    machine, small enough that per-shard capacity stays meaningful — and
+    is rounded up to a power of two (and down to [capacity] when the
+    cache is tiny). Raises [Invalid_argument] when [capacity < 1] or
+    [shards < 1]. *)
 
 val num_shards : _ t -> int
 

@@ -20,16 +20,6 @@ type 'ev t = {
   cached : bool;
 }
 
-let map f t =
-  {
-    t with
-    verdict =
-      (match t.verdict with
-      | Safe -> Safe
-      | Unsafe ev -> Unsafe (f ev)
-      | Unknown msg -> Unknown msg);
-  }
-
 let decided t = match t.verdict with Unknown _ -> false | Safe | Unsafe _ -> true
 
 let provenance t =
@@ -53,14 +43,3 @@ let pp_trace ppf trace =
         (status_label s.status) (s.seconds *. 1_000.) s.detail)
     trace;
   Format.fprintf ppf "@]"
-
-let pp_summary ppf t =
-  let verdict =
-    match t.verdict with
-    | Safe -> "SAFE"
-    | Unsafe _ -> "UNSAFE"
-    | Unknown _ -> "UNKNOWN"
-  in
-  Format.fprintf ppf "%s — %s [%s, %.3f ms%s]" verdict t.detail (provenance t)
-    (t.seconds *. 1_000.)
-    (if t.cached then ", cached" else "")

@@ -38,8 +38,6 @@ type 'ev t = {
   cached : bool;  (** Served from the verdict cache. *)
 }
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-
 val decided : _ t -> bool
 (** [true] unless the verdict is [Unknown]. *)
 
@@ -51,6 +49,3 @@ val status_label : stage_status -> string
 
 val pp_trace : Format.formatter -> stage_trace list -> unit
 (** One line per stage: name, procedure, status, time, detail. *)
-
-val pp_summary : Format.formatter -> _ t -> unit
-(** e.g. ["SAFE — Theorem 1: … [Thm 1, 0.12 ms]"]. *)

@@ -43,8 +43,8 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?registry () =
-  let reg = match registry with Some r -> r | None -> R.create () in
+let create () =
+  let reg = R.create () in
   {
     reg;
     decisions_c =

@@ -24,11 +24,9 @@ type stage = {
 
 type t
 
-val create : ?registry:Distlock_obs.Registry.t -> unit -> t
-(** By default each engine owns a private registry; pass [registry]
-    (e.g. {!Distlock_obs.Obs.global}) to co-locate the metrics. Metric
-    names are fixed ([distlock_engine_*]), so two engines sharing one
-    registry also share counters. *)
+val create : unit -> t
+(** Each [t] owns a private registry holding the fixed
+    [distlock_engine_*] metric names. *)
 
 val registry : t -> Distlock_obs.Registry.t
 

@@ -125,7 +125,3 @@ let rects_strongly_connected rects =
   strongly_connected_of (build_rects (Array.of_list rects))
 
 let is_safe plane = is_strongly_connected plane
-
-let compressed_size plane =
-  let c = build plane in
-  (Digraph.n c.graph, Digraph.num_arcs c.graph)

@@ -31,7 +31,3 @@ val is_strongly_connected : Plane.t -> bool
 val rects_strongly_connected : Rect.t list -> bool
 (** The same test on bare rectangles (no plane construction), for
     synthetic benchmarking. *)
-
-val compressed_size : Plane.t -> int * int
-(** (vertices, arcs) of the compressed graph — for the benchmark's size
-    accounting. *)

@@ -29,8 +29,6 @@ let remove t i =
 
 let copy t = { t with words = Array.copy t.words }
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
 let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
   go 0 x
@@ -113,10 +111,3 @@ let complement t =
     if not (mem t i) then add r i
   done;
   r
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (elements t)

@@ -20,8 +20,6 @@ val remove : t -> int -> unit
 
 val copy : t -> t
 
-val clear : t -> unit
-
 val cardinal : t -> int
 
 val is_empty : t -> bool
@@ -51,5 +49,3 @@ val full : int -> t
 
 val complement : t -> t
 (** Complement within the universe. *)
-
-val pp : Format.formatter -> t -> unit

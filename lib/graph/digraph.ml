@@ -112,11 +112,6 @@ let induced g s =
       | _ -> ());
   (sub, back)
 
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph on %d vertices:@," g.n;
-  List.iter (fun (u, v) -> Format.fprintf ppf "  %d -> %d@," u v) (arcs g);
-  Format.fprintf ppf "@]"
-
 let to_dot ?(name = "G") ?(label = string_of_int) g =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);

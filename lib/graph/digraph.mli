@@ -59,7 +59,5 @@ val induced : t -> Bitset.t -> t * int array
     renumbered [0..|s|-1]; the returned array maps new indices back to
     original vertices. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_dot : ?name:string -> ?label:(int -> string) -> t -> string
 (** Graphviz rendering, used by the CLI's [--dot] output. *)

@@ -33,17 +33,6 @@ let find g =
     end
   end
 
-let find_all_minimal g =
-  let r = Scc.compute g in
-  if r.Scc.count <= 1 then []
-  else begin
-    let cond = Scc.condensation g r in
-    let sets = Scc.component_sets g r in
-    List.filter_map
-      (fun c -> if Digraph.in_degree cond c = 0 then Some sets.(c) else None)
-      (List.init r.Scc.count Fun.id)
-  end
-
 let enumerate ?(limit = 100_000) g =
   let n = Digraph.n g in
   let r = Scc.compute g in

@@ -13,9 +13,6 @@ val find : Digraph.t -> Bitset.t option
     source component of the condensation. [None] on strongly connected
     graphs (including graphs with [< 2] vertices). *)
 
-val find_all_minimal : Digraph.t -> Bitset.t list
-(** All source SCCs, each a (minimal) dominator. *)
-
 val enumerate : ?limit:int -> Digraph.t -> Bitset.t list
 (** Every dominator: all nonempty proper predecessor-closed unions of SCCs.
     Exponential in the number of components; [limit] (default [100_000])

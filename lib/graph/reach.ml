@@ -40,12 +40,6 @@ let closure g =
   | Some order -> closure_dag g order
   | None -> closure_general g
 
-let closure_digraph g =
-  let desc = closure g in
-  let c = Digraph.create (Digraph.n g) in
-  Array.iteri (fun u s -> Bitset.iter (fun v -> Digraph.add_arc c u v) s) desc;
-  c
-
 let transitive_reduction g =
   match Topo.sort g with
   | None -> invalid_arg "Reach.transitive_reduction: cyclic graph"

@@ -9,10 +9,6 @@ val closure : Digraph.t -> Bitset.t array
     Computed in reverse topological order when the graph is a DAG and by
     per-vertex BFS otherwise. *)
 
-val closure_digraph : Digraph.t -> Digraph.t
-(** The digraph whose arcs are all pairs [(u,v)] with a nonempty
-    [u -> v] path. *)
-
 val transitive_reduction : Digraph.t -> Digraph.t
 (** For a DAG: the unique minimal subgraph with the same reachability.
     Raises [Invalid_argument] on cyclic input. *)

@@ -210,8 +210,6 @@ let installed : t option Atomic.t = Atomic.make None
 
 let set_global r = Atomic.set installed r
 
-let global () = Atomic.get installed
-
 let anomaly ~reason =
   match Atomic.get installed with
   | None -> ()

@@ -61,8 +61,6 @@ val set_global : t option -> unit
 (** Install (or clear) the process-global recorder {!anomaly} consults.
     The CLI installs one at startup; libraries never install. *)
 
-val global : unit -> t option
-
 val anomaly : reason:string -> unit
 (** Dump the global recorder to its destination, if one is installed
     and it has dumped fewer than five times, so a pathological batch

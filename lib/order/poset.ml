@@ -145,13 +145,6 @@ let linearize t = linearize_with_priority t ~priority:(fun _ -> 0)
 let equal a b =
   a.size = b.size && Array.for_all2 Bitset.equal a.after b.after
 
-let pp ppf t =
-  Format.fprintf ppf "@[<h>poset(%d): %a@]" t.size
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       (fun ppf (a, b) -> Format.fprintf ppf "%d<%d" a b))
-    (covers t)
-
 (* The transpose of the closure rows: the dual of a transitively closed
    acyclic relation is itself closed and acyclic. *)
 let reverse t =

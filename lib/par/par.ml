@@ -20,8 +20,6 @@ type t = {
   mutable closed : bool;
 }
 
-let size t = max 1 (Array.length t.domains)
-
 let rec worker t =
   Mutex.lock t.lock;
   while Queue.is_empty t.queue && not t.closed do

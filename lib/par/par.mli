@@ -20,9 +20,6 @@ val create : domains:int -> t
     domain; reuse a pool across batches rather than creating one per
     small call. *)
 
-val size : t -> int
-(** The pool width requested at creation (1 for an inline pool). *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Applies [f] to every element on the pool and returns the results in
     input order. Blocks the caller until all tasks finish. If any task

@@ -234,7 +234,7 @@ let count_legal ?(limit = 10_000_000) sys =
   | () -> Exact !c
   | exception Stop -> Exhausted limit
 
-let random_legal rng ?(max_attempts = 100) sys =
+let random_legal rng sys =
   let attempt () =
     let st = init sys in
     let ok = ref true in
@@ -250,7 +250,7 @@ let random_legal rng ?(max_attempts = 100) sys =
   let rec try_n k = if k = 0 then None else
       match attempt () with Some h -> Some h | None -> try_n (k - 1)
   in
-  try_n max_attempts
+  try_n 100
 
 let has_deadlock sys =
   let st = init sys in

@@ -35,11 +35,10 @@ val count_legal : ?limit:int -> System.t -> count
 (** Counts complete legal schedules, giving up past [limit] (default
     [10_000_000]) with a typed {!Exhausted} instead of an exception. *)
 
-val random_legal :
-  Random.State.t -> ?max_attempts:int -> System.t -> Schedule.t option
+val random_legal : Random.State.t -> System.t -> Schedule.t option
 (** A random complete legal schedule via uniform random choice among
     enabled steps (an incrementally maintained set — O(1) per pick),
-    restarting on deadlock (up to [max_attempts], default [100]).
+    restarting on deadlock (up to 100 attempts).
     [None] if every attempt deadlocked. *)
 
 val has_deadlock : System.t -> bool

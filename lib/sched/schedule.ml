@@ -39,13 +39,6 @@ let is_complete sys t =
     t.events;
   !ok
 
-let position t ev =
-  let n = Array.length t.events in
-  let rec go i =
-    if i >= n then None else if t.events.(i) = ev then Some i else go (i + 1)
-  in
-  go 0
-
 let project t i =
   let acc = ref [] in
   Array.iter (fun (j, s) -> if j = i then acc := s :: !acc) t.events;
@@ -60,5 +53,3 @@ let to_string sys t =
            (Step.to_string db (Txn.step (System.txn sys i) s))
            (i + 1))
        (events t))
-
-let pp sys ppf t = Format.pp_print_string ppf (to_string sys t)

@@ -26,9 +26,6 @@ val serial : System.t -> int list -> t
 val is_complete : System.t -> t -> bool
 (** Every step of every transaction occurs exactly once. *)
 
-val position : t -> event -> int option
-(** Index of an event in the schedule. *)
-
 val project : t -> int -> int array
 (** [project h i] is the sequence of step indices of transaction [i], in
     schedule order. *)
@@ -36,5 +33,3 @@ val project : t -> int -> int array
 val to_string : System.t -> t -> string
 (** Paper notation with transaction subscripts, e.g.
     ["Lx_1 Lz_2 x_1 ..."]. *)
-
-val pp : System.t -> Format.formatter -> t -> unit

@@ -19,8 +19,6 @@ let now t = t.now
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let ensure t filler =
@@ -63,8 +61,6 @@ let at t ~time v =
   sift_up t (t.size - 1)
 
 let after t ~delay v = at t ~time:(t.now + max 0 delay) v
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 
 let pop t =
   if t.size = 0 then None

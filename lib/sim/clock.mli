@@ -26,9 +26,4 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest event, advancing {!now} to its time;
     [None] when the queue is empty. *)
 
-val peek_time : 'a t -> int option
-(** Time of the earliest pending event without popping it. *)
-
-val is_empty : 'a t -> bool
-
 val length : 'a t -> int

@@ -118,8 +118,7 @@ type instance = {
   mutable done_ : bool array;
   mutable done_tick : int array;
   mutable ready_at : int array; (* per step: when its inputs have arrived *)
-  mutable executed : int;
-  mutable events : int list; (* step indices of the current attempt, reversed *)
+  mutable executed : int; (* steps of the current attempt *)
   mutable committed : bool;
   mutable birth : int;
   mutable attempt : int;
@@ -165,7 +164,6 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
           done_tick = Array.make k 0;
           ready_at = Array.make k 0;
           executed = 0;
-          events = [];
           committed = false;
           birth = 0;
           attempt = 1;
@@ -204,7 +202,6 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
   and crashes = ref 0
   and expiries = ref 0
   and stale = ref 0 in
-  let global_log = ref [] in
   let trace = ref [] in
   let rr_cursor = ref 0 in
   let was_blocked = Array.make n false in
@@ -217,7 +214,6 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
     inst.done_tick <- Array.make k 0;
     inst.ready_at <- Array.make k 0;
     inst.executed <- 0;
-    inst.events <- [];
     inst.birth <- now ();
     inst.attempt <- inst.attempt + 1;
     inst.waiting <- -1;
@@ -355,18 +351,16 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
         "sim.worker.crash"
     end
   in
-  (* Mark step [s] executed at the current time: bookkeeping, history,
-     trace, arrival times for cross-site successors, commit, and the
-     post-step crash draw. *)
+  (* Mark step [s] executed at the current time: bookkeeping, the trace
+     (the committed history is read off it at the end), arrival times
+     for cross-site successors, commit, and the post-step crash draw. *)
   let complete inst s =
     let step = Txn.step inst.txn s in
     let site_s = Database.site db step.Step.entity in
     inst.done_.(s) <- true;
     inst.done_tick.(s) <- now ();
     inst.executed <- inst.executed + 1;
-    inst.events <- s :: inst.events;
     inst.loc <- site_s;
-    global_log := (inst.txn_index, s) :: !global_log;
     trace :=
       {
         Trace.tick = now ();
@@ -532,20 +526,9 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
               A.int "tick" (now ());
               A.str "txn" (Txn.name inst.txn);
               A.int "attempt" inst.attempt;
-              A.int "wasted_steps" (List.length inst.events);
+              A.int "wasted_steps" inst.executed;
             ])
           "sim.txn.abort";
-        let drop = List.length inst.events in
-        global_log :=
-          (let remaining = ref drop in
-           List.filter
-             (fun (i, _) ->
-               if i = inst.txn_index && !remaining > 0 then begin
-                 decr remaining;
-                 false
-               end
-               else true)
-             !global_log);
         Backend.forfeit backend ~owner:inst.txn_index;
         fresh_attempt inst
   in
@@ -692,7 +675,17 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
     match !result with
     | Some err -> err
     | None ->
-        let history = Schedule.of_events (List.rev !global_log) in
+        let trace = List.rev !trace in
+        (* The committed history: each transaction's final attempt. *)
+        let history =
+          Schedule.of_events
+            (List.filter_map
+               (fun (e : Trace.event) ->
+                 if e.attempt = instances.(e.txn).attempt then
+                   Some (e.txn, e.step)
+                 else None)
+               trace)
+        in
         let serializable, legal =
           if check_serializability then
             ( Conflict.is_serializable sys history,
@@ -704,7 +697,7 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
             history;
             serializable;
             legal;
-            trace = List.rev !trace;
+            trace;
             stats =
               {
                 ticks = !ticks;

@@ -1,35 +1,32 @@
 (* Per-site message-latency distributions. A sample is the one-way cost
-   of a message between two sites; same-site traffic uses the (usually
-   cheaper) local distribution. Draws come from a caller-supplied RNG so
-   the simulator can keep latency noise on its own stream, independent
-   of scheduling-policy randomness. *)
+   of a message between two sites; same-site traffic is free. Draws come
+   from a caller-supplied RNG so the simulator can keep latency noise on
+   its own stream, independent of scheduling-policy randomness. *)
 
 type dist = Zero | Constant of int | Uniform of int * int
 
-type t = { local_ : dist; remote : dist }
+(* The cross-site distribution. *)
+type t = dist
 
-let none = { local_ = Zero; remote = Zero }
+let none = Zero
 
-let make ?(local = Zero) remote = { local_ = local; remote }
+let make remote = remote
 
-let dist_is_zero = function
+let is_zero = function
   | Zero -> true
   | Constant n -> n <= 0
   | Uniform (lo, hi) -> hi <= 0 && lo <= 0
 
-let is_zero t = dist_is_zero t.local_ && dist_is_zero t.remote
-
-let sample_dist d rng =
-  match d with
-  | Zero -> 0
-  | Constant n -> max 0 n
-  | Uniform (lo, hi) ->
-      let lo = max 0 lo in
-      let hi = max lo hi in
-      lo + Random.State.int rng (hi - lo + 1)
-
 let sample t rng ~src ~dst =
-  sample_dist (if src = dst then t.local_ else t.remote) rng
+  if src = dst then 0
+  else
+    match t with
+    | Zero -> 0
+    | Constant n -> max 0 n
+    | Uniform (lo, hi) ->
+        let lo = max 0 lo in
+        let hi = max lo hi in
+        lo + Random.State.int rng (hi - lo + 1)
 
 let dist_of_string s =
   match String.index_opt s '-' with
@@ -47,14 +44,13 @@ let dist_of_string s =
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "none" | "zero" | "0" -> none
-  | s -> { local_ = Zero; remote = dist_of_string s }
+  | s -> dist_of_string s
 
 let dist_to_string = function
   | Zero -> "0"
   | Constant n -> string_of_int n
   | Uniform (lo, hi) -> Printf.sprintf "%d-%d" lo hi
 
-let to_string t =
-  if is_zero t then "none" else dist_to_string t.remote
+let to_string t = if is_zero t then "none" else dist_to_string t
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -160,13 +160,6 @@ let write_jsonl ?seed sys oc events =
       output_char oc '\n')
     events
 
-let pp_event sys ppf (e : event) =
-  let txn = System.txn sys e.txn in
-  Format.fprintf ppf "t=%d %s_%d@site%d%s" e.tick
-    (Step.to_string (System.db sys) (Txn.step txn e.step))
-    (e.txn + 1) e.site
-    (if e.attempt > 1 then Printf.sprintf " (attempt %d)" e.attempt else "")
-
 let pp_quantile v = Printf.sprintf "%.1f" v
 
 let pp_report sys ppf r =

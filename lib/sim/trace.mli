@@ -63,5 +63,3 @@ val write_jsonl : ?seed:int -> System.t -> out_channel -> event list -> unit
 (** One {!event_to_json} object per line. The channel is left open. *)
 
 val pp_report : System.t -> Format.formatter -> report -> unit
-
-val pp_event : System.t -> Format.formatter -> event -> unit

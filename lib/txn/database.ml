@@ -71,10 +71,3 @@ let num_sites t = t.max_site
 let entities t = List.init t.count Fun.id
 
 let entities_at t s = List.filter (fun e -> t.sites.(e) = s) (entities t)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>database: %d entities, %d sites@," t.count t.max_site;
-  List.iter
-    (fun e -> Format.fprintf ppf "  %s @@ site %d@," t.names.(e) t.sites.(e))
-    (entities t);
-  Format.fprintf ppf "@]"

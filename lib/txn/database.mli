@@ -39,5 +39,3 @@ val entities : t -> entity list
 
 val entities_at : t -> int -> entity list
 (** All entities stored at one site. *)
-
-val pp : Format.formatter -> t -> unit

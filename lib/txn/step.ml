@@ -19,5 +19,3 @@ let equal a b = a.action = b.action && a.entity = b.entity
 let to_string db s =
   let n = Database.name db s.entity in
   match s.action with Lock -> "L" ^ n | Unlock -> "U" ^ n | Update -> n
-
-let pp db ppf s = Format.pp_print_string ppf (to_string db s)

@@ -25,5 +25,3 @@ val equal : t -> t -> bool
 
 val to_string : Database.t -> t -> string
 (** Paper notation: [Lx], [Ux], or bare [x] for an update. *)
-
-val pp : Database.t -> Format.formatter -> t -> unit

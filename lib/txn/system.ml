@@ -96,8 +96,3 @@ let pair_fingerprint_with ~fp t i j =
 
 let pair_fingerprint t =
   pair_fingerprint_with ~fp:(fun i -> Txn.fingerprint t.txns.(i)) t
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@,%a@]" Database.pp t.db
-    (Format.pp_print_list (Txn.pp t.db))
-    (Array.to_list t.txns)

@@ -60,5 +60,3 @@ val pair_fingerprint_with : fp:(int -> string) -> t -> int -> int -> string
     instead of recomputed — for callers that already hold them, e.g. an
     incremental session re-keying O(n) pairs per edit. The result is
     byte-identical to {!pair_fingerprint}. *)
-
-val pp : Format.formatter -> t -> unit

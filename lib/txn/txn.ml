@@ -132,18 +132,3 @@ let serialize t =
   Buffer.contents buf
 
 let fingerprint t = Digest.to_hex (Digest.string (serialize t))
-
-let pp db ppf t =
-  Format.fprintf ppf "@[<v>%s (%d steps):@," t.name (num_steps t);
-  Array.iteri
-    (fun i s ->
-      Format.fprintf ppf "  [%d:%s] %s@," i t.labels.(i) (Step.to_string db s))
-    t.steps;
-  Format.fprintf ppf "  covers: %a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (a, b) ->
-         Format.fprintf ppf "%s<%s"
-           (Step.to_string db t.steps.(a))
-           (Step.to_string db t.steps.(b))))
-    (Poset.covers t.order)

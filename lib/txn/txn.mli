@@ -72,6 +72,3 @@ val fingerprint : t -> string
     or to entities the transaction does not mention —
     {!System.fingerprint} and {!System.pair_fingerprint} are derived
     from these digests. *)
-
-val pp : Database.t -> Format.formatter -> t -> unit
-(** Covering-relation rendering, paper notation for steps. *)

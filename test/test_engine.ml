@@ -500,9 +500,41 @@ let stage_status (ex : E.Explain.t) name =
   | Some s -> s.E.Explain.status
   | None -> Alcotest.failf "explain carries no stage %S" name
 
+(* The shape every explain record keeps: each status from the six-label
+   set, a stage inapplicable exactly when its checker is not applicable,
+   one decided stage behind a decided verdict that was not a cache hit,
+   and the fingerprint as a 32-character hex digest. *)
+let check_explain_shape (ex : E.Explain.t) =
+  let labels =
+    [ "decided"; "passed"; "error"; "skipped"; "inapplicable"; "not-reached" ]
+  in
+  List.iter
+    (fun (s : E.Explain.stage) ->
+      if not (List.mem s.E.Explain.status labels) then
+        Alcotest.failf "stage %s: status %S is not one of the six labels"
+          s.E.Explain.checker s.E.Explain.status;
+      Util.check
+        (Printf.sprintf "stage %s: inapplicable iff not applicable"
+           s.E.Explain.checker)
+        (not s.E.Explain.applicable)
+        (s.E.Explain.status = "inapplicable"))
+    ex.E.Explain.stages;
+  if ex.E.Explain.verdict <> "unknown" && not ex.E.Explain.cache.E.Explain.hit
+  then
+    Util.check_int "one decided stage behind a decided verdict" 1
+      (List.length
+         (List.filter
+            (fun (s : E.Explain.stage) -> s.E.Explain.status = "decided")
+            ex.E.Explain.stages));
+  let fp = ex.E.Explain.cache.E.Explain.fingerprint in
+  let hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+  Util.check "fingerprint is a 32-character hex digest" true
+    (String.length fp = 32 && String.for_all hex fp)
+
 let test_explain_fast_path () =
   let eng = Decision.create () in
   let o, ex = Decision.decide_explained eng (two_phase_pair ()) in
+  check_explain_shape ex;
   Util.check "decided by Theorem 1" true
     (o.E.Outcome.procedure = Some E.Checker.Theorem_1);
   Util.check "verdict mirrored" true (ex.E.Explain.verdict = "safe");
@@ -533,6 +565,7 @@ let test_explain_fast_path () =
 let test_explain_oracle_stats () =
   let eng = Decision.create () in
   let _, ex = Decision.decide_explained eng (Figures.fig5 ()) in
+  check_explain_shape ex;
   Util.check "fig5 decided by the state graph" true
     (stage_status ex "state-graph" = "decided");
   match ex.E.Explain.oracle with
@@ -547,6 +580,8 @@ let test_explain_cache_hit () =
   let eng = Decision.create () in
   let _, ex1 = Decision.decide_explained eng (unsafe_pair ()) in
   let o2, ex2 = Decision.decide_explained eng (unsafe_pair ()) in
+  check_explain_shape ex1;
+  check_explain_shape ex2;
   Util.check "second decision cached" true o2.E.Outcome.cached;
   Util.check "explain reports the hit" true ex2.E.Explain.cache.E.Explain.hit;
   Util.check "same fingerprint digest both times" true
@@ -561,6 +596,7 @@ let test_explain_exhaustion () =
     Decision.decide_explained ~budget:(E.Budget.of_steps 1) eng
       (Figures.fig5 ())
   in
+  check_explain_shape ex;
   Util.check "undecided" false (E.Outcome.decided o);
   Util.check "verdict unknown" true (ex.E.Explain.verdict = "unknown");
   match ex.E.Explain.oracle with
@@ -582,6 +618,7 @@ let test_explain_annotated_metrics () =
   in
   let eng = E.Engine.create ~fingerprint:(fun () -> "unit") [ checker ] in
   let _, ex = E.Engine.decide_explained eng () in
+  check_explain_shape ex;
   match ex.E.Explain.stages with
   | [ s ] ->
       Util.check "status decided" true (s.E.Explain.status = "decided");

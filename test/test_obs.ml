@@ -458,6 +458,25 @@ let test_trace_export_shape () =
       let field f j =
         match j with Json.Obj l -> List.assoc_opt f l | _ -> None
       in
+      check bool "every event is metadata, complete or instant" true
+        (List.for_all (fun j -> List.mem (phase j) [ "M"; "X"; "i" ]) evs);
+      check bool "every instant carries a scope" true
+        (List.for_all
+           (fun j ->
+             phase j <> "i"
+             ||
+             match field "s" j with
+             | Some (Json.Str ("t" | "p" | "g")) -> true
+             | _ -> false)
+           evs);
+      check bool "every complete event has a non-negative dur" true
+        (List.for_all
+           (fun j ->
+             match field "dur" j with
+             | Some (Json.Float d) -> d >= 0.
+             | Some (Json.Int d) -> d >= 0
+             | _ -> false)
+           completes);
       let tids =
         List.sort_uniq compare (List.filter_map (field "tid") completes)
       in
