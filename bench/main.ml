@@ -1195,7 +1195,7 @@ let e19 () =
 
 (* ------------------------------------------------------------------ *)
 (* E20: live telemetry — overhead of a concurrent scraper on the fully
-   instrumented simulator vs the recorder-only baseline (bar: <= 1.10x),
+   instrumented simulator vs the recorder-only baseline (bar: < 1.10x),
    plus sustained scrape correctness: every /metrics response during a
    parallel batch must parse and its counters must be monotone. *)
 
@@ -1306,51 +1306,74 @@ let e20 () =
   let run_once () =
     List.iter (fun sys -> ignore (Sim.Esim.measure ~scenario ~seeds sys)) corpus
   in
-  let median_time () =
-    run_once ();
-    let reps = 7 in
-    let ts =
-      List.sort compare (List.init reps (fun _ -> snd (time run_once)))
-    in
-    List.nth ts (reps / 2)
-  in
   (* Baseline: the CLI's default-on stack — flight recorder sink, all
-     simulator instruments live, nobody reading them. *)
+     simulator instruments live, no endpoint. *)
   let recorder = Distlock_obs.Recorder.create () in
   Obs.set_sink (Distlock_obs.Recorder.sink recorder);
-  let t_base = median_time () in
   let served = ref [ ("global", Obs.global) ] in
-  let srv =
+  let serve () =
     match
       Distlock_obs.Expose.start ~port:0 ~registries:(fun () -> !served) ()
     with
     | Ok s -> s
     | Error m -> failwith m
   in
-  let port = Distlock_obs.Expose.port srv in
-  (* Same load with a scraper hammering /metrics from another domain. *)
-  let stop = Atomic.make false in
-  let scrapes = Atomic.make 0 in
-  let scraper =
-    (* A systhread, like the server itself: a scraper *domain* would bill
-       the sim for a stop-the-world GC participant rather than for being
-       scraped (~10% on one core even when idle). In production the
-       scraper is another process entirely; keeping the client in-process
-       makes this measurement conservative. 5 ms between scrapes is still
-       orders of magnitude above any real Prometheus interval. *)
-    Thread.create
-      (fun () ->
-        while not (Atomic.get stop) do
-          (try ignore (http_get ~port "/metrics") with _ -> ());
-          Atomic.incr scrapes;
-          Unix.sleepf 0.005
-        done)
-      ()
+  let timed () =
+    Gc.full_major ();
+    snd (time run_once)
   in
-  let t_scraped = median_time () in
-  Atomic.set stop true;
-  Thread.join scraper;
+  (* Same load with the endpoint up and a scraper hammering /metrics.
+     Both come up for this run only and are gone before the next one;
+     the join waits out the scrape in flight, so no baseline run is
+     scraped. *)
+  let scrapes = Atomic.make 0 in
+  let scraped () =
+    let srv = serve () in
+    let port = Distlock_obs.Expose.port srv in
+    let stop = Atomic.make false in
+    let scraper =
+      (* A systhread, like the server itself: a scraper *domain* would
+         bill the sim for a stop-the-world GC participant rather than
+         for being scraped (~10% on one core even when idle). In
+         production the scraper is another process entirely; keeping
+         the client in-process makes this measurement conservative. 5 ms
+         between scrapes is still orders of magnitude above any real
+         Prometheus interval. *)
+      Thread.create
+        (fun () ->
+          while not (Atomic.get stop) do
+            (try ignore (http_get ~port "/metrics") with _ -> ());
+            Atomic.incr scrapes;
+            Unix.sleepf 0.005
+          done)
+        ()
+    in
+    let dt = timed () in
+    Atomic.set stop true;
+    Thread.join scraper;
+    Distlock_obs.Expose.stop srv;
+    dt
+  in
+  (* After one warm-up each, the phases take turns for 9 rounds, each
+     round starting with the other one, and every timed run starts from
+     a fully collected heap (as in E18): load that comes and goes on a
+     shared host lands on both phases alike. *)
+  let reps = 9 in
+  let phases = [| timed; scraped |] and samples = Array.make 2 [] in
+  Array.iter (fun phase -> ignore (phase ())) phases;
+  Atomic.set scrapes 0;
+  for round = 0 to reps - 1 do
+    for j = 0 to 1 do
+      let i = (round + j) mod 2 in
+      samples.(i) <- phases.(i) () :: samples.(i)
+    done
+  done;
+  let median i = List.nth (List.sort compare samples.(i)) (reps / 2) in
+  let t_base = median 0 and t_scraped = median 1 in
   let overhead = t_scraped /. Float.max 1e-9 t_base in
+  let scrapes = Atomic.get scrapes in
+  let srv = serve () in
+  let port = Distlock_obs.Expose.port srv in
   let final = http_get ~port "/metrics" in
   let family f = Str_find.index final ("# TYPE " ^ f ^ " ") <> None in
   let families_present =
@@ -1363,9 +1386,11 @@ let e20 () =
   in
   pf "workload: %d two-phase systems x %d seeds, leased + crashes\n"
     (List.length corpus) (List.length seeds);
-  pf "recorder-only baseline:   %8.2f ms\n" (ms t_base);
+  pf "timed runs per phase: %d, the phases taking turns (median)\n" reps;
+  pf "recorder-only baseline:   %8.2f ms  (no endpoint, no scrapes)\n"
+    (ms t_base);
   pf "with concurrent scraper:  %8.2f ms  overhead: %.3fx (%d scrapes)\n"
-    (ms t_scraped) overhead (Atomic.get scrapes);
+    (ms t_scraped) overhead scrapes;
   pf "sim metric families present on /metrics: %b\n" families_present;
   (* Sustained scrape correctness while a parallel batch runs. *)
   let rng2 = Random.State.make [| 78 |] in
@@ -1425,7 +1450,7 @@ let e20 () =
   metric_f "baseline_seconds" t_base;
   metric_f "scraped_seconds" t_scraped;
   metric_f "scrape_overhead_ratio" overhead;
-  metric_i "overhead_scrapes" (Atomic.get scrapes);
+  metric_i "overhead_scrapes" scrapes;
   metric_b "sim_families_present" families_present;
   metric_i "batch_scrapes" batch_scrapes;
   metric_b "scrapes_parse" parsed_ok;
@@ -1433,8 +1458,7 @@ let e20 () =
   bar (t_base > 0. && t_scraped > 0.) "a median run time is not positive";
   bar (overhead < 1.10) "scrape overhead %.3fx at or above the 1.10x bar"
     overhead;
-  bar (Atomic.get scrapes >= 1)
-    "no scrapes landed during the overhead measurement";
+  bar (scrapes >= 1) "no scrapes landed during the overhead measurement";
   bar families_present "simulator metric families missing from /metrics";
   bar (batch_scrapes >= 1) "no scrapes landed during the parallel batch";
   bar parsed_ok "a scrape taken under concurrent writes failed to parse";

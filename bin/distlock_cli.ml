@@ -37,6 +37,25 @@ let load_system path =
       Printf.eprintf "error: %s\n" msg;
       exit 2
 
+(* The pair-only subcommands refuse any other system as they refuse a
+   file that does not parse. *)
+let load_pair cmd path =
+  let sys = load_system path in
+  if System.num_txns sys <> 2 then begin
+    Printf.eprintf "error: %s expects a two-transaction system\n" cmd;
+    exit 2
+  end;
+  sys
+
+(* `--budget` is a step count; a negative one is refused as `--jobs 0`
+   is. *)
+let steps_budget = function
+  | None -> E.Budget.unlimited
+  | Some n when n < 0 ->
+      Printf.eprintf "distlock: --budget must be >= 0\n";
+      exit 2
+  | Some n -> E.Budget.of_steps n
+
 (* The labelled registries `--metrics`, `--metrics-port` and the flight
    recorder export: the global one, then each registered engine's or
    session's stats, in registration order. Read on every use, so stats
@@ -327,7 +346,6 @@ let json_of_stats st =
                    ("unsafe", J.Int s.E.Stats.decided_unsafe);
                    ("passed", J.Int s.E.Stats.passed);
                    ("errors", J.Int s.E.Stats.errors);
-                   ("skipped", J.Int s.E.Stats.skipped);
                    ("seconds", J.Float s.E.Stats.seconds);
                    ("p50_seconds", J.Float q50);
                    ("p90_seconds", J.Float q90);
@@ -409,9 +427,8 @@ let check_cmd =
     match oracle with
     | Some which -> exit (run_oracle sys which)
     | None ->
-        let budget = Option.map E.Budget.of_steps budget in
         let eng = Lazy.force engine in
-        let o = Decision.decide ?budget eng sys in
+        let o = Decision.decide ~budget:(steps_budget budget) eng sys in
         let ex = if explain then Some (Decision.explain eng sys o) else None in
         if json then begin
           let j = json_of_outcome ~file ?explain:ex sys o in
@@ -469,11 +486,7 @@ let batch_cmd =
     end;
     let named = List.map (fun f -> (f, load_system f)) files in
     let named = List.concat (List.init (max 1 repeat) (fun _ -> named)) in
-    let budget =
-      match budget with
-      | Some n -> E.Budget.of_steps n
-      | None -> E.Budget.unlimited
-    in
+    let budget = steps_budget budget in
     let eng =
       register_engine
         (Decision.create
@@ -575,11 +588,7 @@ let batch_cmd =
    verdict and cycle judgement whose inputs the edit left untouched. *)
 let mutate_cmd =
   let run () files verify budget stats json =
-    let budget =
-      match budget with
-      | Some n -> E.Budget.of_steps n
-      | None -> E.Budget.unlimited
-    in
+    let budget = steps_budget budget in
     match files with
     | [] -> assert false (* non_empty *)
     | base_file :: edit_files ->
@@ -768,7 +777,7 @@ let mutate_cmd =
 
 let dgraph_cmd =
   let run () file dot =
-    let sys = load_system file in
+    let sys = load_pair "dgraph" file in
     let d = Dgraph.build_pair sys in
     if dot then
       print_string
@@ -807,6 +816,9 @@ let reduce_cmd =
     | Ok f -> (
         match Distlock_sat.Normalize.run f with
         | None -> Printf.printf "trivially unsatisfiable (empty clause)\n"
+        | Some { Distlock_sat.Normalize.formula = g; _ }
+          when Distlock_sat.Cnf.num_clauses g = 0 ->
+            Printf.printf "trivially satisfiable (no clauses)\n"
         | Some { Distlock_sat.Normalize.formula = g; _ } ->
             Printf.printf
               "# restricted form: %d vars, %d clauses\n" g.Distlock_sat.Cnf.num_vars
@@ -833,11 +845,7 @@ let reduce_cmd =
 
 let analyze_cmd =
   let run () file =
-    let sys = load_system file in
-    if System.num_txns sys <> 2 then begin
-      Printf.eprintf "error: analyze expects a two-transaction system\n";
-      exit 2
-    end;
+    let sys = load_pair "analyze" file in
     Format.printf "%a@." Analysis.pp (Analysis.pair sys)
   in
   Cmd.v
@@ -847,11 +855,7 @@ let analyze_cmd =
 
 let repair_cmd =
   let run () file =
-    let sys = load_system file in
-    if System.num_txns sys <> 2 then begin
-      Printf.eprintf "error: repair expects a two-transaction system\n";
-      exit 2
-    end;
+    let sys = load_pair "repair" file in
     match Repair.make_safe sys with
     | None ->
         Printf.printf "# no precedence insertion makes this system safe\n";
@@ -875,7 +879,7 @@ let repair_cmd =
 
 let deadlock_cmd =
   let run () file =
-    let sys = load_system file in
+    let sys = load_pair "deadlock" file in
     let t1, t2 = System.pair sys in
     if not (Txn.is_total t1 && Txn.is_total t2) then begin
       (* partial orders: memoized state-graph exploration *)
@@ -910,11 +914,7 @@ let deadlock_cmd =
 
 let advise_cmd =
   let run () file =
-    let sys = load_system file in
-    if System.num_txns sys <> 2 then begin
-      Printf.eprintf "error: advise expects a two-transaction system\n";
-      exit 2
-    end;
+    let sys = load_pair "advise" file in
     let o = Checkers.decide sys in
     match o.E.Outcome.verdict with
     | E.Outcome.Safe -> Printf.printf "already SAFE — %s\n" o.E.Outcome.detail
@@ -954,7 +954,7 @@ let show_cmd =
 
 let plane_cmd =
   let run () file =
-    let sys = load_system file in
+    let sys = load_pair "plane" file in
     let t1, t2 = System.pair sys in
     if not (Txn.is_total t1 && Txn.is_total t2) then begin
       Printf.eprintf
@@ -980,6 +980,11 @@ let plane_cmd =
 let simulate_cmd =
   let run () file seeds backend lease_ttl crash_rate down_time latency sites
       trace_file =
+    (match sites with
+    | Some n when n < 1 ->
+        Printf.eprintf "distlock: --sites must be >= 1\n";
+        exit 2
+    | _ -> ());
     let trace_oc = Option.map create_file trace_file in
     let sys = load_system file in
     let sys =

@@ -130,8 +130,3 @@ let pp ppf r =
           Format.fprintf ppf "repair: no precedence insertion helps@,"
       | _ -> ()));
   Format.fprintf ppf "@]"
-
-let pp_decision ppf r =
-  Format.fprintf ppf "@[<v>procedure: %s@,%a@]"
-    (Distlock_engine.Outcome.provenance r.decision)
-    Distlock_engine.Outcome.pp_trace r.decision.Distlock_engine.Outcome.trace

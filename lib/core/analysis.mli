@@ -38,7 +38,3 @@ val pair : ?try_repair:bool -> System.t -> t
 (** [try_repair] defaults to [true]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_decision : Format.formatter -> t -> unit
-(** The engine view of the verdict: deciding procedure plus the
-    per-stage trace (status, detail, elapsed time per stage). *)

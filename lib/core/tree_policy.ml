@@ -109,8 +109,6 @@ let follows f txn =
   | [] -> true
   | _ -> first_entity f txn <> None
 
-let all_follow f sys = Array.for_all (follows f) (System.txns sys)
-
 let violations f txn =
   match locked_with_sections txn with
   | [] -> []

@@ -34,8 +34,6 @@ val parent : forest -> Database.entity -> Database.entity option
 val follows : forest -> Txn.t -> bool
 (** Does the transaction follow the strong tree protocol? *)
 
-val all_follow : forest -> System.t -> bool
-
 val first_entity : forest -> Txn.t -> Database.entity option
 (** The distinguished [x0], when the transaction follows the protocol and
     locks at least one entity. *)

@@ -7,7 +7,6 @@ type procedure =
   | Lemma_1
   | State_graph
   | Proposition_2
-  | Custom of string
 
 let procedure_label = function
   | Trivial -> "trivial"
@@ -18,12 +17,10 @@ let procedure_label = function
   | Lemma_1 -> "Lemma 1"
   | State_graph -> "States"
   | Proposition_2 -> "Prop 2"
-  | Custom s -> s
 
-type cost = Constant | Polynomial | Exponential
+type cost = Polynomial | Exponential
 
 let cost_label = function
-  | Constant -> "O(1)"
   | Polynomial -> "poly"
   | Exponential -> "exp"
 

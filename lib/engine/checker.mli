@@ -24,14 +24,13 @@ type procedure =
       (** Memoized reachability over bitset-packed execution states — an
           exact oracle exponentially cheaper than schedule enumeration. *)
   | Proposition_2  (** The many-transaction criterion ([G], [B_c] cycles). *)
-  | Custom of string  (** Extension point for non-paper procedures. *)
 
 val procedure_label : procedure -> string
 (** Short paper-style label: ["Thm 1"], ["Prop 1"], ["Cor 2"], … *)
 
-(** Asymptotic cost class, used to order stages and decide what a
-    deadline-expired pipeline may still skip. *)
-type cost = Constant | Polynomial | Exponential
+(** Asymptotic cost class: a label carried into spans and explain
+    records. The engine runs stages in list order whatever their cost. *)
+type cost = Polynomial | Exponential
 
 val cost_label : cost -> string
 

@@ -34,8 +34,7 @@ let checkers t = t.checkers
 
 let stats t = t.stats
 
-(* One staged pass over the pipeline. Applicable stages run in order;
-   once the deadline has expired the remaining ones are marked Skipped.
+(* One staged pass over the pipeline. Applicable stages run in order.
    A stage Error is recorded and the pipeline continues — the final
    Unknown carries every error so nothing is silently masked.
 
@@ -48,15 +47,13 @@ let run ?stats ?(budget = Budget.unlimited) checkers sys =
   let trace = ref [] in
   (* Span attributes shared by every pipeline stage. [cache_hit] is
      always false here: a cache hit never reaches [run] (the decide span
-     carries the hit). [budget_remaining_s] is -1 without a deadline. *)
+     carries the hit). *)
   let stage_attrs (c : _ Checker.t) () =
     [
       A.str "checker" c.Checker.name;
       A.str "procedure" (Checker.procedure_label c.Checker.procedure);
       A.str "cost" (Checker.cost_label c.Checker.cost);
       A.bool "cache_hit" false;
-      A.float "budget_remaining_s"
-        (Option.value ~default:(-1.) (Budget.remaining_seconds meter));
     ]
   in
   let record (entry : Outcome.stage_trace) unsafe =
@@ -99,37 +96,13 @@ let run ?stats ?(budget = Budget.unlimited) checkers sys =
               | _ -> None)
             (List.rev !trace)
         in
-        let skipped =
-          List.exists
-            (fun (s : Outcome.stage_trace) -> s.Outcome.status = Outcome.Skipped)
-            !trace
-        in
         let msg =
           if errors <> [] then String.concat "; " errors
-          else if skipped then
-            "budget deadline expired before a decisive procedure could run"
           else "no applicable procedure decided the system"
         in
         finish (Outcome.Unknown msg) None msg
     | (c : _ Checker.t) :: rest ->
         if not (c.Checker.applicable sys) then go rest
-        else if Budget.expired meter then begin
-          if Obs.enabled () then
-            Obs.with_span "engine.stage" ~attrs:(stage_attrs c) (fun sp ->
-                Obs.add_attrs sp
-                  [ A.str "status" "skipped"; A.str "verdict" "none" ]);
-          record
-            {
-              Outcome.stage = c.Checker.name;
-              procedure = c.Checker.procedure;
-              status = Outcome.Skipped;
-              detail = "budget deadline expired";
-              seconds = 0.;
-              attrs = [];
-            }
-            false;
-          go rest
-        end
         else begin
           let sp = Obs.start_span "engine.stage" ~attrs:(stage_attrs c) in
           (* Stage timing is monotonic wall time; the span also carries

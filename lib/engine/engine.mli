@@ -46,10 +46,9 @@ val run :
   'sys ->
   'ev Outcome.t
 (** Stateless single run of a pipeline — no engine instance, no cache.
-    Stages run in order; inapplicable stages are ignored, stages after
-    the budget's deadline are marked [Skipped], stage errors are recorded
-    and the pipeline continues. If no stage decides, the outcome is
-    [Unknown] carrying the aggregated stage errors.
+    Stages run in order; inapplicable stages are ignored, stage errors
+    are recorded and the pipeline continues. If no stage decides, the
+    outcome is [Unknown] carrying the aggregated stage errors.
 
     Reentrant: allocates no shared state, so the same checker list may
     be run from several domains at once. Stage [seconds] are monotonic

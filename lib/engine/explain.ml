@@ -17,7 +17,7 @@ type stage = {
   cost : string;
   applicable : bool;
   status : string;
-      (* decided | passed | error | skipped | inapplicable | not-reached *)
+      (* decided | passed | error | inapplicable | not-reached *)
   detail : string;
   seconds : float;
   budget_spent_s : float;  (* cumulative pipeline time when this stage ended *)
@@ -234,10 +234,7 @@ let pp ppf t =
       let line =
         Printf.sprintf "%-17s [%-7s] %-4s %-12s" s.checker s.procedure s.cost
           s.status
-        ^ (if
-             s.applicable && s.status <> "not-reached"
-             && s.status <> "skipped"
-           then
+        ^ (if s.applicable && s.status <> "not-reached" then
              Printf.sprintf " %8.3f ms (spent %8.3f ms)" (s.seconds *. 1_000.)
                (s.budget_spent_s *. 1_000.)
            else "")

@@ -11,12 +11,12 @@
 type stage = {
   checker : string;
   procedure : string;  (** Paper-style label, e.g. ["Thm 1"]. *)
-  cost : string;  (** ["O(1)"], ["poly"], or ["exp"]. *)
+  cost : string;  (** ["poly"] or ["exp"]. *)
   applicable : bool;
   status : string;
-      (** [decided | passed | error | skipped | inapplicable |
-          not-reached]. The first four mirror {!Outcome.stage_status};
-          the last two cover checkers absent from the trace. *)
+      (** [decided | passed | error | inapplicable | not-reached]. The
+          first three mirror {!Outcome.stage_status}; the last two cover
+          checkers absent from the trace. *)
   detail : string;
   seconds : float;
   budget_spent_s : float;

@@ -11,7 +11,7 @@
    stays meaningful for caches of a few hundred entries. A power of two
    keeps shard selection a mask. *)
 
-let default_shards = 16
+let max_shards = 16
 
 type 'a shard = { lock : Mutex.t; lru : 'a Lru.t }
 
@@ -29,11 +29,10 @@ let with_shard s f =
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
-let create ?(shards = default_shards) ~capacity () =
+let create ~capacity () =
   if capacity < 1 then
     invalid_arg "Lru_sharded.create: capacity must be >= 1";
-  if shards < 1 then invalid_arg "Lru_sharded.create: shards must be >= 1";
-  let n = next_pow2 (min shards capacity) 1 in
+  let n = next_pow2 (min max_shards capacity) 1 in
   (* Round per-shard capacity up: total capacity is at least the request
      (never below it — a cache that silently shrinks under-serves). *)
   let per_shard = (capacity + n - 1) / n in

@@ -1,5 +1,5 @@
 (** A domain-safe sharded LRU map: the hash of the key selects one of
-    [shards] independent {!Lru} instances, each behind its own mutex.
+    16 independent {!Lru} instances, each behind its own mutex.
     All operations stay O(1); concurrent operations on different shards
     never contend.
 
@@ -11,12 +11,11 @@
 
 type 'a t
 
-val create : ?shards:int -> capacity:int -> unit -> 'a t
-(** [shards] defaults to 16 — above any plausible [--jobs] width on one
-    machine, small enough that per-shard capacity stays meaningful — and
-    is rounded up to a power of two (and down to [capacity] when the
-    cache is tiny). Raises [Invalid_argument] when [capacity < 1] or
-    [shards < 1]. *)
+val create : capacity:int -> unit -> 'a t
+(** 16 shards — above any plausible [--jobs] width on one machine, small
+    enough that per-shard capacity stays meaningful — or, for a cache
+    smaller than that, [capacity] rounded up to a power of two. Raises
+    [Invalid_argument] when [capacity < 1]. *)
 
 val num_shards : _ t -> int
 

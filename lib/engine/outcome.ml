@@ -1,6 +1,6 @@
 type 'ev verdict = Safe | Unsafe of 'ev | Unknown of string
 
-type stage_status = Decided | Passed | Errored | Skipped
+type stage_status = Decided | Passed | Errored
 
 type stage_trace = {
   stage : string;
@@ -31,7 +31,6 @@ let status_label = function
   | Decided -> "decided"
   | Passed -> "passed"
   | Errored -> "ERROR"
-  | Skipped -> "skipped"
 
 let pp_trace ppf trace =
   Format.fprintf ppf "@[<v>";

@@ -11,7 +11,6 @@ type stage_status =
   | Decided  (** This stage produced the verdict. *)
   | Passed  (** Ran but was inconclusive. *)
   | Errored  (** Failed (budget, construction error); surfaced, not masked. *)
-  | Skipped  (** Not run because the budget's deadline had expired. *)
 
 type stage_trace = {
   stage : string;  (** Checker name. *)
@@ -34,7 +33,7 @@ type 'ev t = {
       (** Why: the deciding stage's explanation, or the aggregated error
           messages of an [Unknown]. *)
   trace : stage_trace list;  (** Applicable stages, in pipeline order. *)
-  seconds : float;  (** Total decision time (processor seconds). *)
+  seconds : float;  (** Total decision time (monotonic wall seconds). *)
   cached : bool;  (** Served from the verdict cache. *)
 }
 
@@ -45,7 +44,7 @@ val provenance : _ t -> string
 (** ["Thm 1"], …, or ["undecided"] for [Unknown] outcomes. *)
 
 val status_label : stage_status -> string
-(** ["decided"], ["passed"], ["ERROR"], or ["skipped"]. *)
+(** ["decided"], ["passed"], or ["ERROR"]. *)
 
 val pp_trace : Format.formatter -> stage_trace list -> unit
 (** One line per stage: name, procedure, status, time, detail. *)

@@ -8,7 +8,6 @@ type stage = {
   mutable decided_unsafe : int;
   mutable passed : int;
   mutable errors : int;
-  mutable skipped : int;
   mutable seconds : float;
 }
 
@@ -21,7 +20,6 @@ type handles = {
   unsafe_c : M.counter;
   passed_c : M.counter;
   errors_c : M.counter;
-  skipped_c : M.counter;
   seconds_h : M.histogram;
 }
 
@@ -108,7 +106,6 @@ let handles t name =
               unsafe_c = result_counter t ~stage:name "unsafe";
               passed_c = result_counter t ~stage:name "passed";
               errors_c = result_counter t ~stage:name "error";
-              skipped_c = result_counter t ~stage:name "skipped";
               seconds_h =
                 R.histogram t.reg
                   ~labels:[ ("stage", name) ]
@@ -122,17 +119,11 @@ let handles t name =
 
 let record_stage t ~name (status, unsafe) seconds =
   let h = handles t name in
-  (* Skips consume no stage time; recording a 0-duration observation
-     would drag the latency histogram toward the lowest bucket. *)
-  (match status with
-  | Outcome.Skipped -> ()
-  | Outcome.Decided | Outcome.Passed | Outcome.Errored ->
-      M.observe h.seconds_h seconds);
+  M.observe h.seconds_h seconds;
   match status with
   | Outcome.Decided -> M.incr (if unsafe then h.unsafe_c else h.safe_c)
   | Outcome.Passed -> M.incr h.passed_c
   | Outcome.Errored -> M.incr h.errors_c
-  | Outcome.Skipped -> M.incr h.skipped_c
 
 let record_decision t ~cached ~unknown =
   M.incr t.decisions_c;
@@ -176,7 +167,6 @@ let view h =
     decided_unsafe = unsafe;
     passed;
     errors;
-    skipped = M.counter_value h.skipped_c;
     seconds = M.histogram_sum h.seconds_h;
   }
 
@@ -203,8 +193,8 @@ let quantiles t =
           M.quantile h.seconds_h 0.99 ) ))
     hs
 
-(* Mean time per run, defined as 0 when the stage was recorded but never
-   attempted (deadline skips only) — not NaN. *)
+(* Mean time per run, defined as 0 — not NaN — for a view taken between
+   a stage's handle creation and its first count. *)
 let mean_seconds s =
   if s.attempts = 0 then 0. else s.seconds /. float_of_int s.attempts
 
@@ -225,15 +215,16 @@ let pp ppf t =
   | [] -> Format.fprintf ppf "(no stage activity)"
   | stages ->
       let qs = quantiles t in
-      (* Bucket-interpolated, so a skip-only stage has no samples: its
-         quantiles are NaN and print as a dash. *)
+      (* Bucket-interpolated; a stage with no samples yet (read while
+         another domain records its first) has NaN quantiles, printed as
+         a dash. *)
       let q ppf v =
         if Float.is_nan v then Format.fprintf ppf " %12s" "-"
         else Format.fprintf ppf " %9.3f ms" (v *. 1_000.)
       in
-      Format.fprintf ppf "%-12s %8s %6s %8s %8s %7s %8s %12s %12s %12s %12s %12s"
-        "stage" "runs" "safe" "unsafe" "passed" "errors" "skipped" "time"
-        "mean" "p50" "p90" "p99";
+      Format.fprintf ppf "%-12s %8s %6s %8s %8s %7s %12s %12s %12s %12s %12s"
+        "stage" "runs" "safe" "unsafe" "passed" "errors" "time" "mean" "p50"
+        "p90" "p99";
       List.iter
         (fun s ->
           let q50, q90, q99 =
@@ -242,9 +233,9 @@ let pp ppf t =
             | None -> (Float.nan, Float.nan, Float.nan)
           in
           Format.fprintf ppf
-            "@,%-12s %8d %6d %8d %8d %7d %8d %9.3f ms %9.3f ms%a%a%a"
+            "@,%-12s %8d %6d %8d %8d %7d %9.3f ms %9.3f ms%a%a%a"
             s.stage_name s.attempts s.decided_safe s.decided_unsafe s.passed
-            s.errors s.skipped (s.seconds *. 1_000.)
+            s.errors (s.seconds *. 1_000.)
             (mean_seconds s *. 1_000.)
             q q50 q q90 q q99)
         stages);

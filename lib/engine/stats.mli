@@ -16,7 +16,6 @@ type stage = {
   mutable decided_unsafe : int;
   mutable passed : int;
   mutable errors : int;
-  mutable skipped : int;  (** Deadline-expired skips (not counted as attempts). *)
   mutable seconds : float;  (** Cumulative wall-clock time in the stage. *)
 }
 (** A point-in-time view computed from the registry; mutating it does
@@ -72,11 +71,11 @@ val stages : t -> stage list
 val quantiles : t -> (string * (float * float * float)) list
 (** Per-stage bucket-interpolated (p50, p90, p99) of the stage latency
     histogram in seconds, in first-recorded order; a NaN triple for a
-    stage with no timed runs (e.g. only ever skipped). *)
+    stage with no timed runs. *)
 
 val mean_seconds : stage -> float
-(** Mean time per attempted run; [0.] (not NaN) for a stage that was
-    recorded but never attempted, e.g. one only ever skipped. *)
+(** Mean time per attempted run; [0.] (not NaN) for a stage with no
+    attempts. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -86,8 +86,6 @@ let iter_succ g v f =
 
 let iter_arcs g f = Hashtbl.iter (fun (u, v) () -> f u v) g.arcset
 
-let vertices g = List.init g.n Fun.id
-
 let equal a b =
   a.n = b.n
   && a.num_arcs = b.num_arcs

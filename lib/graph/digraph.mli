@@ -46,8 +46,6 @@ val iter_succ : t -> int -> (int -> unit) -> unit
 
 val iter_arcs : t -> (int -> int -> unit) -> unit
 
-val vertices : t -> int list
-
 val equal : t -> t -> bool
 (** Same vertex count and same arc set (order-insensitive). *)
 

@@ -23,9 +23,6 @@ let remove_vertex t v =
 
 let num_vertices t = Hashtbl.length t.adj
 
-let vertices t =
-  List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.adj [])
-
 let add_edge t u v =
   if u = v then invalid_arg "Dyngraph.add_edge: self-loop";
   match (neighbour_tbl t u, neighbour_tbl t v) with

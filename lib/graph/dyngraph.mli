@@ -27,9 +27,6 @@ val has_vertex : t -> string -> bool
 
 val num_vertices : t -> int
 
-val vertices : t -> string list
-(** Sorted by name. *)
-
 val add_edge : t -> string -> string -> unit
 (** Undirected; both endpoints must exist ([Invalid_argument]
     otherwise, as for a self-loop). Re-adding is a no-op. *)

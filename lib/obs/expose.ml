@@ -159,32 +159,41 @@ let accept_loop t registries =
   done
 
 let start ?(host = "127.0.0.1") ~port ~registries () =
-  match
-    let addr = Unix.inet_addr_of_string host in
-    let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt sock Unix.SO_REUSEADDR true;
-       Unix.bind sock (Unix.ADDR_INET (addr, port));
-       Unix.listen sock 16
-     with e ->
-       (try Unix.close sock with Unix.Unix_error _ -> ());
-       raise e);
-    let bound_port =
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
-    let t = { sock; bound_port; stopping = Atomic.make false; worker = None } in
-    t.worker <- Some (Thread.create (fun () -> accept_loop t registries) ());
-    t
-  with
-  | t -> Ok t
-  | exception Unix.Unix_error (err, _, _) ->
-      Error
-        (Printf.sprintf "cannot serve metrics on %s:%d: %s" host port
-           (Unix.error_message err))
-  | exception Failure _ ->
-      Error (Printf.sprintf "cannot serve metrics: invalid host %S" host)
+  (* [Unix.bind] keeps only a port's low 16 bits: 70000 would bind 4464. *)
+  if port < 0 || port > 65535 then
+    Error
+      (Printf.sprintf "cannot serve metrics on %s:%d: port outside 0-65535"
+         host port)
+  else
+    match
+      let addr = Unix.inet_addr_of_string host in
+      let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      (try
+         Unix.setsockopt sock Unix.SO_REUSEADDR true;
+         Unix.bind sock (Unix.ADDR_INET (addr, port));
+         Unix.listen sock 16
+       with e ->
+         (try Unix.close sock with Unix.Unix_error _ -> ());
+         raise e);
+      let bound_port =
+        match Unix.getsockname sock with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> port
+      in
+      let t =
+        { sock; bound_port; stopping = Atomic.make false; worker = None }
+      in
+      t.worker <-
+        Some (Thread.create (fun () -> accept_loop t registries) ());
+      t
+    with
+    | t -> Ok t
+    | exception Unix.Unix_error (err, _, _) ->
+        Error
+          (Printf.sprintf "cannot serve metrics on %s:%d: %s" host port
+             (Unix.error_message err))
+    | exception Failure _ ->
+        Error (Printf.sprintf "cannot serve metrics: invalid host %S" host)
 
 let port t = t.bound_port
 

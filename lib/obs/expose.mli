@@ -28,8 +28,9 @@ val start :
     systhread of the calling domain, not a fresh domain, so an idle
     endpoint adds no stop-the-world GC participant (see [expose.ml]).
     [registries] is re-evaluated on every request, so registries created
-    after [start] still show up. Returns [Error msg] when the bind
-    fails (port in use, privileged port, bad host). *)
+    after [start] still show up. Returns [Error msg] for a port outside
+    0–65535 and when the bind fails (port in use, privileged port, bad
+    host). *)
 
 val port : t -> int
 (** The actually-bound TCP port. *)

@@ -2,12 +2,6 @@ type level = Error | Warn | Info | Debug
 
 let level_rank = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
 
-let level_to_string = function
-  | Error -> "error"
-  | Warn -> "warn"
-  | Info -> "info"
-  | Debug -> "debug"
-
 let level_of_string = function
   | "error" -> Some Error
   | "warn" | "warning" -> Some Warn

@@ -17,8 +17,6 @@
 
 type level = Error | Warn | Info | Debug
 
-val level_to_string : level -> string
-
 val level_of_string : string -> level option
 (** Accepts ["error"], ["warn"]/["warning"], ["info"], ["debug"]. *)
 

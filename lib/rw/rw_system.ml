@@ -25,15 +25,6 @@ let validate t =
 
 type event = int * int
 
-let schedule_to_string t events =
-  String.concat " "
-    (List.map
-       (fun (i, s) ->
-         Printf.sprintf "%s_%d"
-           (Rw_txn.step_to_string t.db (Rw_txn.step t.txns.(i) s))
-           (i + 1))
-       events)
-
 (* Lock table state during replay: per entity, the list of (txn, mode)
    holders. Compatible iff all holders (old and new) are Shared. *)
 let replay t events ~on_illegal =

@@ -19,8 +19,6 @@ val validate : t -> string list
 
 type event = int * int
 
-val schedule_to_string : t -> event list -> string
-
 val is_legal : t -> event list -> bool
 (** A complete legal schedule: respects every partial order, and lock
     compatibility — any number of concurrent shared holders, exclusive

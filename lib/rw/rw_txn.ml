@@ -75,13 +75,6 @@ let locked_entities t =
 
 let is_total t = Poset.is_total t.order
 
-let step_to_string db s =
-  let n = Database.name db s.entity in
-  match s.action with
-  | Lock Shared -> "SL" ^ n
-  | Lock Exclusive -> "XL" ^ n
-  | Unlock -> "U" ^ n
-
 let validate db t =
   let msgs = ref [] in
   let report m = msgs := m :: !msgs in

@@ -46,6 +46,3 @@ val is_total : t -> bool
 
 val validate : Database.t -> t -> string list
 (** Violations of the discipline, rendered; empty iff well-formed. *)
-
-val step_to_string : Database.t -> step -> string
-(** [SLx], [XLx], [Ux]. *)

@@ -134,15 +134,12 @@ let home_site db txn =
   if Txn.num_steps txn = 0 then 1
   else Database.site db (Txn.step txn 0).Step.entity
 
-let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
+let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
     ?(check_serializability = true) sys =
   let sp =
     Obs.start_span "esim.run"
       ~attrs:(fun () ->
-        A.str "policy"
-          (match policy with
-          | Engine.Round_robin -> "round-robin"
-          | Engine.Random seed -> Printf.sprintf "random(%d)" seed)
+        A.str "policy" (Printf.sprintf "random(%d)" seed)
         :: A.int "txns" (System.num_txns sys)
         :: Scenario.to_attrs scenario)
   in
@@ -178,16 +175,9 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
   let meters = make_meters (Backend.name backend) in
   (* Fault and latency streams are salted so they cannot collide with
      the policy stream. *)
-  let rng =
-    match policy with
-    | Engine.Random seed -> Some (Random.State.make [| seed |])
-    | Engine.Round_robin -> None
-  in
-  let base_seed =
-    match policy with Engine.Random s -> s | Engine.Round_robin -> 0
-  in
-  let fault_rng = Random.State.make [| base_seed; 0xFA17 |] in
-  let lat_rng = Random.State.make [| base_seed; 0x1A7E |] in
+  let rng = Random.State.make [| seed |] in
+  let fault_rng = Random.State.make [| seed; 0xFA17 |] in
+  let lat_rng = Random.State.make [| seed; 0x1A7E |] in
   let clock = Clock.create () in
   let booked = ref max_int in
   let ensure_decide time =
@@ -203,7 +193,6 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
   and expiries = ref 0
   and stale = ref 0 in
   let trace = ref [] in
-  let rr_cursor = ref 0 in
   let was_blocked = Array.make n false in
   let result = ref None in
   let all_committed () = Array.for_all (fun i -> i.committed) instances in
@@ -618,22 +607,9 @@ let run ?(policy = Engine.Round_robin) ?(scenario = Scenario.default)
               end
             end
         | _ ->
-            (match rng with
-            | Some rng ->
-                let arr = Array.of_list choices in
-                let inst, s = arr.(Random.State.int rng (Array.length arr)) in
-                execute inst s
-            | None ->
-                let rec pick k =
-                  let idx = (!rr_cursor + k) mod n in
-                  let inst = instances.(idx) in
-                  match enabled_steps inst with
-                  | s :: _ ->
-                      rr_cursor := (idx + 1) mod n;
-                      execute inst s
-                  | [] -> pick (k + 1)
-                in
-                pick 0);
+            let arr = Array.of_list choices in
+            let inst, s = arr.(Random.State.int rng (Array.length arr)) in
+            execute inst s;
             if not (all_committed ()) then ensure_decide (now () + 1)
       end
     end

@@ -64,7 +64,7 @@ type outcome = {
 }
 
 val run :
-  ?policy:Engine.policy ->
+  policy:Engine.policy ->
   ?scenario:Scenario.t ->
   ?check_serializability:bool ->
   System.t ->

@@ -38,7 +38,7 @@ let make rng ~db ~style ~num_txns ~entities_per_txn =
 let precheck_engine =
   lazy
     (Distlock_core.Decision.create ~cache_capacity:64
-       ~budget:(Distlock_engine.Budget.make ~max_steps:200_000 ()) ())
+       ~budget:(Distlock_engine.Budget.of_steps 200_000) ())
 
 let proven_safe sys =
   let o = Distlock_core.Decision.decide (Lazy.force precheck_engine) sys in

@@ -63,7 +63,7 @@ let pred_status db ~delay ~now inst s =
   done;
   !status
 
-let run ?(policy = Distlock_sim.Engine.Round_robin) ?(cross_site_delay = 0)
+let run ~policy:(Distlock_sim.Engine.Random seed) ?(cross_site_delay = 0)
     sys =
   let db = System.db sys in
   let n = System.num_txns sys in
@@ -83,15 +83,10 @@ let run ?(policy = Distlock_sim.Engine.Round_robin) ?(cross_site_delay = 0)
         })
   in
   let holder : (Database.entity, int) Hashtbl.t = Hashtbl.create 16 in
-  let rng =
-    match policy with
-    | Distlock_sim.Engine.Random seed -> Some (Random.State.make [| seed |])
-    | Distlock_sim.Engine.Round_robin -> None
-  in
+  let rng = Random.State.make [| seed |] in
   let ticks = ref 0 and aborts = ref 0 and blocks = ref 0 in
   let global_log = ref [] in
   let trace = ref [] in
-  let rr_cursor = ref 0 in
   let status inst s = pred_status db ~delay:cross_site_delay ~now:!ticks inst s in
   let enabled_steps inst =
     if inst.committed then []
@@ -219,23 +214,10 @@ let run ?(policy = Distlock_sim.Engine.Round_robin) ?(cross_site_delay = 0)
             incr blocks;
             abort_victim ()
           end
-      | _ -> (
-          match rng with
-          | Some rng ->
-              let arr = Array.of_list choices in
-              let inst, s = arr.(Random.State.int rng (Array.length arr)) in
-              execute inst s
-          | None ->
-              let rec pick k =
-                let idx = (!rr_cursor + k) mod n in
-                let inst = instances.(idx) in
-                match enabled_steps inst with
-                | s :: _ ->
-                    rr_cursor := (idx + 1) mod n;
-                    execute inst s
-                | [] -> pick (k + 1)
-              in
-              pick 0)
+      | _ ->
+          let arr = Array.of_list choices in
+          let inst, s = arr.(Random.State.int rng (Array.length arr)) in
+          execute inst s
     end
   done;
   match !result with

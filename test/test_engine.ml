@@ -181,31 +181,10 @@ let test_budget_exhaustion () =
        (fun (s : E.Outcome.stage_trace) -> s.E.Outcome.status <> E.Outcome.Errored)
        o.E.Outcome.trace)
 
-let test_deadline_expiry () =
-  let o =
-    Checkers.decide
-      ~budget:(E.Budget.make ~max_seconds:0. ())
-      (Figures.fig5 ())
-  in
-  (match o.E.Outcome.verdict with
-  | E.Outcome.Unknown _ -> ()
-  | _ -> Alcotest.fail "expected Unknown under a zero deadline");
-  Util.check "every applicable stage skipped" true
-    (o.E.Outcome.trace <> []
-    && List.for_all
-         (fun (s : E.Outcome.stage_trace) ->
-           s.E.Outcome.status = E.Outcome.Skipped)
-         o.E.Outcome.trace)
-
 let test_budget_validation () =
   Util.check "negative steps rejected" true
     (try
-       ignore (E.Budget.make ~max_steps:(-1) ());
-       false
-     with Invalid_argument _ -> true);
-  Util.check "negative seconds rejected" true
-    (try
-       ignore (E.Budget.make ~max_seconds:(-1.) ());
+       ignore (E.Budget.of_steps (-1));
        false
      with Invalid_argument _ -> true)
 
@@ -261,7 +240,7 @@ let test_lru_find_refreshes_recency () =
 let test_lru_sharded_semantics () =
   (* Capacity is far above the key count: hashing is not perfectly
      uniform, so per-shard headroom must absorb the skew. *)
-  let c = E.Lru_sharded.create ~shards:4 ~capacity:512 () in
+  let c = E.Lru_sharded.create ~capacity:512 () in
   Util.check_int "empty" 0 (E.Lru_sharded.length c);
   Util.check "shards is a power of two" true
     (let n = E.Lru_sharded.num_shards c in
@@ -292,7 +271,7 @@ let test_lru_sharded_semantics () =
     (E.Lru_sharded.length c <= cap);
   Util.check "evictions counted" true (E.Lru_sharded.evictions c > 0);
   Util.check "tiny cache rejects nothing but stays valid" true
-    (let tiny = E.Lru_sharded.create ~shards:16 ~capacity:2 () in
+    (let tiny = E.Lru_sharded.create ~capacity:2 () in
      E.Lru_sharded.num_shards tiny <= 2);
   Util.check "rejects capacity 0" true
     (try
@@ -392,8 +371,8 @@ let test_batch_fingerprints_once () =
   let calls = Atomic.make 0 in
   let counting () =
     let checker =
-      E.Checker.make ~name:"constant" ~procedure:(E.Checker.Custom "constant")
-        ~cost:E.Checker.Constant
+      E.Checker.make ~name:"constant" ~procedure:E.Checker.Trivial
+        ~cost:E.Checker.Polynomial
         ~applicable:(fun _ -> true)
         ~run:(fun _ _ -> E.Checker.Safe "constant says safe")
     in
@@ -500,18 +479,16 @@ let stage_status (ex : E.Explain.t) name =
   | Some s -> s.E.Explain.status
   | None -> Alcotest.failf "explain carries no stage %S" name
 
-(* The shape every explain record keeps: each status from the six-label
+(* The shape every explain record keeps: each status from the five-label
    set, a stage inapplicable exactly when its checker is not applicable,
    one decided stage behind a decided verdict that was not a cache hit,
    and the fingerprint as a 32-character hex digest. *)
 let check_explain_shape (ex : E.Explain.t) =
-  let labels =
-    [ "decided"; "passed"; "error"; "skipped"; "inapplicable"; "not-reached" ]
-  in
+  let labels = [ "decided"; "passed"; "error"; "inapplicable"; "not-reached" ] in
   List.iter
     (fun (s : E.Explain.stage) ->
       if not (List.mem s.E.Explain.status labels) then
-        Alcotest.failf "stage %s: status %S is not one of the six labels"
+        Alcotest.failf "stage %s: status %S is not one of the five labels"
           s.E.Explain.checker s.E.Explain.status;
       Util.check
         (Printf.sprintf "stage %s: inapplicable iff not applicable"
@@ -607,9 +584,8 @@ let test_explain_annotated_metrics () =
   (* A custom checker wrapping its result in [Annotated] must surface
      its attributes as the stage's [metrics]. *)
   let checker =
-    E.Checker.make ~name:"annotated"
-      ~procedure:(E.Checker.Custom "annotated")
-      ~cost:E.Checker.Constant
+    E.Checker.make ~name:"annotated" ~procedure:E.Checker.Trivial
+      ~cost:E.Checker.Polynomial
       ~applicable:(fun _ -> true)
       ~run:(fun _ _ ->
         E.Checker.Annotated
@@ -650,7 +626,6 @@ let () =
       ( "budget",
         [
           Alcotest.test_case "step exhaustion" `Quick test_budget_exhaustion;
-          Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
           Alcotest.test_case "validation" `Quick test_budget_validation;
         ] );
       ( "cache",

@@ -706,17 +706,6 @@ let test_stats_zero_decisions () =
   check bool "pp mentions the empty stage table" true
     (contains out "(no stage activity)")
 
-let test_stats_skip_only_stage () =
-  let s = E.Stats.create () in
-  E.Stats.record_stage s ~name:"exhaustive" (E.Outcome.Skipped, false) 0.;
-  match E.Stats.stages s with
-  | [ st ] ->
-      check int "skip is not an attempt" 0 st.E.Stats.attempts;
-      check int "skip recorded" 1 st.E.Stats.skipped;
-      check (Alcotest.float 0.) "mean_seconds is 0, not NaN" 0.
-        (E.Stats.mean_seconds st)
-  | l -> Alcotest.failf "expected 1 stage, got %d" (List.length l)
-
 let test_stats_counters_roundtrip () =
   let s = E.Stats.create () in
   E.Stats.record_stage s ~name:"theorem1" (E.Outcome.Decided, false) 0.5;
@@ -1032,7 +1021,6 @@ let () =
       ( "engine stats",
         [
           Alcotest.test_case "zero decisions" `Quick test_stats_zero_decisions;
-          Alcotest.test_case "skip-only stage" `Quick test_stats_skip_only_stage;
           Alcotest.test_case "counters roundtrip" `Quick
             test_stats_counters_roundtrip;
           Alcotest.test_case "reset" `Quick test_stats_reset;

@@ -44,7 +44,7 @@ let test_run_completes_and_legal () =
           Util.check "history legal" true
             (Distlock_sched.Legality.is_legal sys o.Esim.history);
           Util.check_int "commits" 2 o.Esim.stats.Esim.commits)
-    [ Engine.Round_robin; Engine.Random 1; Engine.Random 2 ]
+    [ Engine.Random 1; Engine.Random 2 ]
 
 let test_unsafe_system_violates () =
   let sys = unsafe_pair () in
