@@ -1020,9 +1020,16 @@ let e18 () =
     List.init 400 (fun _ -> pool.(Random.State.int rng (Array.length pool)))
   in
   let n = List.length queries in
+  (* One batch takes a few milliseconds, about one scheduler quantum, so
+     a single burst of host contention could carry a median. Each timed
+     run repeats it, a fresh engine each time, and spans tens of
+     milliseconds. *)
+  let batches = 5 in
   let run_once () =
-    let eng = Decision.create () in
-    ignore (Decision.decide_batch eng queries)
+    for _ = 1 to batches do
+      let eng = Decision.create () in
+      ignore (Decision.decide_batch eng queries)
+    done
   in
   let null = open_out Filename.null in
   let recorder = Recorder.sink (Recorder.create ()) in
@@ -1042,13 +1049,14 @@ let e18 () =
         Distlock_obs.Trace_export.write r null);
     |]
   in
-  (* Median of 9 timed runs per configuration after one warm-up each
-     (the effect measured here is small). The configurations take
-     turns, each round starting one later, and every timed run starts
-     from a fully collected heap: load that comes and goes on a shared
-     host lands on all three alike, and no run pays for the garbage the
-     one before it left. *)
-  let reps = 9 and k = Array.length configs in
+  (* Median of 27 timed runs per configuration after one warm-up each
+     (the effect measured here is small, and with 9 runs host noise
+     carried the median ratio past the bar in about one run in six).
+     The configurations take turns, each round starting one later, and
+     every timed run starts from a fully collected heap: load that comes
+     and goes on a shared host lands on all three alike, and no run pays
+     for the garbage the one before it left. *)
+  let reps = 27 and k = Array.length configs in
   Array.iter (fun run -> run ()) configs;
   let samples = Array.make k [] in
   for round = 0 to reps - 1 do
@@ -1062,9 +1070,10 @@ let e18 () =
   close_out null;
   let median i = List.nth (List.sort compare samples.(i)) (reps / 2) in
   let t_noop = median 0 and t_recorder = median 1 and t_full = median 2 in
-  let per_decision t = t /. float_of_int n *. 1e6 in
+  let per_decision t = t /. float_of_int (n * batches) *. 1e6 in
   let ratio t = t /. Float.max 1e-9 t_noop in
-  pf "batch of %d decisions (median of 9):\n" n;
+  pf "%d batches of %d decisions per timed run (median of %d):\n" batches n
+    reps;
   pf "no-op sink:      %8.2f ms  (%6.2f us/decision)\n" (ms t_noop)
     (per_decision t_noop);
   pf "recorder only:   %8.2f ms  (%6.2f us/decision)  overhead: %.3fx\n"
@@ -1072,6 +1081,7 @@ let e18 () =
   pf "full export:     %8.2f ms  (%6.2f us/decision)  overhead: %.3fx\n"
     (ms t_full) (per_decision t_full) (ratio t_full);
   param_i "queries" n;
+  param_i "batches_per_run" batches;
   param_s "full_stack" "keep-all recorder + jsonl(null) + chrome(null)";
   metric_f "noop_seconds" t_noop;
   metric_f "recorder_seconds" t_recorder;

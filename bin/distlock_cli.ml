@@ -47,14 +47,20 @@ let load_pair cmd path =
   end;
   sys
 
-(* `--budget` is a step count; a negative one is refused as `--jobs 0`
-   is. *)
+(* A flag value out of range ends the run before any work, as a file
+   that cannot be read does: one line naming the flag, exit 2. *)
+let require flag bound ok v =
+  if not (ok v) then begin
+    Printf.eprintf "distlock: %s must be %s\n" flag bound;
+    exit 2
+  end
+
+(* `--budget` is a step count. *)
 let steps_budget = function
   | None -> E.Budget.unlimited
-  | Some n when n < 0 ->
-      Printf.eprintf "distlock: --budget must be >= 0\n";
-      exit 2
-  | Some n -> E.Budget.of_steps n
+  | Some n ->
+      require "--budget" ">= 0" (fun n -> n >= 0) n;
+      E.Budget.of_steps n
 
 (* The labelled registries `--metrics`, `--metrics-port` and the flight
    recorder export: the global one, then each registered engine's or
@@ -415,6 +421,7 @@ let explain_flag =
 
 let check_cmd =
   let run () file oracle budget explain stats json =
+    let budget = steps_budget budget in
     let sys = load_system file in
     (match System.validate sys with
     | [] -> ()
@@ -428,7 +435,7 @@ let check_cmd =
     | Some which -> exit (run_oracle sys which)
     | None ->
         let eng = Lazy.force engine in
-        let o = Decision.decide ~budget:(steps_budget budget) eng sys in
+        let o = Decision.decide ~budget eng sys in
         let ex = if explain then Some (Decision.explain eng sys o) else None in
         if json then begin
           let j = json_of_outcome ~file ?explain:ex sys o in
@@ -480,22 +487,19 @@ let check_cmd =
 
 let batch_cmd =
   let run () files repeat no_cache budget jobs explain stats json =
-    if jobs < 1 then begin
-      Printf.eprintf "distlock: --jobs must be >= 1\n";
-      exit 2
-    end;
+    require "--jobs" ">= 1" (fun n -> n >= 1) jobs;
+    let budget = steps_budget budget in
     let named = List.map (fun f -> (f, load_system f)) files in
     let named = List.concat (List.init (max 1 repeat) (fun _ -> named)) in
-    let budget = steps_budget budget in
     let eng =
       register_engine
         (Decision.create
            ~cache_capacity:(if no_cache then 0 else 1024)
            ~pair_cache_capacity:(if no_cache then 0 else 4096)
-           ~budget ())
+           ())
     in
     let outcomes, report =
-      Decision.decide_batch ~jobs eng (List.map snd named)
+      Decision.decide_batch ~budget ~jobs eng (List.map snd named)
     in
     let explain_of sys o =
       if explain then Some (Decision.explain eng sys o) else None
@@ -593,7 +597,7 @@ let mutate_cmd =
     | [] -> assert false (* non_empty *)
     | base_file :: edit_files ->
         let base = load_system base_file in
-        let session = Incremental.of_system ~budget base in
+        let session = Incremental.of_system base in
         register_stats "session" (Incremental.stats session);
         let db_sig sys =
           let db = System.db sys in
@@ -610,9 +614,7 @@ let mutate_cmd =
         (* From-scratch comparator for --verify: no verdict cache, no
            pair store, so agreement is with a genuinely fresh decision. *)
         let scratch =
-          lazy
-            (Decision.create ~cache_capacity:0 ~pair_cache_capacity:0
-               ~budget ())
+          lazy (Decision.create ~cache_capacity:0 ~pair_cache_capacity:0 ())
         in
         let code = ref 0 in
         let steps = ref [] in
@@ -622,7 +624,7 @@ let mutate_cmd =
           | Incremental.Unknown _ -> "unknown"
         in
         let step file ~added ~removed ~replaced =
-          let o = Incremental.decide_delta session in
+          let o = Incremental.decide_delta ~budget session in
           (code :=
              max !code
                (match o.Incremental.verdict with
@@ -631,7 +633,7 @@ let mutate_cmd =
                | Incremental.Unknown _ -> 3));
           if verify && Incremental.num_txns session > 0 then begin
             let sys = Incremental.system session in
-            let fresh = Decision.decide (Lazy.force scratch) sys in
+            let fresh = Decision.decide ~budget (Lazy.force scratch) sys in
             let fresh_label =
               match fresh.E.Outcome.verdict with
               | E.Outcome.Safe -> "safe"
@@ -980,11 +982,12 @@ let plane_cmd =
 let simulate_cmd =
   let run () file seeds backend lease_ttl crash_rate down_time latency sites
       trace_file =
-    (match sites with
-    | Some n when n < 1 ->
-        Printf.eprintf "distlock: --sites must be >= 1\n";
-        exit 2
-    | _ -> ());
+    let non_negative n = n >= 0 in
+    require "--seeds" ">= 0" non_negative seeds;
+    Option.iter (require "--lease-ttl" ">= 0" non_negative) lease_ttl;
+    require "--crash-rate" "in [0, 1]" (fun p -> p >= 0. && p <= 1.) crash_rate;
+    require "--down-time" ">= 0" non_negative down_time;
+    Option.iter (require "--sites" ">= 1" (fun n -> n >= 1)) sites;
     let trace_oc = Option.map create_file trace_file in
     let sys = load_system file in
     let sys =

@@ -16,7 +16,7 @@ let is_pair sys = System.num_txns sys = 2
 
 let trivial =
   E.Checker.make ~name:"trivial" ~procedure:E.Checker.Trivial
-    ~cost:E.Checker.Polynomial ~applicable:is_pair
+    ~applicable:is_pair
     ~run:(fun _ sys ->
       if Dgraph.num_vertices (Dgraph.build_pair sys) < 2 then
         E.Checker.Safe "fewer than two commonly locked entities"
@@ -24,7 +24,7 @@ let trivial =
 
 let theorem1 =
   E.Checker.make ~name:"theorem1" ~procedure:E.Checker.Theorem_1
-    ~cost:E.Checker.Polynomial ~applicable:is_pair
+    ~applicable:is_pair
     ~run:(fun _ sys ->
       if Dgraph.is_strongly_connected (Dgraph.build_pair sys) then
         E.Checker.Safe "Theorem 1: D(T1,T2) strongly connected"
@@ -32,7 +32,6 @@ let theorem1 =
 
 let twosite =
   E.Checker.make ~name:"two-site" ~procedure:E.Checker.Theorem_2
-    ~cost:E.Checker.Polynomial
     ~applicable:(fun sys ->
       is_pair sys && List.length (System.sites_used sys) <= 2)
     ~run:(fun _ sys ->
@@ -46,7 +45,6 @@ let twosite =
 
 let proposition1 =
   E.Checker.make ~name:"geometric" ~procedure:E.Checker.Proposition_1
-    ~cost:E.Checker.Polynomial
     ~applicable:(fun sys ->
       is_pair sys
       &&
@@ -65,7 +63,7 @@ let proposition1 =
 
 let corollary2 =
   E.Checker.make ~name:"closure" ~procedure:E.Checker.Corollary_2
-    ~cost:E.Checker.Exponential ~applicable:is_pair
+    ~applicable:is_pair
     ~run:(fun _ sys ->
       match Closure.first_unsafe_dominator sys with
       | Some (dominator, closed) -> (
@@ -83,8 +81,8 @@ let corollary2 =
 (* Runs the oracle directly (not through [Brute.safe_by_states]) so the
    collapse statistics survive: they ride out on an [Annotated] wrapper
    and surface in [check --explain] and the stage span. *)
-let state_graph_result ~counterexample meter sys =
-  let limit = E.Budget.step_allowance meter ~default:2_000_000 in
+let state_graph_result ~counterexample budget sys =
+  let limit = E.Budget.step_allowance budget ~default:2_000_000 in
   let outcome, stats = Distlock_sched.Stategraph.decide ~limit sys in
   let annotate exhausted result =
     E.Checker.Annotated
@@ -115,14 +113,14 @@ let state_graph_result ~counterexample meter sys =
 
 let state_graph =
   E.Checker.make ~name:"state-graph" ~procedure:E.Checker.State_graph
-    ~cost:E.Checker.Exponential ~applicable:is_pair
+    ~applicable:is_pair
     ~run:(state_graph_result ~counterexample:(fun h -> Counterexample h))
 
 let lemma1 =
   E.Checker.make ~name:"exhaustive" ~procedure:E.Checker.Lemma_1
-    ~cost:E.Checker.Exponential ~applicable:is_pair
-    ~run:(fun meter sys ->
-      let limit = E.Budget.step_allowance meter ~default:2_000_000 in
+    ~applicable:is_pair
+    ~run:(fun budget sys ->
+      let limit = E.Budget.step_allowance budget ~default:2_000_000 in
       match Brute.safe_by_extensions ~limit sys with
       | Brute.Safe ->
           E.Checker.Safe "Lemma 1: exhaustive check of all extension pairs"

@@ -4,8 +4,9 @@ open Distlock_sched
 (** The paper's decision procedures as first-class engine checkers.
 
     Each stage follows the common [Distlock_engine.Checker] signature:
-    an applicability predicate, a cost class, and a budgeted run function
-    returning a structured result with provenance.
+    an applicability predicate and a budgeted run function returning a
+    structured result with provenance; the cost class follows from the
+    procedure.
 
     Stage order in {!pair_checkers} (cheapest and strongest first):
 
@@ -61,11 +62,11 @@ val decide :
 
 val state_graph_result :
   counterexample:(Schedule.t -> 'ev) ->
-  Distlock_engine.Budget.meter ->
+  Distlock_engine.Budget.t ->
   System.t ->
   'ev Distlock_engine.Checker.stage_result
 (** Shared run function of the state-graph oracle stages (the pair stage
     here and the multi-transaction fallback in [Decision]): runs
-    {!Distlock_sched.Stategraph.decide} under the meter's step allowance
+    {!Distlock_sched.Stategraph.decide} under the budget's step allowance
     and wraps the verdict in an [Annotated] carrying the collapse
     statistics ([states], [dup_hits], [exhausted]). *)

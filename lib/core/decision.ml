@@ -13,14 +13,13 @@ type evidence =
    does not share. Each transaction is digested at most once per
    decision, on its first pair lookup, however many pairs it is in. An
    undecided pair is a stage [Error]. Cycle
-   enumeration runs under the meter's step allowance and maps
+   enumeration runs under the budget's step allowance and maps
    exhaustion to an inconclusive [Pass] — never a hang, and the
    state-graph fallback still gets its chance. *)
 let proposition2 ?pair_cache stats =
   E.Checker.make ~name:"multisite" ~procedure:E.Checker.Proposition_2
-    ~cost:E.Checker.Exponential
     ~applicable:(fun sys -> System.num_txns sys <> 2)
-    ~run:(fun meter sys ->
+    ~run:(fun budget sys ->
       (* Per-decision pair-cache traffic: the shared [stats] counters
          are cumulative across the engine's whole lifetime, the tally
          meters this one decision, so [check --explain] reports the
@@ -37,7 +36,7 @@ let proposition2 ?pair_cache stats =
                (fun cache ->
                  (cache, stats, System.pair_fingerprint_with ~fp sys))
                pair_cache)
-          ~budget:(E.Budget.budget meter) tally (lazy sys)
+          ~budget tally (lazy sys)
       in
       let annotate result =
         let Multisite.{ pairs_total; pair_hits; pairs_redecided; _ } = tally in
@@ -51,7 +50,7 @@ let proposition2 ?pair_cache stats =
               ],
               result )
       in
-      let cycle_limit = E.Budget.step_allowance meter ~default:2_000_000 in
+      let cycle_limit = E.Budget.step_allowance budget ~default:2_000_000 in
       match
         Multisite.decide_with ~pair_safe ~cycle_limit tally (lazy sys)
           (Multisite.conflict_graph sys)
@@ -75,7 +74,6 @@ let proposition2 ?pair_cache stats =
    verdict when the state graph fits the step allowance. *)
 let state_graph_multi =
   E.Checker.make ~name:"multi-state-graph" ~procedure:E.Checker.State_graph
-    ~cost:E.Checker.Exponential
     ~applicable:(fun sys -> System.num_txns sys <> 2)
     ~run:
       (Checkers.state_graph_result ~counterexample:(fun h ->
@@ -83,7 +81,7 @@ let state_graph_multi =
 
 type t = (System.t, evidence) E.Engine.t
 
-let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) ?budget () =
+let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) () =
   let stats = E.Stats.create () in
   let pair_cache =
     if pair_cache_capacity <= 0 then None
@@ -95,8 +93,8 @@ let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) ?budget () =
       Checkers.pair_checkers
     @ [ proposition2 ?pair_cache stats; state_graph_multi ]
   in
-  E.Engine.create ~cache_capacity ?budget ~stats
-    ~fingerprint:System.fingerprint checkers
+  E.Engine.create ~cache_capacity ~stats ~fingerprint:System.fingerprint
+    checkers
 
 let decide ?budget t sys = E.Engine.decide ?budget t sys
 

@@ -23,21 +23,15 @@ type evidence =
 
 type t = (System.t, evidence) Distlock_engine.Engine.t
 
-val create :
-  ?cache_capacity:int ->
-  ?pair_cache_capacity:int ->
-  ?budget:Distlock_engine.Budget.t ->
-  unit ->
-  t
+val create : ?cache_capacity:int -> ?pair_cache_capacity:int -> unit -> t
 (** A fresh engine keyed by {!System.fingerprint}. [cache_capacity]
     (default [1024]) bounds the LRU verdict cache; [0] disables caching
     entirely. [pair_cache_capacity] (default [4096]) bounds the
     pair-fingerprint verdict store consulted by the Proposition 2 stage
     ({!Multisite.pair_safe}); [0] disables it, making every pair verdict
-    a fresh pipeline run. [budget] (default unlimited) applies to every
-    decision unless overridden per call. Decided verdicts are cached;
-    [Unknown] outcomes never are, since they depend on the budget in
-    force. *)
+    a fresh pipeline run. Decided verdicts are cached; [Unknown]
+    outcomes never are, since they depend on the budget the call
+    passed. *)
 
 val decide :
   ?budget:Distlock_engine.Budget.t ->

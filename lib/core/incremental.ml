@@ -32,7 +32,6 @@ type t = {
          either endpoint mutates, so holds only live conflicting pairs *)
   memo : Multisite.memo; (* per-SCC cycle lists, per-cycle B_c verdicts *)
   stats : E.Stats.t;
-  default_budget : E.Budget.t;
   mutable snapshot : System.t option;
 }
 
@@ -78,7 +77,7 @@ let unregister t name =
   drop_pair_keys t name;
   G.Dyngraph.remove_vertex t.conflicts name
 
-let create ?(budget = E.Budget.unlimited) db txns =
+let create db txns =
   let t =
     {
       db;
@@ -90,7 +89,6 @@ let create ?(budget = E.Budget.unlimited) db txns =
       pair_keys = Hashtbl.create 64;
       memo = Multisite.memo ();
       stats = E.Stats.create ();
-      default_budget = budget;
       snapshot = None;
     }
   in
@@ -101,8 +99,7 @@ let create ?(budget = E.Budget.unlimited) db txns =
     txns;
   t
 
-let of_system ?budget sys =
-  create ?budget (System.db sys) (Array.to_list (System.txns sys))
+let of_system sys = create (System.db sys) (Array.to_list (System.txns sys))
 
 let system t =
   match t.snapshot with
@@ -140,9 +137,8 @@ let replace_txn t name txn =
   t.txns <- List.map (fun x -> if Txn.name x = name then txn else x) t.txns;
   t.snapshot <- None
 
-let decide_delta ?budget t =
-  let budget = Option.value budget ~default:t.default_budget in
-  let meter = E.Budget.start budget in
+let decide_delta ?(budget = E.Budget.unlimited) t =
+  let started = Obs.mono_s () in
   let tally = Multisite.tally () in
   let sp = Obs.start_span "session.decide_delta" in
   let verdict =
@@ -175,14 +171,14 @@ let decide_delta ?budget t =
         in
         let pair_safe =
           Multisite.pair_safe ~store:(t.pair_cache, t.stats, pair_key)
-            ~run_stats:t.stats ~budget:(E.Budget.budget meter) tally sys
+            ~run_stats:t.stats ~budget tally sys
         in
         let idx = Hashtbl.create n in
         Array.iteri (fun i nm -> Hashtbl.replace idx nm i) names;
         let g =
           G.Dyngraph.to_digraph t.conflicts ~index_of:(Hashtbl.find idx) ~n
         in
-        let cycle_limit = E.Budget.step_allowance meter ~default:2_000_000 in
+        let cycle_limit = E.Budget.step_allowance budget ~default:2_000_000 in
         match
           Multisite.decide_with ~pair_safe ~memo:(t.memo, fp_of) ~cycle_limit
             tally sys g
@@ -192,7 +188,7 @@ let decide_delta ?budget t =
         | Multisite.Exhausted e -> Unknown (Multisite.describe_exhaustion e)
         | exception Multisite.Undecided msg -> Unknown msg)
   in
-  let seconds = E.Budget.elapsed meter in
+  let seconds = Obs.mono_s () -. started in
   let cycles_reused =
     tally.Multisite.cycles_total - tally.Multisite.cycles_rejudged
   in

@@ -26,13 +26,12 @@ open Distlock_txn
 
 type t
 
-val create : ?budget:Distlock_engine.Budget.t -> Database.t -> Txn.t list -> t
+val create : Database.t -> Txn.t list -> t
 (** An empty-or-seeded session over one database. Its pair-verdict
-    store holds 4096 entries; [budget] (default unlimited) applies to
-    every {!decide_delta} that does not pass its own. Raises
-    [Invalid_argument] on duplicate transaction names. *)
+    store holds 4096 entries. Raises [Invalid_argument] on duplicate
+    transaction names. *)
 
-val of_system : ?budget:Distlock_engine.Budget.t -> System.t -> t
+val of_system : System.t -> t
 
 val system : t -> System.t
 (** The current snapshot (cached between edits). Raises
@@ -87,11 +86,13 @@ type outcome = {
 }
 
 val decide_delta : ?budget:Distlock_engine.Budget.t -> t -> outcome
-(** Decide the current system, reusing every pair verdict, cycle list,
-    and B_c verdict whose inputs are untouched since the last call. A
-    decided verdict equals Proposition 2's on {!system}; an empty or
-    single-transaction session is trivially safe. Where Proposition 2
-    is inconclusive (an undecided pair, cycle-enumeration exhaustion)
-    the session answers [Unknown], while {!Decision.decide} goes on to
-    its state-graph fallback. An unsafe pair short-circuits: later pairs
-    are neither examined nor counted. *)
+(** Decide the current system under [budget] (default unlimited),
+    reusing every pair verdict, cycle list, and B_c verdict whose inputs
+    are untouched since the last call. A decided verdict equals
+    Proposition 2's on {!system}; an empty or single-transaction session
+    is trivially safe. Where Proposition 2 is inconclusive (an undecided
+    pair, cycle-enumeration exhaustion) the session answers [Unknown],
+    while {!Decision.decide} goes on to its state-graph fallback. An
+    unsafe pair short-circuits: later pairs are neither examined nor
+    counted. [seconds] is the call's monotonic wall time
+    ({!Distlock_obs.Obs.mono_s}). *)

@@ -18,11 +18,9 @@ let procedure_label = function
   | State_graph -> "States"
   | Proposition_2 -> "Prop 2"
 
-type cost = Polynomial | Exponential
-
 let cost_label = function
-  | Polynomial -> "poly"
-  | Exponential -> "exp"
+  | Trivial | Theorem_1 | Theorem_2 | Proposition_1 -> "poly"
+  | Corollary_2 | Lemma_1 | State_graph | Proposition_2 -> "exp"
 
 type 'ev stage_result =
   | Safe of string
@@ -34,13 +32,11 @@ type 'ev stage_result =
 type ('sys, 'ev) t = {
   name : string;
   procedure : procedure;
-  cost : cost;
   applicable : 'sys -> bool;
-  run : Budget.meter -> 'sys -> 'ev stage_result;
+  run : Budget.t -> 'sys -> 'ev stage_result;
 }
 
-let make ~name ~procedure ~cost ~applicable ~run =
-  { name; procedure; cost; applicable; run }
+let make ~name ~procedure ~applicable ~run = { name; procedure; applicable; run }
 
 let rec map_result f = function
   | Safe d -> Safe d
@@ -50,7 +46,7 @@ let rec map_result f = function
   | Annotated (a, r) -> Annotated (a, map_result f r)
 
 let map_evidence f c =
-  { c with run = (fun meter sys -> map_result f (c.run meter sys)) }
+  { c with run = (fun budget sys -> map_result f (c.run budget sys)) }
 
 let rec strip = function
   | Annotated (attrs, r) ->

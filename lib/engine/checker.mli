@@ -1,8 +1,8 @@
 (** First-class decision procedures ("checkers").
 
     Each of the paper's deciders becomes a value of type [('sys, 'ev) t]:
-    a named stage with a provenance tag, a cost class, an applicability
-    predicate, and a budgeted [run] function returning a structured
+    a named stage with a provenance tag, an applicability predicate, and
+    a budgeted [run] function returning a structured
     {!stage_result} instead of free-form strings or silently-swallowed
     exceptions. The {!Engine} runs a list of checkers as a staged
     pipeline, cheapest and strongest first.
@@ -28,11 +28,12 @@ type procedure =
 val procedure_label : procedure -> string
 (** Short paper-style label: ["Thm 1"], ["Prop 1"], ["Cor 2"], … *)
 
-(** Asymptotic cost class: a label carried into spans and explain
-    records. The engine runs stages in list order whatever their cost. *)
-type cost = Polynomial | Exponential
-
-val cost_label : cost -> string
+val cost_label : procedure -> string
+(** The procedure's asymptotic cost class, carried into spans and
+    explain records: ["poly"] for the trivial test, Theorems 1 and 2
+    and Proposition 1; ["exp"] for Corollary 2, Lemma 1, the state graph
+    and Proposition 2. The engine runs stages in list order whatever
+    their cost. *)
 
 (** What one stage concluded about one subject. *)
 type 'ev stage_result =
@@ -52,17 +53,15 @@ type 'ev stage_result =
 type ('sys, 'ev) t = {
   name : string;
   procedure : procedure;
-  cost : cost;
   applicable : 'sys -> bool;
-  run : Budget.meter -> 'sys -> 'ev stage_result;
+  run : Budget.t -> 'sys -> 'ev stage_result;
 }
 
 val make :
   name:string ->
   procedure:procedure ->
-  cost:cost ->
   applicable:('sys -> bool) ->
-  run:(Budget.meter -> 'sys -> 'ev stage_result) ->
+  run:(Budget.t -> 'sys -> 'ev stage_result) ->
   ('sys, 'ev) t
 
 val map_evidence : ('a -> 'b) -> ('sys, 'a) t -> ('sys, 'b) t

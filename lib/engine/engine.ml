@@ -14,11 +14,9 @@ type ('sys, 'ev) t = {
   fingerprint : 'sys -> string;
   cache : 'ev Outcome.t Lru_sharded.t option;
   stats : Stats.t;
-  default_budget : Budget.t;
 }
 
-let create ?(cache_capacity = 1024) ?(budget = Budget.unlimited) ?stats
-    ~fingerprint checkers =
+let create ?(cache_capacity = 1024) ?stats ~fingerprint checkers =
   if checkers = [] then invalid_arg "Engine.create: no checkers";
   {
     checkers;
@@ -27,7 +25,6 @@ let create ?(cache_capacity = 1024) ?(budget = Budget.unlimited) ?stats
       (if cache_capacity <= 0 then None
        else Some (Lru_sharded.create ~capacity:cache_capacity ()));
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    default_budget = budget;
   }
 
 let checkers t = t.checkers
@@ -38,12 +35,12 @@ let stats t = t.stats
    A stage Error is recorded and the pipeline continues — the final
    Unknown carries every error so nothing is silently masked.
 
-   Reentrancy: this function closes over nothing mutable. Every ref it
-   allocates ([meter], [trace]) is private to the call, so concurrent
-   [run]s of the same checker list from different domains never
-   interact (the optional [stats] sink is domain-safe by itself). *)
+   Reentrancy: this function closes over nothing mutable. The ref it
+   allocates ([trace]) is private to the call, so concurrent [run]s of
+   the same checker list from different domains never interact (the
+   optional [stats] sink is domain-safe by itself). *)
 let run ?stats ?(budget = Budget.unlimited) checkers sys =
-  let meter = Budget.start budget in
+  let started = Obs.mono_s () in
   let trace = ref [] in
   (* Span attributes shared by every pipeline stage. [cache_hit] is
      always false here: a cache hit never reaches [run] (the decide span
@@ -52,7 +49,7 @@ let run ?stats ?(budget = Budget.unlimited) checkers sys =
     [
       A.str "checker" c.Checker.name;
       A.str "procedure" (Checker.procedure_label c.Checker.procedure);
-      A.str "cost" (Checker.cost_label c.Checker.cost);
+      A.str "cost" (Checker.cost_label c.Checker.procedure);
       A.bool "cache_hit" false;
     ]
   in
@@ -82,7 +79,7 @@ let run ?stats ?(budget = Budget.unlimited) checkers sys =
       procedure;
       detail;
       trace = List.rev !trace;
-      seconds = Budget.elapsed meter;
+      seconds = Obs.mono_s () -. started;
       cached = false;
     }
   in
@@ -112,7 +109,7 @@ let run ?stats ?(budget = Budget.unlimited) checkers sys =
           let t0 = Obs.mono_s () in
           let c0 = Obs.cpu_s () in
           let result =
-            try c.Checker.run meter sys with
+            try c.Checker.run budget sys with
             | Failure msg -> Checker.Error msg
             | Invalid_argument msg -> Checker.Error ("invalid argument: " ^ msg)
           in
@@ -177,7 +174,6 @@ let verdict_label (o : _ Outcome.t) =
    that already holds it ([decide_batch], [decide_explained]) does not
    digest the system again. *)
 let decide_keyed ?budget t fp sys =
-  let budget = Option.value budget ~default:t.default_budget in
   let sp = Obs.start_span "engine.decide" in
   let finish fp (o : _ Outcome.t) =
     if Obs.enabled () then
@@ -198,7 +194,7 @@ let decide_keyed ?budget t fp sys =
       finish fp { o with Outcome.cached = true }
   | None ->
       if t.cache <> None then Stats.record_cache_miss t.stats;
-      let o = run ~stats:t.stats ~budget t.checkers sys in
+      let o = run ~stats:t.stats ?budget t.checkers sys in
       (match (t.cache, o.Outcome.verdict) with
       | Some _, Outcome.Unknown _ -> () (* budget-dependent: never cached *)
       | Some c, _ -> Lru_sharded.add c fp o

@@ -2,7 +2,7 @@
 
     An engine instance bundles an ordered checker pipeline, a canonical
     fingerprint function, a sharded LRU verdict cache keyed on
-    fingerprints, a default budget, and instrumentation counters. It
+    fingerprints, and instrumentation counters. It
     serves single decisions ({!decide}) and deduplicated batches
     ({!decide_batch}), optionally fanned out over a domain pool
     ([~jobs]).
@@ -22,18 +22,16 @@ type ('sys, 'ev) t
 
 val create :
   ?cache_capacity:int ->
-  ?budget:Budget.t ->
   ?stats:Stats.t ->
   fingerprint:('sys -> string) ->
   ('sys, 'ev) Checker.t list ->
   ('sys, 'ev) t
 (** [cache_capacity] defaults to [1024]; [0] (or negative) disables the
-    verdict cache. [budget] (default {!Budget.unlimited}) applies to
-    every decision that does not pass its own. [stats] (default a fresh
-    instance) lets checkers that record into a stats sink of their own —
-    e.g. a pair-cache-consulting Proposition 2 stage — share one
-    instance with the engine, so batch reports see their counters.
-    Raises [Invalid_argument] on an empty checker list. *)
+    verdict cache. [stats] (default a fresh instance) lets checkers that
+    record into a stats sink of their own — e.g. a pair-cache-consulting
+    Proposition 2 stage — share one instance with the engine, so batch
+    reports see their counters. Raises [Invalid_argument] on an empty
+    checker list. *)
 
 val checkers : ('sys, 'ev) t -> ('sys, 'ev) Checker.t list
 
@@ -46,7 +44,8 @@ val run :
   'sys ->
   'ev Outcome.t
 (** Stateless single run of a pipeline — no engine instance, no cache.
-    Stages run in order; inapplicable stages are ignored, stage errors
+    Stages run in order, each given [budget] (default
+    {!Budget.unlimited}); inapplicable stages are ignored, stage errors
     are recorded and the pipeline continues. If no stage decides, the
     outcome is [Unknown] carrying the aggregated stage errors.
 
@@ -57,9 +56,10 @@ val run :
     ({!Distlock_obs.Obs.cpu_s}). *)
 
 val decide : ?budget:Budget.t -> ('sys, 'ev) t -> 'sys -> 'ev Outcome.t
-(** Fingerprint, consult the cache, run the pipeline on a miss, store
-    decided outcomes. The returned outcome has [cached = true] on a
-    hit. Safe to call concurrently from several domains. *)
+(** Fingerprint, consult the cache, run the pipeline under [budget]
+    (default unlimited) on a miss, store decided outcomes. The returned
+    outcome has [cached = true] on a hit. Safe to call concurrently from
+    several domains. *)
 
 val explain : ('sys, 'ev) t -> 'sys -> 'ev Outcome.t -> Explain.t
 (** Assemble the typed provenance record ({!Explain.t}) for an outcome

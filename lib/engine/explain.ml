@@ -71,7 +71,7 @@ let stages_of ~checkers sys (o : _ Outcome.t) =
           {
             checker = c.Checker.name;
             procedure = Checker.procedure_label c.Checker.procedure;
-            cost = Checker.cost_label c.Checker.cost;
+            cost = Checker.cost_label c.Checker.procedure;
             applicable = status <> "inapplicable";
             status;
             detail = "";
@@ -92,7 +92,7 @@ let stages_of ~checkers sys (o : _ Outcome.t) =
               {
                 checker = c.Checker.name;
                 procedure = Checker.procedure_label c.Checker.procedure;
-                cost = Checker.cost_label c.Checker.cost;
+                cost = Checker.cost_label c.Checker.procedure;
                 applicable = true;
                 status;
                 detail = e.Outcome.detail;

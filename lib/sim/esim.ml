@@ -5,9 +5,9 @@ module A = Distlock_obs.Attr
 module M = Distlock_obs.Metric
 
 (* The layered event-driven simulator: a Clock of timestamped events
-   drives scheduling decisions, lock traffic goes through a pluggable
-   Backend, message costs come from a Latency model, and faults from a
-   Scenario. With the instant backend and no faults, each Decide is one
+   drives scheduling decisions, lock traffic goes through the Backend
+   lock table, message costs come from a Latency model, and faults from
+   a Scenario. With the instant backend and no faults, each Decide is one
    non-idle iteration of the lockstep loop in test/lockstep_sim.ml, and
    the clock jumps over the ticks that loop idles while messages are in
    flight — test/test_esim.ml checks that equivalence bit-for-bit.
@@ -146,7 +146,9 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
   let db = System.db sys in
   let n = System.num_txns sys in
   let backend = Scenario.make_backend scenario db in
-  let queueing = Backend.queues backend in
+  (* An instant worker never queues: a lock held by another is simply
+     not an enabled choice this tick. *)
+  let queueing = scenario.Scenario.backend <> Scenario.Instant in
   let latency = scenario.Scenario.latency in
   let zero_latency = Latency.is_zero latency in
   let faulty = not (Scenario.fault_free scenario) in
@@ -172,7 +174,9 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
           held_since = [];
         })
   in
-  let meters = make_meters (Backend.name backend) in
+  let meters =
+    make_meters (Scenario.backend_to_string scenario.Scenario.backend)
+  in
   (* Fault and latency streams are salted so they cannot collide with
      the policy stream. *)
   let rng = Random.State.make [| seed |] in
@@ -301,8 +305,8 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
   let request_cost inst dst =
     if zero_latency || not queueing then 0
     else
-      match Backend.name backend with
-      | "bakery" ->
+      match scenario.Scenario.backend with
+      | Scenario.Bakery ->
           let sites = Database.num_sites db in
           let round src =
             let m = ref 0 in
@@ -316,7 +320,8 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
             !m
           in
           round inst.loc + round inst.loc
-      | _ -> Latency.sample latency lat_rng ~src:inst.loc ~dst
+      | Scenario.Instant | Scenario.Leased ->
+          Latency.sample latency lat_rng ~src:inst.loc ~dst
   in
   let maybe_crash inst =
     if

@@ -6,9 +6,9 @@ open Distlock_sched
 
     One instance per transaction of a {!System.t} runs under a
     scheduling {!Engine.policy}. The simulator pops timestamped events
-    off a {!Clock}, routes lock traffic through a pluggable {!Backend},
-    charges message costs from a {!Latency} model, and injects worker
-    crashes from a {!Scenario}.
+    off a {!Clock}, routes lock traffic through the {!Backend} lock
+    table, charges message costs from a {!Latency} model, and injects
+    worker crashes from a {!Scenario}.
 
     Each scheduling decision ({e tick}) first drains the backend's
     notices, then gathers every enabled step of every live instance: a

@@ -29,24 +29,32 @@ let default =
 
 let fault_free t = t.crash_rate <= 0.
 
+(* Only the leased backend's locks expire; instant and bakery are the
+   same table without a TTL. *)
 let make_backend t db =
-  match t.backend with
-  | Instant -> Backend.instant db
-  | Leased ->
-      Backend.leased db ~ttl:(Option.value t.lease_ttl ~default:default_ttl)
-  | Bakery -> Backend.bakery db
-
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "instant" -> Ok Instant
-  | "leased" | "lease" -> Ok Leased
-  | "bakery" -> Ok Bakery
-  | s -> Error (Printf.sprintf "unknown backend %S" s)
+  Backend.create db
+    ~ttl:
+      (match t.backend with
+      | Leased -> Some (Option.value t.lease_ttl ~default:default_ttl)
+      | Instant | Bakery -> None)
 
 let backend_to_string = function
   | Instant -> "instant"
   | Leased -> "leased"
   | Bakery -> "bakery"
+
+(* Each name is spelled once, above; "lease" is also accepted. *)
+let backend_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "lease" -> Ok Leased
+  | s -> (
+      match
+        List.find_opt
+          (fun k -> backend_to_string k = s)
+          [ Instant; Leased; Bakery ]
+      with
+      | Some k -> Ok k
+      | None -> Error (Printf.sprintf "unknown backend %S" s))
 
 let to_attrs t =
   let open Distlock_obs in

@@ -6,6 +6,10 @@
 
 open Distlock_txn
 
+(** The one place a backend kind is named. All three are the
+    {!Backend} table: leased with a TTL, instant and bakery without one.
+    Under instant a worker never queues; under bakery a lock request
+    pays two rounds of messages to every other site. *)
 type backend_kind = Instant | Leased | Bakery
 
 type t = {
@@ -34,6 +38,8 @@ val fault_free : t -> bool
     verdicts apply to the runs. *)
 
 val make_backend : t -> Database.t -> Backend.t
+(** An empty lock table over the database, with the TTL ({!default_ttl}
+    unless set) when the backend is [Leased], without one otherwise. *)
 
 val backend_of_string : string -> (backend_kind, string) result
 val backend_to_string : backend_kind -> string

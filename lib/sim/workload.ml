@@ -35,13 +35,14 @@ let make rng ~db ~style ~num_txns ~entities_per_txn =
 (* Shared safety-decision engine for Esim.measure's precheck: a small
    cache pays off because experiments re-measure structurally identical
    systems (same fingerprint) across sweeps. *)
-let precheck_engine =
-  lazy
-    (Distlock_core.Decision.create ~cache_capacity:64
-       ~budget:(Distlock_engine.Budget.of_steps 200_000) ())
+let precheck_engine = lazy (Distlock_core.Decision.create ~cache_capacity:64 ())
 
 let proven_safe sys =
-  let o = Distlock_core.Decision.decide (Lazy.force precheck_engine) sys in
+  let o =
+    Distlock_core.Decision.decide
+      ~budget:(Distlock_engine.Budget.of_steps 200_000)
+      (Lazy.force precheck_engine) sys
+  in
   match o.Distlock_engine.Outcome.verdict with
   | Distlock_engine.Outcome.Safe -> true
   | Distlock_engine.Outcome.Unsafe _ | Distlock_engine.Outcome.Unknown _ ->

@@ -372,7 +372,6 @@ let test_batch_fingerprints_once () =
   let counting () =
     let checker =
       E.Checker.make ~name:"constant" ~procedure:E.Checker.Trivial
-        ~cost:E.Checker.Polynomial
         ~applicable:(fun _ -> true)
         ~run:(fun _ _ -> E.Checker.Safe "constant says safe")
     in
@@ -585,7 +584,6 @@ let test_explain_annotated_metrics () =
      its attributes as the stage's [metrics]. *)
   let checker =
     E.Checker.make ~name:"annotated" ~procedure:E.Checker.Trivial
-      ~cost:E.Checker.Polynomial
       ~applicable:(fun _ -> true)
       ~run:(fun _ _ ->
         E.Checker.Annotated

@@ -58,7 +58,7 @@ let test_clock_past_clamped () =
 
 let test_leased_expiry_and_handoff () =
   let db = mkdb [ ("x", 1); ("y", 1) ] in
-  let b = Backend.leased db ~ttl:2 in
+  let b = Backend.create db ~ttl:(Some 2) in
   let x = Database.id_exn db "x" in
   Util.check "grant on free" true
     (Backend.acquire b ~now:0 ~owner:0 ~ready_at:0 x = Backend.Granted);
@@ -78,7 +78,7 @@ let test_leased_expiry_and_handoff () =
 
 let test_leased_resume_keeps_lease () =
   let db = mkdb [ ("x", 1) ] in
-  let b = Backend.leased db ~ttl:3 in
+  let b = Backend.create db ~ttl:(Some 3) in
   let x = Database.id_exn db "x" in
   ignore (Backend.acquire b ~now:0 ~owner:0 ~ready_at:0 x);
   Backend.crash b ~now:5 ~owner:0;
@@ -88,7 +88,7 @@ let test_leased_resume_keeps_lease () =
 
 let test_bakery_never_expires () =
   let db = mkdb [ ("x", 1) ] in
-  let b = Backend.bakery db in
+  let b = Backend.create db ~ttl:None in
   let x = Database.id_exn db "x" in
   ignore (Backend.acquire b ~now:0 ~owner:0 ~ready_at:0 x);
   ignore (Backend.acquire b ~now:1 ~owner:1 ~ready_at:1 x);
@@ -99,7 +99,7 @@ let test_bakery_never_expires () =
 
 let test_forfeit_drops_held_and_queued () =
   let db = mkdb [ ("x", 1); ("y", 1) ] in
-  let b = Backend.leased db ~ttl:5 in
+  let b = Backend.create db ~ttl:(Some 5) in
   let x = Database.id_exn db "x" and y = Database.id_exn db "y" in
   ignore (Backend.acquire b ~now:0 ~owner:0 ~ready_at:0 x);
   ignore (Backend.acquire b ~now:0 ~owner:1 ~ready_at:0 y);
@@ -111,7 +111,7 @@ let test_forfeit_drops_held_and_queued () =
 
 let test_queued_request_arrival_gated () =
   let db = mkdb [ ("x", 1) ] in
-  let b = Backend.leased db ~ttl:5 in
+  let b = Backend.create db ~ttl:(Some 5) in
   let x = Database.id_exn db "x" in
   (* Free entity, but the request message is still in flight. *)
   Util.check "in-flight request queues" true

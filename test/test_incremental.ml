@@ -292,8 +292,9 @@ let test_exhaustion () =
      Pass — visible in the stage trace — and the pipeline still
      terminates (here Unknown: the state-graph fallback is equally
      starved by a 4-step budget). *)
-  let eng = Decision.create ~budget:(E.Budget.of_steps 4) () in
-  let o = Decision.decide eng sys in
+  let o =
+    Decision.decide ~budget:(E.Budget.of_steps 4) (Decision.create ()) sys
+  in
   (match o.E.Outcome.verdict with
   | E.Outcome.Unknown _ -> ()
   | _ -> Alcotest.fail "expected Unknown under a 4-step budget");
