@@ -816,6 +816,7 @@ let e16 () =
     "dup hits" "t_states" "t_sched" "verdict";
   let all_fewer = ref true in
   let total_states = ref 0 and total_dups = ref 0 in
+  let total_complete = ref 0 and total_deadlocked = ref 0 in
   let speedups = ref [] in
   List.iteri
     (fun i sys ->
@@ -827,6 +828,8 @@ let e16 () =
       in
       total_states := !total_states + st.S.Stategraph.states;
       total_dups := !total_dups + st.S.Stategraph.dup_hits;
+      total_complete := !total_complete + st.S.Stategraph.complete;
+      total_deadlocked := !total_deadlocked + st.S.Stategraph.deadlocked;
       let sched_str, fewer, exact_count =
         match sched with
         | S.Enumerate.Exact m ->
@@ -860,18 +863,30 @@ let e16 () =
   metric_b "states_fewer_on_every_system" !all_fewer;
   metric_i "total_states" !total_states;
   metric_i "total_duplicate_hits" !total_dups;
+  metric_i "total_complete_states" !total_complete;
+  metric_i "total_deadlocked_states" !total_deadlocked;
   metric_i "speedup_subset_systems" (List.length !speedups);
   metric_f "median_decide_speedup" med;
   bar (n >= 40) "corpus too small (%d < 40)" n;
   bar !all_fewer "some system visited at least as many states as schedules";
   (* The seeded corpus's state-graph work: a visited table that lost or
      merged states, or a successor walk in another order, moves these. *)
-  let pinned_states = 11_113 and pinned_dups = 13_183 in
+  let pinned_states = 5_346 and pinned_dups = 1_593 in
   bar
     (!total_states = pinned_states && !total_dups = pinned_dups)
     "state-graph work %d states, %d duplicate hits; the seeded corpus does \
      %d and %d"
     !total_states !total_dups pinned_states pinned_dups;
+  (* The terminal states every search must still reach, whatever it
+     prunes: one complete state per reachable conflict digraph, and
+     every deadlock. *)
+  let pinned_complete = 152 and pinned_deadlocked = 58 in
+  bar
+    (!total_complete = pinned_complete
+    && !total_deadlocked = pinned_deadlocked)
+    "state-graph terminals %d complete, %d deadlocked; the seeded corpus \
+     reaches %d and %d"
+    !total_complete !total_deadlocked pinned_complete pinned_deadlocked;
   bar (!speedups <> []) "empty exhaustive-oracle speedup subset";
   bar (med >= 10.) "median decision speedup %.1fx below the 10x bar" med;
   (* The engine path: the State_graph stage rides the same batch fan-out

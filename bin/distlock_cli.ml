@@ -488,9 +488,10 @@ let check_cmd =
 let batch_cmd =
   let run () files repeat no_cache budget jobs explain stats json =
     require "--jobs" ">= 1" (fun n -> n >= 1) jobs;
+    require "--repeat" ">= 1" (fun n -> n >= 1) repeat;
     let budget = steps_budget budget in
     let named = List.map (fun f -> (f, load_system f)) files in
-    let named = List.concat (List.init (max 1 repeat) (fun _ -> named)) in
+    let named = List.concat (List.init repeat (fun _ -> named)) in
     let eng =
       register_engine
         (Decision.create

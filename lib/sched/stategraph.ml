@@ -109,7 +109,11 @@ let grow_slots t =
   t.bits <- bits
 
 let grow_store t =
-  let extend a = Array.append a (Array.make (Array.length a) 0) in
+  let extend a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
   t.keys <- extend t.keys;
   t.parent <- extend t.parent;
   t.event <- extend t.event
@@ -134,11 +138,14 @@ let insert t words slot ~parent i s =
 (* Mutable search context: the same apply/undo walk as [Enumerate], plus
    the packed key words and the per-(txn, entity) access-span counters
    that drive incremental conflict-edge maintenance. Without [conflicts]
-   the key is the done masks alone and no edge is tracked. *)
+   the key is the done masks alone and no edge is tracked. Entities are
+   numbered 0, 1, ... in the order the system first touches them, so
+   every per-entity array is sized by the system, not the database. *)
 type ctx = {
   n : int;
   total : int;
   steps : Step.t array array;
+  ent : int array array; (* (txn, step) -> its entity's number *)
   succ : int array array array; (* (txn, step) -> its successor steps *)
   indeg : int array array;
   done_ : bool array array;
@@ -147,6 +154,12 @@ type ctx = {
   touch_total : int array array; (* txn i, entity e -> |accesses of e| *)
   touch_done : int array array; (* executed accesses so far *)
   touchers : int array array; (* entity -> transactions accessing it *)
+  (* (txn, step) -> whenever the step is enabled, it is explored alone:
+     an update or unlock of an entity every toucher accesses inside its
+     one lock section, or the lock of such an entity no other
+     transaction touches. *)
+  solo : bool array array;
+  ready_solo : int array; (* txn -> its enabled [solo] steps *)
   words : int array; (* the packed key of the current state *)
   mask_words : int;
   conflicts : bool;
@@ -158,32 +171,102 @@ type ctx = {
   mutable trail_top : int;
 }
 
+(* [guarded.(e)]: every transaction touching entity [e] locks and unlocks
+   it exactly once and orders all its other steps on [e] strictly
+   between the two. Then only the holder can step on [e], and any step of
+   the holder on [e] is enabled exactly while it holds [e]. *)
+let guarded sys steps ent ne =
+  let n = Array.length ent in
+  let lock = Array.make_matrix n ne (-1) and unlock = Array.make_matrix n ne (-1) in
+  let ok = Array.make ne true in
+  let note at i e s =
+    if at.(i).(e) = -1 then at.(i).(e) <- s else ok.(e) <- false
+  in
+  for i = 0 to n - 1 do
+    Array.iteri
+      (fun s e ->
+        match steps.(i).(s).Step.action with
+        | Step.Lock -> note lock i e s
+        | Step.Unlock -> note unlock i e s
+        | Step.Update -> ())
+      ent.(i)
+  done;
+  for i = 0 to n - 1 do
+    let txn = System.txn sys i in
+    Array.iteri
+      (fun s e ->
+        let l = lock.(i).(e) and u = unlock.(i).(e) in
+        if
+          l < 0 || u < 0
+          || (s <> l && not (Txn.precedes txn l s))
+          || (s <> u && not (Txn.precedes txn s u))
+        then ok.(e) <- false)
+      ent.(i)
+  done;
+  ok
+
 let init ~conflicts sys =
   let n = System.num_txns sys in
-  let ne = Database.num_entities (System.db sys) in
   let total = System.total_steps sys in
-  let succ = Enumerate.successors sys in
-  let done_ =
-    Array.init n (fun i -> Array.make (Txn.num_steps (System.txn sys i)) false)
+  let steps = Array.map Txn.steps (System.txns sys) in
+  let number = Hashtbl.create 16 in
+  let ent =
+    Array.map
+      (Array.map (fun step ->
+           let e = step.Step.entity in
+           match Hashtbl.find_opt number e with
+           | Some k -> k
+           | None ->
+               let k = Hashtbl.length number in
+               Hashtbl.add number e k;
+               k))
+      steps
   in
+  let ne = Hashtbl.length number in
+  let succ = Enumerate.successors sys in
+  let indeg = Enumerate.in_degrees succ in
+  let done_ = Array.map (fun st -> Array.make (Array.length st) false) steps in
   let touch_total = Array.make_matrix n ne 0 in
   let touchers = Array.make ne [] in
   let bit_word = Array.make n [||] and bit_mask = Array.make n [||] in
   let bit = ref 0 in
   for i = 0 to n - 1 do
-    let txn = System.txn sys i in
-    let k = Txn.num_steps txn in
+    let k = Array.length steps.(i) in
     bit_word.(i) <- Array.make k 0;
     bit_mask.(i) <- Array.make k 0;
     for s = 0 to k - 1 do
       bit_word.(i).(s) <- !bit / bits_per_word;
       bit_mask.(i).(s) <- 1 lsl (!bit mod bits_per_word);
       incr bit;
-      let e = (Txn.step txn s).Step.entity in
+      let e = ent.(i).(s) in
       if touch_total.(i).(e) = 0 then touchers.(e) <- i :: touchers.(e);
       touch_total.(i).(e) <- touch_total.(i).(e) + 1
     done
   done;
+  let touchers = Array.map Array.of_list touchers in
+  let guarded = guarded sys steps ent ne in
+  let solo =
+    Array.mapi
+      (fun i st ->
+        Array.mapi
+          (fun s step ->
+            let e = ent.(i).(s) in
+            guarded.(e)
+            &&
+            match step.Step.action with
+            | Step.Update | Step.Unlock -> true
+            | Step.Lock -> touchers.(e) = [| i |])
+          st)
+      steps
+  in
+  let ready_solo =
+    Array.mapi
+      (fun i solo_i ->
+        let c = ref 0 in
+        Array.iteri (fun s b -> if b && indeg.(i).(s) = 0 then incr c) solo_i;
+        !c)
+      solo
+  in
   let mask_words = max 1 ((total + bits_per_word - 1) / bits_per_word) in
   let conf_words =
     if conflicts then ((n * n) + bits_per_word - 1) / bits_per_word else 0
@@ -191,15 +274,18 @@ let init ~conflicts sys =
   {
     n;
     total;
-    steps = Array.map Txn.steps (System.txns sys);
+    steps;
+    ent;
     succ;
-    indeg = Enumerate.in_degrees succ;
+    indeg;
     done_;
     holder = Array.make ne (-1);
     executed = 0;
     touch_total;
     touch_done = Array.make_matrix n ne 0;
-    touchers = Array.map Array.of_list touchers;
+    touchers;
+    solo;
+    ready_solo;
     words = Array.make (mask_words + conf_words) 0;
     mask_words;
     conflicts;
@@ -234,9 +320,8 @@ let enabled ctx i s =
   (not ctx.done_.(i).(s))
   && ctx.indeg.(i).(s) = 0
   &&
-  let step = ctx.steps.(i).(s) in
-  match step.Step.action with
-  | Step.Lock -> ctx.holder.(step.Step.entity) < 0
+  match ctx.steps.(i).(s).Step.action with
+  | Step.Lock -> ctx.holder.(ctx.ent.(i).(s)) < 0
   | Step.Unlock | Step.Update -> true
 
 (* Executes step (i,s), pushing the conflict bits it flipped 0->1 on the
@@ -245,19 +330,25 @@ let enabled ctx i s =
    at span starts — when this is [i]'s first access to [e], every
    transaction whose [e]-span already closed conflicts before [i], and
    every still-open span overlaps (both directions) — reproducing
-   [Conflict.graph]'s span rule incrementally. *)
+   [Conflict.graph]'s span rule incrementally. A [solo] step is enabled
+   exactly when it is pending with no pending predecessor, so
+   [ready_solo] changes only at the step itself and its successors. *)
 let apply ctx i s =
-  let step = ctx.steps.(i).(s) in
-  let e = step.Step.entity in
+  let e = ctx.ent.(i).(s) in
   ctx.done_.(i).(s) <- true;
   ctx.executed <- ctx.executed + 1;
   ctx.words.(ctx.bit_word.(i).(s)) <-
     ctx.words.(ctx.bit_word.(i).(s)) lor ctx.bit_mask.(i).(s);
   let indeg = ctx.indeg.(i) and succ = ctx.succ.(i).(s) in
+  let solo = ctx.solo.(i) and ready = ref ctx.ready_solo.(i) in
+  if solo.(s) then decr ready;
   for k = 0 to Array.length succ - 1 do
-    indeg.(succ.(k)) <- indeg.(succ.(k)) - 1
+    let q = succ.(k) in
+    indeg.(q) <- indeg.(q) - 1;
+    if indeg.(q) = 0 && solo.(q) then incr ready
   done;
-  (match step.Step.action with
+  ctx.ready_solo.(i) <- !ready;
+  (match ctx.steps.(i).(s).Step.action with
   | Step.Lock -> ctx.holder.(e) <- i
   | Step.Unlock -> ctx.holder.(e) <- -1
   | Step.Update -> ());
@@ -278,17 +369,21 @@ let apply ctx i s =
 
 (* Reverts [apply ctx i s]; [mark] is the trail height before it. *)
 let undo ctx i s mark =
-  let step = ctx.steps.(i).(s) in
-  let e = step.Step.entity in
+  let e = ctx.ent.(i).(s) in
   ctx.done_.(i).(s) <- false;
   ctx.executed <- ctx.executed - 1;
   ctx.words.(ctx.bit_word.(i).(s)) <-
     ctx.words.(ctx.bit_word.(i).(s)) land lnot ctx.bit_mask.(i).(s);
   let indeg = ctx.indeg.(i) and succ = ctx.succ.(i).(s) in
+  let solo = ctx.solo.(i) and ready = ref ctx.ready_solo.(i) in
+  if solo.(s) then incr ready;
   for k = 0 to Array.length succ - 1 do
-    indeg.(succ.(k)) <- indeg.(succ.(k)) + 1
+    let q = succ.(k) in
+    if indeg.(q) = 0 && solo.(q) then decr ready;
+    indeg.(q) <- indeg.(q) + 1
   done;
-  (match step.Step.action with
+  ctx.ready_solo.(i) <- !ready;
+  (match ctx.steps.(i).(s).Step.action with
   | Step.Lock -> ctx.holder.(e) <- -1
   | Step.Unlock -> ctx.holder.(e) <- i
   | Step.Update -> ());
@@ -358,32 +453,54 @@ let run mode limit sys =
             | Deadlock -> ()
         end
         else begin
-          let any = ref false in
-          for i = 0 to ctx.n - 1 do
-            for s = 0 to Array.length ctx.steps.(i) - 1 do
-              if enabled ctx i s then begin
-                any := true;
-                let mark = ctx.trail_top in
-                apply ctx i s;
-                let found = find visited ctx.words in
-                if found >= 0 then begin
-                  incr dups;
-                  Distlock_obs.Metric.incr mdups
-                end
-                else begin
-                  if visited.count >= limit then raise Limit_hit;
-                  Distlock_obs.Metric.incr mstates;
-                  visit (insert visited ctx.words (-1 - found) ~parent:id i s)
-                end;
-                undo ctx i s mark
-              end
-            done
+          (* Partial-order reduction: the first enabled [solo] step in
+             scan order is a persistent set on its own. No other
+             transaction can touch its entity before it runs, so every
+             step that could run first commutes with it; exploring it
+             alone still reaches every complete and deadlocked state. *)
+          let i = ref 0 in
+          while !i < ctx.n && ctx.ready_solo.(!i) = 0 do
+            incr i
           done;
-          if not !any then begin
-            incr deadlocked;
-            if mode = Deadlock then raise Deadlock_found
+          if !i < ctx.n then begin
+            let i = !i and s = ref 0 in
+            while not (ctx.solo.(i).(!s) && enabled ctx i !s) do
+              incr s
+            done;
+            step id i !s
+          end
+          else begin
+            let any = ref false in
+            for i = 0 to ctx.n - 1 do
+              for s = 0 to Array.length ctx.steps.(i) - 1 do
+                if enabled ctx i s then begin
+                  any := true;
+                  step id i s
+                end
+              done
+            done;
+            if not !any then begin
+              incr deadlocked;
+              if mode = Deadlock then raise Deadlock_found
+            end
           end
         end
+      (* Takes step (i, s) out of state [id], visits the target if it is
+         new, and steps back. *)
+      and step id i s =
+        let mark = ctx.trail_top in
+        apply ctx i s;
+        let found = find visited ctx.words in
+        if found >= 0 then begin
+          incr dups;
+          Distlock_obs.Metric.incr mdups
+        end
+        else begin
+          if visited.count >= limit then raise Limit_hit;
+          Distlock_obs.Metric.incr mstates;
+          visit (insert visited ctx.words (-1 - found) ~parent:id i s)
+        end;
+        undo ctx i s mark
       in
       (* Parent-pointer walk: first-discovery edges form a tree rooted at
          the empty state, so the chain up from a complete state is a

@@ -25,6 +25,17 @@ open Distlock_txn
     state a copy of its words; stepping, undoing and probing allocate
     nothing, for any key width.
 
+    The search is reduced by persistent sets: in a state where some
+    enabled step is an update or unlock of a guarded entity, or the lock
+    of a guarded entity no other transaction touches, the first such
+    step in scan order (transactions ascending, then steps ascending) is
+    explored alone. An entity is guarded when every transaction touching
+    it locks and unlocks it exactly once and orders its other steps on
+    it strictly between the two, so no other transaction can step on it
+    before the chosen step runs. Every other state expands every enabled
+    step. The reduced search still reaches every complete state and
+    every deadlocked state of the full graph.
+
     The system is unsafe iff some reachable complete state's conflict
     digraph is cyclic; the witness schedule is rebuilt from parent
     pointers recorded at first discovery, so the oracle meets
@@ -39,7 +50,10 @@ type outcome =
   | Exhausted of { visited : int; limit : int }
       (** The visited-state budget ran out before the graph was covered. *)
 
-(** Collapse statistics of one search, for E16 and the [--stats] path. *)
+(** Collapse statistics of one search, for E16 and the [--stats] path.
+    [states] and [dup_hits] count the reduced graph the search walks;
+    after an exhaustive search [complete] and [deadlocked] equal the full
+    graph's counts. *)
 type stats = {
   states : int;  (** Distinct states visited (visited-table insertions). *)
   dup_hits : int;  (** Transitions pruned because the target was known. *)
@@ -54,9 +68,12 @@ val decide : ?limit:int -> System.t -> outcome * stats
     {!Exhausted}, never an exception. *)
 
 val census : ?limit:int -> System.t -> outcome * stats
-(** Like {!decide} but explores the whole reachable graph even after an
-    unsafe state is found, so [stats] describes the full state graph
-    (used by bench E16 to compare against the schedule census). *)
+(** Like {!decide} but explores the whole reduced graph even after an
+    unsafe state is found, so [states] and [dup_hits] describe the
+    reduced graph, and [complete] and [deadlocked] are the full state
+    graph's: one complete state per conflict digraph some legal schedule
+    produces, and every reachable deadlock (used by bench E16 to compare
+    against the schedule census). *)
 
 val has_deadlock : System.t -> bool
 (** Can the system reach a locking deadlock? Same search keyed on the
@@ -77,5 +94,6 @@ val deadlocked_now :
     enabled when its entity is free or already held by its own
     transaction; Unlock/Update steps are enabled once their
     predecessors have executed. This is the simulator's wait-for
-    detector: it fires exactly on the states the offline search counts
-    as [deadlocked]. *)
+    detector: it fires exactly on the reachable states the offline
+    search counts as [deadlocked], and the reduced search still reaches
+    every one of them. *)

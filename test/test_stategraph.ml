@@ -17,11 +17,20 @@ let tiny_pair () =
   let t2 = Builder.locked_sequence db ~name:"T2" [ "x" ] in
   System.make db [ t1; t2 ]
 
-let disjoint_pair () =
-  let db = mkdb [ ("x", 1); ("y", 1) ] in
-  let t1 = Builder.locked_sequence db ~name:"T1" [ "x" ] in
-  let t2 = Builder.locked_sequence db ~name:"T2" [ "y" ] in
-  System.make db [ t1; t2 ]
+(* [m] components, each two locked sequences over one shared entity,
+   with [prefix] private triples in front of the first transaction. *)
+let sections ?(prefix = 0) m =
+  let shared = List.init m (Printf.sprintf "s%d")
+  and private_ = List.init prefix (Printf.sprintf "p%d") in
+  let db = mkdb (List.map (fun e -> (e, 1)) (private_ @ shared)) in
+  let txn k ents = Builder.locked_sequence db ~name:(Printf.sprintf "T%d" k) ents in
+  System.make db
+    (List.concat
+       (List.mapi
+          (fun c e ->
+            [ txn ((2 * c) + 1) (if c = 0 then private_ @ [ e ] else [ e ]);
+              txn ((2 * c) + 2) [ e ] ])
+          shared))
 
 (* The quickstart unsafe pair: lock sections on two sites in the same
    order, nothing forcing agreement between them. *)
@@ -37,6 +46,22 @@ let unsafe_pair () =
   in
   System.make db [ mk "T1"; mk "T2" ]
 
+(* The quickstart pair with a private lock section in each transaction,
+   unordered with its other steps: at the root both private locks are
+   explored alone, one after the other, in scan order. *)
+let private_sections_pair () =
+  let db = mkdb [ ("p", 1); ("q", 1); ("x", 1); ("z", 2) ] in
+  let mk name priv =
+    Builder.make_exn db ~name
+      ~steps:
+        [ ("Lx", `Lock "x"); ("Ux", `Unlock "x");
+          ("Lz", `Lock "z"); ("Uz", `Unlock "z");
+          ("L" ^ priv, `Lock priv); ("U" ^ priv, `Unlock priv) ]
+      ~arcs:[ ("Lx", "Ux"); ("Lz", "Uz"); ("L" ^ priv, "U" ^ priv) ]
+      ()
+  in
+  System.make db [ mk "T1" "p"; mk "T2" "q" ]
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests *)
 
@@ -51,20 +76,35 @@ let test_known_verdicts () =
       Util.check "witness complete" true (Schedule.is_complete sys h);
       Util.check "witness non-serializable" false
         (Conflict.is_serializable sys h)
-  | _ -> Alcotest.fail "quickstart pair must be unsafe with a witness")
+  | _ -> Alcotest.fail "quickstart pair must be unsafe with a witness");
+  (* An access outside any lock section leaves its entity unguarded, and
+     steps on it are never explored alone: T2's unlocked update can land
+     inside T1's section, which makes the two spans overlap. *)
+  let db = mkdb [ ("x", 1) ] in
+  let t1 = Builder.locked_sequence db ~name:"T1" [ "x" ] in
+  let t2 = Builder.make_exn db ~name:"T2" ~steps:[ ("x", `Update "x") ] () in
+  let sys = System.make db [ t1; t2 ] in
+  Util.check "unlocked access: schedules find it unsafe" false
+    (Util.brute_safe (Brute.safe_by_schedules sys));
+  Util.check "unlocked access: so do states" false
+    (Util.brute_safe (Brute.safe_by_states sys))
 
 let test_collapse () =
-  (* Two disjoint 3-step transactions: C(6,3) = 20 schedules but only
-     4*4 = 16 done-mask states (no conflict edges ever), root included.
-     The state graph must be strictly smaller than the schedule tree. *)
-  let sys = disjoint_pair () in
+  (* Two components, each two locked sequences over one shared entity:
+     4 * C(12, 6) = 3 696 schedules, but 5^2 + 16 * 5 = 105 states
+     (see [test_closed_form_census]), reached by 120 transitions. The
+     two components' lock steps commute, so 16 transitions land on a
+     known state; the state graph is strictly smaller than the schedule
+     tree. *)
+  let sys = sections 2 in
   let _, st = Stategraph.census sys in
-  Util.check_int "disjoint pair collapses to 16 states" 16 st.Stategraph.states;
-  Util.check "duplicate transitions pruned" true (st.Stategraph.dup_hits > 0);
-  Util.check_int "one complete state" 1 st.Stategraph.complete;
+  Util.check_int "two components collapse to 105 states" 105 st.Stategraph.states;
+  Util.check_int "duplicate transitions pruned" 16 st.Stategraph.dup_hits;
+  Util.check_int "one complete state per lock order" 4 st.Stategraph.complete;
   Util.check_int "no deadlocks" 0 st.Stategraph.deadlocked;
   match Enumerate.count_legal sys with
   | Enumerate.Exact n ->
+      Util.check_int "schedules" 3_696 n;
       Util.check "fewer states than schedules" true (st.Stategraph.states < n)
   | Enumerate.Exhausted _ -> Alcotest.fail "tiny census exhausted"
 
@@ -122,12 +162,12 @@ let test_pinned_work () =
       Alcotest.(check (list int)) (name ^ " decide") decide
         (stats (Stategraph.decide sys)))
     [
-      ("fig1", Figures.fig1 (), [ 1561; 2264; 3; 0 ], [ 88; 54; 2; 0 ]);
-      ("fig2", Figures.fig2 (), [ 99; 48; 3; 0 ], [ 31; 0; 2; 0 ]);
-      ("fig5", Figures.fig5 (), [ 319; 490; 2; 14 ], [ 319; 490; 2; 14 ]);
-      ("2pl seed 1", two_phase_system 1, [ 2057; 2510; 24; 70 ], [ 2057; 2510; 24; 70 ]);
-      ("2pl seed 2", two_phase_system 2, [ 4463; 8181; 24; 42 ], [ 4463; 8181; 24; 42 ]);
-      ("2pl seed 3", two_phase_system 3, [ 3128; 4877; 24; 98 ], [ 3128; 4877; 24; 98 ]);
+      ("fig1", Figures.fig1 (), [ 663; 150; 3; 0 ], [ 64; 6; 2; 0 ]);
+      ("fig2", Figures.fig2 (), [ 80; 7; 3; 0 ], [ 31; 0; 2; 0 ]);
+      ("fig5", Figures.fig5 (), [ 211; 186; 2; 14 ], [ 211; 186; 2; 14 ]);
+      ("2pl seed 1", two_phase_system 1, [ 797; 456; 24; 70 ], [ 797; 456; 24; 70 ]);
+      ("2pl seed 2", two_phase_system 2, [ 1145; 949; 24; 42 ], [ 1145; 949; 24; 42 ]);
+      ("2pl seed 3", two_phase_system 3, [ 1202; 1159; 24; 98 ], [ 1202; 1159; 24; 98 ]);
     ]
 
 (* The witness schedules are rebuilt from parent pointers; a different
@@ -149,34 +189,66 @@ let test_pinned_witnesses () =
     "Lx_1 Ux_1 Lx_2 Ux_2 Lz_2 Uz_2 Lz_1 Uz_1"
     (witness "unsafe pair decide" pair (Stategraph.decide pair));
   Alcotest.(check string) "fig1 census" fig1_witness
-    (witness "fig1 census" fig1 (Stategraph.census fig1))
+    (witness "fig1 census" fig1 (Stategraph.census fig1));
+  let priv = private_sections_pair () in
+  Alcotest.(check string) "private sections decide"
+    "Lp_1 Up_1 Lq_2 Uq_2 Lx_1 Ux_1 Lx_2 Ux_2 Lz_2 Uz_2 Lz_1 Uz_1"
+    (witness "private sections decide" priv (Stategraph.decide priv))
 
-(* Closed forms with three-word keys and several table growths. Chains
-   of [k] lock-update-unlock triples over private entities reach every
-   combination of their progress counters, so the states are the
-   product of the (3k + 1)s, the transitions sum each chain's 3k moves
-   over the others' counters, and all but the tree edges are duplicate
-   hits. Chains of 8, 8 and 8 entities: 25^3 = 15 625 states and 45 000
-   transitions. Chains of 21, 3 and 3: the first fills the first key
-   word (63 done bits), so most states share it with many others and
-   only the later words tell them apart; 64 * 10 * 10 = 6 400 states
-   and 6 300 + 5 760 + 5 760 = 17 820 transitions. The live counters
-   advance by exactly the same amounts. *)
+(* The per-search arrays are sized by the entities the system touches:
+   the same system over a database padded with 2 048 untouched entities
+   (declared first, so every entity id moves too) is searched the same
+   way. *)
+let test_padded_database () =
+  let padded sys =
+    let pad = List.init 2048 (Printf.sprintf "entity pad%d @ 1\n") in
+    match
+      Parse.system_of_string (String.concat "" pad ^ Parse.system_to_string sys)
+    with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let show sys (outcome, st) =
+    let verdict =
+      match outcome with
+      | Stategraph.Safe -> "safe"
+      | Stategraph.Unsafe h -> Schedule.to_string sys h
+      | Stategraph.Exhausted _ -> "exhausted"
+    in
+    Printf.sprintf "%s %d %d %d %d" verdict st.Stategraph.states
+      st.Stategraph.dup_hits st.Stategraph.complete st.Stategraph.deadlocked
+  in
+  List.iter
+    (fun (name, sys) ->
+      let big = padded sys in
+      Alcotest.(check string) (name ^ " decide")
+        (show sys (Stategraph.decide sys))
+        (show big (Stategraph.decide big));
+      Alcotest.(check string) (name ^ " census")
+        (show sys (Stategraph.census sys))
+        (show big (Stategraph.census big)))
+    [ ("fig1", Figures.fig1 ()); ("2pl seed 1", two_phase_system 1) ]
+
+(* Closed forms, with the live counters' advance. Chains of [k]
+   lock-update-unlock triples over private entities: every step is
+   explored alone, so the graph is one path of 1 + (steps) states, 73
+   for chains of 8, 8 and 8 and 82 for 21, 3 and 3.
+
+   [sections m]: each component has five quiescent states (both
+   transactions idle, either one done, both done in either order) and
+   eight inside a lock section (two per section, four sections). A
+   section's update and unlock are explored alone, so at most one
+   component is inside a section: 5^m + 8m * 5^(m-1) states. A quiescent
+   component offers 2 + 1 + 1 lock moves over its five states and a
+   section state one move, so 12m * 5^(m-1) transitions; all but the
+   tree edges are duplicate hits. For m = 4: 4 625 states, 6 000
+   transitions, 16 complete states. With 21 private triples in front of
+   the first transaction, 63 more states lead into the same graph; the
+   first key word then holds only those 63 done bits, all set in every
+   later state, so only the later words of the 4-word key tell states
+   apart. *)
 let test_closed_form_census () =
-  let census chains expected =
-    let entities t k = List.init k (Printf.sprintf "e%d_%d" t) in
-    let db =
-      mkdb
-        (List.concat
-           (List.mapi
-              (fun t k -> List.map (fun e -> (e, 1)) (entities t k))
-              chains))
-    in
-    let chain t k =
-      Builder.locked_sequence db ~name:(Printf.sprintf "T%d" (t + 1))
-        (entities t k)
-    in
-    let sys = System.make db (List.mapi chain chains) in
+  let census name sys expected =
     let counter name =
       Distlock_obs.Registry.counter Distlock_obs.Obs.global ~help:"" name
     in
@@ -187,8 +259,8 @@ let test_closed_form_census () =
     let outcome, st = Stategraph.census sys in
     (match outcome with
     | Stategraph.Safe -> ()
-    | _ -> Alcotest.fail "private chains must be safe");
-    Alcotest.(check (list int)) "states, dup_hits, complete, deadlocked"
+    | _ -> Alcotest.failf "%s must be safe" name);
+    Alcotest.(check (list int)) (name ^ ": states, dup_hits, complete, deadlocked")
       expected
       Stategraph.[ st.states; st.dup_hits; st.complete; st.deadlocked ];
     Util.check_int "states counter advance" st.Stategraph.states
@@ -196,8 +268,24 @@ let test_closed_form_census () =
     Util.check_int "duplicate-hit counter advance" st.Stategraph.dup_hits
       (Distlock_obs.Metric.counter_value dups_total - dups0)
   in
-  census [ 8; 8; 8 ] [ 15_625; 45_000 - 15_624; 1; 0 ];
-  census [ 21; 3; 3 ] [ 6_400; 17_820 - 6_399; 1; 0 ]
+  let chains ks =
+    let entities t k = List.init k (Printf.sprintf "e%d_%d" t) in
+    let db =
+      mkdb
+        (List.concat
+           (List.mapi (fun t k -> List.map (fun e -> (e, 1)) (entities t k)) ks))
+    in
+    let chain t k =
+      Builder.locked_sequence db ~name:(Printf.sprintf "T%d" (t + 1))
+        (entities t k)
+    in
+    System.make db (List.mapi chain ks)
+  in
+  census "chains 8/8/8" (chains [ 8; 8; 8 ]) [ 73; 0; 1; 0 ];
+  census "chains 21/3/3" (chains [ 21; 3; 3 ]) [ 82; 0; 1; 0 ];
+  census "4 sections" (sections 4) [ 4_625; 6_000 - 4_624; 16; 0 ];
+  census "4 sections, 21 triples first" (sections ~prefix:21 4)
+    [ 4_688; 1_376; 16; 0 ]
 
 let test_exhaustion () =
   (match Stategraph.decide ~limit:1 (tiny_pair ()) with
@@ -227,13 +315,16 @@ let test_deadlock () =
    and every Unsafe witness must be a legal complete non-serializable
    schedule. *)
 
-let gen_system =
+let gen_multi ~with_updates =
   Util.gen_with_state (fun st ->
       let num_txns = 2 + Random.State.int st 2 in
       Txn_gen.random_multi_system st ~num_txns ~num_entities:4
         ~entities_per_txn:2
         ~num_sites:(1 + Random.State.int st 3)
+        ~with_updates
         ~cross_prob:(Random.State.float st 1.0) ())
+
+let gen_system = gen_multi ~with_updates:false
 
 let check_witness sys = function
   | Brute.Safe -> true
@@ -277,6 +368,28 @@ let qcheck_census_bounds =
       st.Stategraph.states > 0
       && st.Stategraph.complete >= if Stategraph.has_deadlock sys then 0 else 1)
 
+(* The reduced search still reaches every complete state of the full
+   graph: one per conflict digraph some legal schedule produces, each
+   digraph keyed by its arc bits. Systems with more than 10 000
+   schedules are discarded, not judged: with updates, a few generated
+   systems have tens of millions. *)
+let qcheck_complete_states =
+  Util.qtest ~count:200 "census complete states ≡ distinct conflict digraphs"
+    QCheck2.Gen.(bool >>= fun with_updates -> gen_multi ~with_updates)
+    (fun sys ->
+      QCheck2.assume
+        (match Enumerate.count_legal ~limit:10_000 sys with
+        | Enumerate.Exact _ -> true
+        | Enumerate.Exhausted _ -> false);
+      let n = System.num_txns sys and digraphs = Hashtbl.create 16 in
+      Enumerate.iter_legal sys (fun h ->
+          let bits = ref 0 in
+          Distlock_graph.Digraph.iter_arcs (Conflict.graph sys h) (fun a b ->
+              bits := !bits lor (1 lsl ((a * n) + b)));
+          Hashtbl.replace digraphs !bits ());
+      let _, st = Stategraph.census sys in
+      st.Stategraph.complete = Hashtbl.length digraphs)
+
 let () =
   Alcotest.run "stategraph"
     [
@@ -286,12 +399,14 @@ let () =
           Alcotest.test_case "memoization collapse" `Quick test_collapse;
           Alcotest.test_case "pinned work" `Quick test_pinned_work;
           Alcotest.test_case "pinned witnesses" `Quick test_pinned_witnesses;
+          Alcotest.test_case "padded database" `Quick test_padded_database;
           Alcotest.test_case "closed-form census" `Quick
             test_closed_form_census;
           Alcotest.test_case "typed exhaustion" `Quick test_exhaustion;
           Alcotest.test_case "deadlock" `Quick test_deadlock;
         ] );
       ( "agreement",
-        [ qcheck_states_agree; qcheck_deadlock_agrees; qcheck_census_bounds ]
+        [ qcheck_states_agree; qcheck_deadlock_agrees; qcheck_census_bounds;
+          qcheck_complete_states ]
       );
     ]
