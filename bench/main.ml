@@ -1326,8 +1326,10 @@ let e20 () =
   in
   (* Enough seeds that one rep spans several runtime preemption ticks —
      the serving thread gets a slice per tick, so short reps would see
-     at most one scrape in flight. *)
-  let seeds = List.init 40 Fun.id in
+     at most one scrape in flight. With 90 seeds a recorder-only rep
+     reads 75–105 ms on a shared 2-CPU Xeon VM, about 10 scrapes per
+     phase; a faster simulator needs more seeds to keep that length. *)
+  let seeds = List.init 90 Fun.id in
   let run_once () =
     List.iter (fun sys -> ignore (Sim.Esim.measure ~scenario ~seeds sys)) corpus
   in

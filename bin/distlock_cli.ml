@@ -1006,25 +1006,19 @@ let simulate_cmd =
         down_time;
       }
     in
-    let summary =
-      Distlock_sim.Esim.measure ~scenario ~seeds:(List.init seeds Fun.id) sys
+    (* Each measured run exports its full step event stream —
+       committed and aborted attempts alike. *)
+    let on_run =
+      Option.map
+        (fun oc seed o ->
+          Distlock_sim.Trace.write_jsonl ~seed sys oc o.Distlock_sim.Esim.trace)
+        trace_oc
     in
-    (match trace_oc with
-    | None -> ()
-    | Some oc ->
-        (* Re-run each seed deterministically and export the full step
-           event stream — committed and aborted attempts alike. *)
-        for seed = 0 to seeds - 1 do
-          match
-            Distlock_sim.Esim.run ~policy:(Distlock_sim.Engine.Random seed)
-              ~scenario ~check_serializability:false sys
-          with
-          | Ok o ->
-              Distlock_sim.Trace.write_jsonl ~seed sys oc
-                o.Distlock_sim.Esim.trace
-          | Error _ -> ()
-        done;
-        close_out oc);
+    let summary =
+      Distlock_sim.Esim.measure ~scenario ~seeds:(List.init seeds Fun.id)
+        ?on_run sys
+    in
+    Option.iter close_out trace_oc;
     Format.printf "%a@." Distlock_sim.Esim.pp_summary summary
   in
   let seeds =

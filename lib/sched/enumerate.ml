@@ -3,13 +3,19 @@ open Distlock_txn
 exception Stop
 
 let successors sys =
+  let module B = Distlock_graph.Bitset in
   Array.map
     (fun txn ->
       let order = Txn.order txn in
       Array.init (Txn.num_steps txn) (fun s ->
-          Array.of_list
-            (Distlock_graph.Bitset.elements
-               (Distlock_order.Poset.up_set order s))))
+          let row = Distlock_order.Poset.up_set order s in
+          let out = Array.make (B.cardinal row) 0 and k = ref 0 in
+          B.iter
+            (fun q ->
+              out.(!k) <- q;
+              incr k)
+            row;
+          out))
     (System.txns sys)
 
 let in_degrees succ =

@@ -115,9 +115,11 @@ type event = Decide | Resume of int
 type instance = {
   txn_index : int;
   txn : Txn.t;
-  mutable done_ : bool array;
-  mutable done_tick : int array;
-  mutable ready_at : int array; (* per step: when its inputs have arrived *)
+  succ : int array array; (* per step: the steps ordered after it, ascending *)
+  indeg : int array; (* per step: how many steps are ordered before it *)
+  done_ : bool array;
+  pending : int array; (* per step: predecessors not yet executed *)
+  ready_at : int array; (* per step: when its inputs have arrived *)
   mutable executed : int; (* steps of the current attempt *)
   mutable committed : bool;
   mutable birth : int;
@@ -152,6 +154,8 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
   let latency = scenario.Scenario.latency in
   let zero_latency = Latency.is_zero latency in
   let faulty = not (Scenario.fault_free scenario) in
+  let succ = Enumerate.successors sys in
+  let indeg = Enumerate.in_degrees succ in
   let instances =
     Array.init n (fun i ->
         let txn = System.txn sys i in
@@ -159,11 +163,14 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
         {
           txn_index = i;
           txn;
+          succ = succ.(i);
+          indeg = indeg.(i);
           done_ = Array.make k false;
-          done_tick = Array.make k 0;
+          pending = Array.copy indeg.(i);
           ready_at = Array.make k 0;
           executed = 0;
-          committed = false;
+          (* Nothing to run: an empty transaction has committed. *)
+          committed = k = 0;
           birth = 0;
           attempt = 1;
           waiting = -1;
@@ -199,13 +206,19 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
   let trace = ref [] in
   let was_blocked = Array.make n false in
   let result = ref None in
-  let all_committed () = Array.for_all (fun i -> i.committed) instances in
+  let uncommitted = ref 0 in
+  Array.iter (fun i -> if not i.committed then incr uncommitted) instances;
+  let all_committed () = !uncommitted = 0 in
   let now () = Clock.now clock in
+  (* One tick's enabled steps, instance by instance and step by step
+     within one: the policy draws an index below [n_choices]. *)
+  let total = System.total_steps sys in
+  let choice_inst = Array.make total 0 and choice_step = Array.make total 0 in
+  let n_choices = ref 0 in
   let fresh_attempt inst =
-    let k = Txn.num_steps inst.txn in
-    inst.done_ <- Array.make k false;
-    inst.done_tick <- Array.make k 0;
-    inst.ready_at <- Array.make k 0;
+    Array.fill inst.done_ 0 (Array.length inst.done_) false;
+    Array.blit inst.indeg 0 inst.pending 0 (Array.length inst.indeg);
+    Array.fill inst.ready_at 0 (Array.length inst.ready_at) 0;
     inst.executed <- 0;
     inst.birth <- now ();
     inst.attempt <- inst.attempt + 1;
@@ -215,54 +228,37 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
     inst.held_since <- [];
     inst.loc <- home_site db inst.txn
   in
-  (* `Ready: predecessors executed and their results have arrived;
-     `Awaiting_message: executed but a notification is still in flight;
-     `Blocked_order: some predecessor has not run. *)
-  let pred_status inst s =
-    let status = ref `Ready in
-    for p = 0 to Txn.num_steps inst.txn - 1 do
-      if Txn.precedes inst.txn p s && not inst.done_.(p) then
-        status := `Blocked_order
-    done;
-    if !status = `Ready && inst.ready_at.(s) > now () then `Awaiting_message
-    else !status
+  (* A step whose predecessors have all run ([pending] counts down to 0
+     in [complete]) is ready once their results have arrived, and
+     awaits a message while one is still in flight. *)
+  let unblocked inst s = (not inst.done_.(s)) && inst.pending.(s) = 0 in
+  let ready inst s = unblocked inst s && inst.ready_at.(s) <= now () in
+  let awaiting inst s = unblocked inst s && inst.ready_at.(s) > now () in
+  let choose inst s =
+    choice_inst.(!n_choices) <- inst.txn_index;
+    choice_step.(!n_choices) <- s;
+    incr n_choices
   in
-  let enabled_steps inst =
-    if inst.committed || inst.crashed then []
-    else begin
-      let acc = ref [] in
+  let gather_enabled inst =
+    if not (inst.committed || inst.crashed) then
       for s = 0 to Txn.num_steps inst.txn - 1 do
-        if (not inst.done_.(s)) && pred_status inst s = `Ready then begin
+        if ready inst s then begin
           let step = Txn.step inst.txn s in
           match step.Step.action with
           | Step.Lock ->
               if queueing then begin
                 (* One outstanding request per worker: while queued it
                    issues no further locks (other actions still run). *)
-                if inst.waiting < 0 then acc := s :: !acc
+                if inst.waiting < 0 then choose inst s
               end
               else begin
                 match Backend.holder backend step.Step.entity with
                 | Some h when h <> inst.txn_index -> () (* blocked *)
-                | _ -> acc := s :: !acc
+                | _ -> choose inst s
               end
-          | Step.Unlock | Step.Update -> acc := s :: !acc
+          | Step.Unlock | Step.Update -> choose inst s
         end
-      done;
-      List.rev !acc
-    end
-  in
-  let awaiting_message inst =
-    (not inst.committed)
-    && (not inst.crashed)
-    && begin
-         let found = ref false in
-         for s = 0 to Txn.num_steps inst.txn - 1 do
-           if (not inst.done_.(s)) && pred_status inst s = `Awaiting_message
-           then found := true
-         done;
-         !found
-       end
+      done
   in
   (* Wait-for edges for the deadlock victim chooser. A non-queueing
      worker waits on the holders of entities its ready locks need; a
@@ -279,7 +275,7 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
     end
     else
       for s = 0 to Txn.num_steps inst.txn - 1 do
-        if (not inst.done_.(s)) && pred_status inst s = `Ready then begin
+        if ready inst s then begin
           let step = Txn.step inst.txn s in
           if step.Step.action = Step.Lock then
             match Backend.holder backend step.Step.entity with
@@ -346,13 +342,13 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
     end
   in
   (* Mark step [s] executed at the current time: bookkeeping, the trace
-     (the committed history is read off it at the end), arrival times
-     for cross-site successors, commit, and the post-step crash draw. *)
+     (the committed history is read off it at the end), its successors'
+     pending counts and, for cross-site ones, arrival times (drawn in
+     ascending successor order), commit, and the post-step crash draw. *)
   let complete inst s =
     let step = Txn.step inst.txn s in
     let site_s = Database.site db step.Step.entity in
     inst.done_.(s) <- true;
-    inst.done_tick.(s) <- now ();
     inst.executed <- inst.executed + 1;
     inst.loc <- site_s;
     trace :=
@@ -364,19 +360,22 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
         attempt = inst.attempt;
       }
       :: !trace;
-    if not zero_latency then
-      for q = 0 to Txn.num_steps inst.txn - 1 do
-        if Txn.precedes inst.txn s q then begin
-          let site_q = Database.site db (Txn.step inst.txn q).Step.entity in
-          if site_q <> site_s then begin
-            let delay = Latency.sample latency lat_rng ~src:site_s ~dst:site_q in
-            M.observe (meters.mm_msg site_q) (float_of_int delay);
-            inst.ready_at.(q) <- max inst.ready_at.(q) (now () + delay)
-          end
+    let succ = inst.succ.(s) in
+    for j = 0 to Array.length succ - 1 do
+      let q = succ.(j) in
+      inst.pending.(q) <- inst.pending.(q) - 1;
+      if not zero_latency then begin
+        let site_q = Database.site db (Txn.step inst.txn q).Step.entity in
+        if site_q <> site_s then begin
+          let delay = Latency.sample latency lat_rng ~src:site_s ~dst:site_q in
+          M.observe (meters.mm_msg site_q) (float_of_int delay);
+          inst.ready_at.(q) <- max inst.ready_at.(q) (now () + delay)
         end
-      done;
+      end
+    done;
     if inst.executed = Txn.num_steps inst.txn then begin
       inst.committed <- true;
+      decr uncommitted;
       Obs.event
         ~attrs:(fun () ->
           [
@@ -538,11 +537,8 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
       let notices = Backend.drain backend ~now:(now ()) in
       List.iter handle_notice notices;
       if not (all_committed ()) then begin
-        let choices =
-          Array.to_list instances
-          |> List.concat_map (fun inst ->
-                 List.map (fun s -> (inst, s)) (enabled_steps inst))
-        in
+        n_choices := 0;
+        Array.iter gather_enabled instances;
         if Obs.logs Obs.Debug then
           Array.iter
             (fun inst ->
@@ -567,55 +563,50 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
                         "sim.lock.block"
                     end)
             instances;
-        match choices with
-        | [] ->
-            if notices <> [] then
-              (* drain made progress; look again next tick *)
-              ensure_decide (now () + 1)
-            else begin
-              (* Earliest time anything can change on its own: a message
-                 arrival, or the backend expiring/granting. Crashed
-                 workers re-book the decision from their Resume event. *)
-              let wake = ref max_int in
-              Array.iter
-                (fun inst ->
-                  if awaiting_message inst then
-                    for s = 0 to Txn.num_steps inst.txn - 1 do
-                      if
-                        (not inst.done_.(s))
-                        && pred_status inst s = `Awaiting_message
-                        && inst.ready_at.(s) < !wake
-                      then wake := inst.ready_at.(s)
-                    done)
-                instances;
-              (match Backend.next_wakeup backend with
-              | Some t -> if t < !wake then wake := t
-              | None -> ());
-              if !wake < max_int then begin
-                Obs.event ~level:Obs.Debug
-                  ~attrs:(fun () -> [ A.int "tick" (now ()) ])
-                  "sim.message.wait";
-                ensure_decide (max !wake (now () + 1))
-              end
-              else if Array.exists (fun i -> i.crashed) instances then ()
-              else begin
-                (* Every live worker waits on a lock: consult the
-                   state-graph oracle's deadlock predicate online, then
-                   break the cycle. *)
-                if
-                  Stategraph.deadlocked_now sys
-                    ~executed:(fun i s -> instances.(i).done_.(s))
-                    ~holder:(Backend.holder backend)
-                then incr blocks;
-                abort_victim ();
-                ensure_decide (now () + 1)
-              end
-            end
-        | _ ->
-            let arr = Array.of_list choices in
-            let inst, s = arr.(Random.State.int rng (Array.length arr)) in
-            execute inst s;
-            if not (all_committed ()) then ensure_decide (now () + 1)
+        if !n_choices > 0 then begin
+          let c = Random.State.int rng !n_choices in
+          execute instances.(choice_inst.(c)) choice_step.(c);
+          if not (all_committed ()) then ensure_decide (now () + 1)
+        end
+        else if notices <> [] then
+          (* drain made progress; look again next tick *)
+          ensure_decide (now () + 1)
+        else begin
+          (* Earliest time anything can change on its own: a message
+             arrival, or the backend expiring/granting. Crashed
+             workers re-book the decision from their Resume event. *)
+          let wake = ref max_int in
+          Array.iter
+            (fun inst ->
+              if not (inst.committed || inst.crashed) then
+                for s = 0 to Txn.num_steps inst.txn - 1 do
+                  if awaiting inst s && inst.ready_at.(s) < !wake then
+                    wake := inst.ready_at.(s)
+                done)
+            instances;
+          (match Backend.next_wakeup backend with
+          | Some t -> if t < !wake then wake := t
+          | None -> ());
+          if !wake < max_int then begin
+            Obs.event ~level:Obs.Debug
+              ~attrs:(fun () -> [ A.int "tick" (now ()) ])
+              "sim.message.wait";
+            ensure_decide (max !wake (now () + 1))
+          end
+          else if Array.exists (fun i -> i.crashed) instances then ()
+          else begin
+            (* Every live worker waits on a lock: consult the
+               state-graph oracle's deadlock predicate online, then
+               break the cycle. *)
+            if
+              Stategraph.deadlocked_now sys
+                ~executed:(fun i s -> instances.(i).done_.(s))
+                ~holder:(Backend.holder backend)
+            then incr blocks;
+            abort_victim ();
+            ensure_decide (now () + 1)
+          end
+        end
       end
     end
   in
@@ -739,7 +730,7 @@ let empty_summary =
   }
 
 let measure ?(precheck = true) ?(scenario = Scenario.default)
-    ?(seeds = List.init 20 Fun.id) sys =
+    ?(seeds = List.init 20 Fun.id) ?(on_run = fun _ _ -> ()) sys =
   (* The static verdict quantifies over *legal* schedules, and only a
      fault-free run is guaranteed to produce one — so the precheck
      shortcut applies only when the scenario cannot lose locks. *)
@@ -753,6 +744,7 @@ let measure ?(precheck = true) ?(scenario = Scenario.default)
       with
       | Error _ -> { acc with errors = acc.errors + 1 }
       | Ok o ->
+          on_run seed o;
           {
             runs = acc.runs + 1;
             errors = acc.errors;

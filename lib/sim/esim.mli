@@ -93,13 +93,19 @@ type summary = {
 }
 
 val measure :
-  ?precheck:bool -> ?scenario:Scenario.t -> ?seeds:int list -> System.t ->
+  ?precheck:bool ->
+  ?scenario:Scenario.t ->
+  ?seeds:int list ->
+  ?on_run:(int -> outcome -> unit) ->
+  System.t ->
   summary
 (** {!run} once per seed and aggregate. The {!Workload.proven_safe}
     precheck shortcut (skipping per-history serializability checks) is
     taken only when the scenario is fault-free: static verdicts cover
     legal schedules only, and a faulty scenario can commit illegal
-    ones. *)
+    ones. [on_run seed o] sees each completed run's outcome, in seed
+    order, so a caller can export the runs it measured without running
+    them again. *)
 
 val violation_fraction : summary -> float
 (** [violations / runs]; [0.] when no run completed. *)

@@ -295,6 +295,64 @@ let qcheck_faulty_runs_complete =
              transactions), even when leases were lost along the way. *)
           Distlock_sched.Schedule.is_complete sys o.Esim.history)
 
+(* Readiness is a per-step count of unexecuted predecessors, decremented
+   as steps complete and reset when an aborted instance starts over. A
+   count left stale by the abort, crash, queued-grant or resume paths
+   would let a step run before its predecessor in the committed attempt,
+   which [Legality.check] reports as [Order_violated]. Each case runs one
+   system under all three backends, with message latency, crashes and a
+   lease shorter than the downtime (leases expire and pass on), over
+   random partial orders and the deadlock-prone workload styles. *)
+let qcheck_order_kept_on_every_path =
+  Util.qtest ~count:1000 "committed attempts keep their partial order"
+    (Util.gen_with_state (fun st ->
+         let sys =
+           match Random.State.int st 3 with
+           | 0 ->
+               Txn_gen.random_multi_system st
+                 ~num_txns:(2 + Random.State.int st 3)
+                 ~num_entities:(3 + Random.State.int st 4)
+                 ~entities_per_txn:(2 + Random.State.int st 2)
+                 ~num_sites:(1 + Random.State.int st 3)
+                 ~with_updates:(Random.State.bool st)
+                 ~cross_prob:(Random.State.float st 1.0) ()
+           | k ->
+               let db =
+                 Txn_gen.random_database st ~num_entities:5
+                   ~num_sites:(1 + Random.State.int st 3)
+               in
+               Workload.make st ~db
+                 ~style:
+                   (if k = 1 then Workload.Two_phase
+                    else Workload.Random_locked 0.5)
+                 ~num_txns:(2 + Random.State.int st 3)
+                 ~entities_per_txn:3
+         in
+         (sys, Random.State.int st 1_000_000)))
+    (fun (sys, seed) ->
+      List.for_all
+        (fun backend ->
+          let scenario =
+            {
+              Scenario.default with
+              Scenario.backend;
+              latency = Latency.make (Latency.Uniform (1, 4));
+              lease_ttl = Some 3;
+              crash_rate = 0.15;
+              down_time = 12;
+            }
+          in
+          match Esim.run ~policy:(Engine.Random seed) ~scenario sys with
+          | Error _ -> true (* abort budget: acceptable *)
+          | Ok o ->
+              Distlock_sched.Schedule.is_complete sys o.Esim.history
+              && List.for_all
+                   (function
+                     | Distlock_sched.Legality.Order_violated _ -> false
+                     | _ -> true)
+                   (Distlock_sched.Legality.check sys o.Esim.history))
+        [ Scenario.Instant; Scenario.Leased; Scenario.Bakery ])
+
 let test_latency_stretches_makespan () =
   let sys = safe_pair () in
   let slow =
@@ -386,6 +444,45 @@ let test_violation_fraction_excludes_errors () =
   if s2.Esim.runs = 0 then
     Util.check "all-error fraction is 0" true (Esim.violation_fraction s2 = 0.)
 
+let test_empty_transaction_commits_at_once () =
+  let sys =
+    match
+      Parse.system_of_string
+        "entity x @ 1\n\
+         txn T1 {\n\
+         }\n\
+         txn T2 {\n\
+        \  step Lx lock x\n\
+        \  step Ux unlock x\n\
+        \  arc Lx -> Ux\n\
+         }\n"
+    with
+    | Ok sys -> sys
+    | Error m -> Alcotest.fail m
+  in
+  let crashing =
+    {
+      Scenario.default with
+      Scenario.backend = Scenario.Leased;
+      latency = Latency.make (Latency.Uniform (1, 3));
+      crash_rate = 0.5;
+    }
+  in
+  List.iter
+    (fun scenario ->
+      match Esim.run ~policy:(Engine.Random 3) ~scenario sys with
+      | Error m -> Alcotest.fail m
+      | Ok o ->
+          Util.check "history is complete" true
+            (Distlock_sched.Schedule.is_complete sys o.Esim.history);
+          Util.check "the empty transaction never runs" true
+            (List.for_all (fun (e : Trace.event) -> e.txn = 1) o.Esim.trace);
+          Util.check_int "both commit" 2 o.Esim.stats.Esim.commits)
+    [ Scenario.default; crashing ];
+  let s = Esim.measure ~seeds:[ 0; 1; 2 ] sys in
+  Util.check_int "every seed completes" 3 s.Esim.runs;
+  Util.check_int "two ticks a run" 6 s.Esim.total_ticks
+
 let () =
   Alcotest.run "esim"
     [
@@ -427,6 +524,7 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
           qcheck_faulty_runs_complete;
+          qcheck_order_kept_on_every_path;
           Alcotest.test_case "latency stretches makespan" `Quick
             test_latency_stretches_makespan;
           Alcotest.test_case "spread_sites" `Quick test_spread_sites;
@@ -438,5 +536,7 @@ let () =
             test_trace_never_started;
           Alcotest.test_case "violation_fraction: errors excluded" `Quick
             test_violation_fraction_excludes_errors;
+          Alcotest.test_case "empty transaction commits at once" `Quick
+            test_empty_transaction_commits_at_once;
         ] );
     ]
