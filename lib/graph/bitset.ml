@@ -29,11 +29,28 @@ let remove t i =
 
 let copy t = { t with words = Array.copy t.words }
 
+(* The 64-bit SWAR count on the word's 63 bits: the masks' top bits
+   wrap into the sign bit (bit 62), and the byte sums, at most 63, fit
+   the top lane's 7 bits. *)
 let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+
+let count_from t i =
+  let i = max i 0 in
+  if i >= t.capacity then 0
+  else begin
+    let w0 = i / bits_per_word in
+    let count = ref (popcount (t.words.(w0) lsr (i mod bits_per_word))) in
+    for w = w0 + 1 to Array.length t.words - 1 do
+      count := !count + popcount t.words.(w)
+    done;
+    !count
+  end
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
@@ -85,6 +102,10 @@ let iter f t =
       incr i
     done
   done
+
+let num_words t = Array.length t.words
+
+let word t w = t.words.(w)
 
 let fold f t init =
   let acc = ref init in

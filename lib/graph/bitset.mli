@@ -22,6 +22,9 @@ val copy : t -> t
 
 val cardinal : t -> int
 
+val count_from : t -> int -> int
+(** [count_from t i] is the number of members [>= i]. *)
+
 val is_empty : t -> bool
 
 val union_into : dst:t -> t -> unit
@@ -37,6 +40,15 @@ val subset : t -> t -> bool
 val disjoint : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
+
+val bits_per_word : int
+
+val num_words : t -> int
+
+val word : t -> int -> int
+(** [word t w] holds the members [w * bits_per_word + k], one per set
+    bit [k]: a read-only view for loops that walk the words themselves
+    instead of calling back per member. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

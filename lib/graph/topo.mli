@@ -27,7 +27,7 @@ val kahn :
     with the least [(priority v, v)]. [in_degree] is consumed
     (decremented in place). [None] if some vertex is never emitted, i.e.
     the graph has a cycle. Posets run it directly over their closure
-    rows. *)
+    rows, and over the successor arrays of the arcs they close. *)
 
 val is_acyclic : Digraph.t -> bool
 

@@ -9,12 +9,44 @@ let size t = t.size
 
 let precedes t a b = Bitset.mem t.after.(a) b
 
-let of_digraph g =
-  match Topo.sort g with
-  | None -> None
-  | Some _ -> Some { size = Digraph.n g; after = Reach.closure g }
-
-let of_arcs n arcs = of_digraph (Digraph.of_arcs n arcs)
+(* The arcs go into successor arrays (each element's slice of [succ]
+   starts at [first.(v)]), {!Topo.kahn} orders the elements, and each
+   row is the union of its successors' finished rows, taken in reverse
+   topological order. *)
+let of_arcs n arcs =
+  let in_degree = Array.make n 0 and first = Array.make (n + 1) 0 in
+  List.iter
+    (fun (u, v) ->
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Poset.of_arcs: element out of range";
+      first.(u + 1) <- first.(u + 1) + 1;
+      in_degree.(v) <- in_degree.(v) + 1)
+    arcs;
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  let succ = Array.make first.(n) 0 and fill = Array.sub first 0 n in
+  List.iter
+    (fun (u, v) ->
+      succ.(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1)
+    arcs;
+  let iter_succ v f =
+    for k = first.(v) to first.(v + 1) - 1 do
+      f succ.(k)
+    done
+  in
+  Option.map
+    (fun order ->
+      let after = Array.init n (fun _ -> Bitset.create n) in
+      for i = n - 1 downto 0 do
+        let row = after.(order.(i)) in
+        iter_succ order.(i) (fun w ->
+            Bitset.add row w;
+            Bitset.union_into ~dst:row after.(w))
+      done;
+      { size = n; after })
+    (Topo.kahn ~in_degree ~iter_succ ~priority:(fun _ -> 0))
 
 let empty n = { size = n; after = Array.init n (fun _ -> Bitset.create n) }
 
@@ -43,6 +75,77 @@ let relation t =
   let acc = ref [] in
   iter_relation (fun a b -> acc := (a, b) :: !acc) t;
   List.rev !acc
+
+let rec decimal_length i = if i < 10 then 1 else 1 + decimal_length (i / 10)
+
+let write_decimal buf pos i =
+  if i < 10 then begin
+    Bytes.set buf pos (Char.unsafe_chr (48 + i));
+    pos + 1
+  end
+  else if i < 100 then begin
+    Bytes.set buf pos (Char.unsafe_chr (48 + (i / 10)));
+    Bytes.set buf (pos + 1) (Char.unsafe_chr (48 + (i mod 10)));
+    pos + 2
+  end
+  else begin
+    let stop = pos + decimal_length i in
+    let v = ref i in
+    for k = stop - 1 downto pos do
+      Bytes.set buf k (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    stop
+  end
+
+(* Each pair "a<b;" of a row takes [a]'s digits, two separators and
+   [b]'s first digit, plus one more digit per power of ten from 10 up
+   to [b]. *)
+let relation_text_length t =
+  let len = ref 0 in
+  for a = 0 to t.size - 1 do
+    let row = t.after.(a) in
+    len := !len + (Bitset.cardinal row * (decimal_length a + 3));
+    let p = ref 10 in
+    while !p < t.size do
+      len := !len + Bitset.count_from row !p;
+      p := !p * 10
+    done
+  done;
+  !len
+
+(* The powers of two below the sign bit have distinct residues mod 67,
+   none of them 0: [bit_index.(p mod 67)] is [k] for [p = 2^k], and the
+   sign bit, masked to 0, maps to 62. *)
+let bit_index =
+  let t = Array.make 67 62 in
+  for k = 0 to 61 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+(* Visits a word's members lowest first by isolating its lowest set
+   bit, so the loop branches once per member, not once per bit. *)
+let write_relation_text t buf pos =
+  let pos = ref pos in
+  for a = 0 to t.size - 1 do
+    let row = t.after.(a) in
+    for w = 0 to Bitset.num_words row - 1 do
+      let word = ref (Bitset.word row w) and base = w * Bitset.bits_per_word in
+      while !word <> 0 do
+        let low = !word land (- !word) in
+        let p = write_decimal buf !pos a in
+        Bytes.set buf p '<';
+        let p =
+          write_decimal buf (p + 1) (base + bit_index.((low land max_int) mod 67))
+        in
+        Bytes.set buf p ';';
+        pos := p + 1;
+        word := !word lxor low
+      done
+    done
+  done;
+  !pos
 
 let to_digraph t =
   let g = Digraph.create t.size in

@@ -21,6 +21,32 @@ val make :
     result is not validated against the locking discipline — run
     {!Validate.check} for that. *)
 
+type draft
+(** One transaction's steps with its precedences resolved to step
+    indices; its entities are still names. {!make} and
+    {!Parse.system_of_string} both resolve through {!draft} and
+    {!finish}. *)
+
+val draft :
+  labels:string array ->
+  actions:Step.action array ->
+  entities:string array ->
+  arcs:string array ->
+  chains:string array list ->
+  draft
+(** Step [i] is [actions.(i)] on the entity named [entities.(i)],
+    labelled [labels.(i)]. [arcs] holds the label pairs [a -> b]
+    flattened ([a] at [2k], [b] at [2k+1]), and each chain [a b c ...]
+    means [a < b < c < ...]. Labels resolve here, so arcs and chains may
+    name steps in any order. *)
+
+val finish : Database.t -> name:string -> draft -> (Txn.t, string) result
+(** Resolves the entity names in the database and closes the order.
+    The first error wins, checked in this order: a duplicate label; an
+    unknown entity, in step order; an unknown label, the arcs in order
+    and then each chain's pairs from its last pair back, [a] before [b]
+    within a pair; a cyclic precedence declaration. *)
+
 val make_exn :
   Database.t ->
   name:string ->

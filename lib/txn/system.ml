@@ -29,10 +29,9 @@ let common_locked t i j =
   List.filter (fun e -> List.mem e b) a
 
 let validate ?strict t =
-  Array.fold_left
-    (fun acc txn ->
-      acc @ List.map (fun v -> (txn, v)) (Validate.check ?strict t.db txn))
-    [] t.txns
+  List.concat_map
+    (fun txn -> List.map (fun v -> (txn, v)) (Validate.check ?strict t.db txn))
+    (Array.to_list t.txns)
 
 let validate_exn ?strict t =
   Array.iter (Validate.check_exn ?strict t.db) t.txns

@@ -102,33 +102,40 @@ let is_total t = Poset.is_total t.order
    different transactions serialize identically; the order relation is
    emitted in lexicographic pair order — the order {!Poset.iter_relation}
    reads the closure rows in — so the digest does not depend on
-   insertion order. Each step index is formatted once. *)
+   insertion order. The text is measured first and written once into
+   bytes of exactly its length. *)
 let serialize t =
-  let buf = Buffer.create 1024 in
-  let add = Buffer.add_string buf and addc = Buffer.add_char buf in
-  add (string_of_int (String.length t.name));
-  addc ':';
-  add t.name;
-  addc ':';
-  Array.iter
-    (fun (s : Step.t) ->
-      addc
-        (match s.Step.action with
-        | Step.Lock -> 'L'
-        | Step.Unlock -> 'U'
-        | Step.Update -> 'u');
-      add (string_of_int s.Step.entity);
-      addc ',')
-    t.steps;
-  addc '#';
-  let index = Array.init (num_steps t) string_of_int in
-  Poset.iter_relation
-    (fun a b ->
-      add index.(a);
-      addc '<';
-      add index.(b);
-      addc ';')
-    t.order;
-  Buffer.contents buf
+  let name_len = String.length t.name in
+  let steps_len =
+    Array.fold_left
+      (fun acc (s : Step.t) -> acc + Poset.decimal_length s.Step.entity + 2)
+      0 t.steps
+  in
+  let buf =
+    Bytes.create
+      (Poset.decimal_length name_len + name_len + 2 + steps_len + 1
+      + Poset.relation_text_length t.order)
+  in
+  let pos = Poset.write_decimal buf 0 name_len in
+  Bytes.set buf pos ':';
+  Bytes.blit_string t.name 0 buf (pos + 1) name_len;
+  let pos = pos + 1 + name_len in
+  Bytes.set buf pos ':';
+  let pos =
+    Array.fold_left
+      (fun pos (s : Step.t) ->
+        Bytes.set buf pos
+          (match s.Step.action with
+          | Step.Lock -> 'L'
+          | Step.Unlock -> 'U'
+          | Step.Update -> 'u');
+        let pos = Poset.write_decimal buf (pos + 1) s.Step.entity in
+        Bytes.set buf pos ',';
+        pos + 1)
+      (pos + 1) t.steps
+  in
+  Bytes.set buf pos '#';
+  ignore (Poset.write_relation_text t.order buf (pos + 1));
+  buf
 
-let fingerprint t = Digest.to_hex (Digest.string (serialize t))
+let fingerprint t = Digest.to_hex (Digest.bytes (serialize t))

@@ -13,61 +13,90 @@ type violation =
   | Update_without_lock of { entity : Database.entity; update : int }
   | Empty_section of { entity : Database.entity }
 
-let steps_of_kind t e kind =
-  let acc = ref [] in
-  for i = Txn.num_steps t - 1 downto 0 do
-    let s = Txn.step t i in
-    if s.Step.entity = e && s.Step.action = kind then acc := i :: !acc
-  done;
-  !acc
-
 let check ?(strict = false) db t =
   let violations = ref [] in
   let report v = violations := v :: !violations in
-  (* Per-site totality. *)
-  for site = 1 to Database.num_sites db do
-    let at_site = Txn.steps_at_site t db site in
-    let rec pairs = function
-      | [] -> ()
-      | a :: rest ->
-          List.iter
-            (fun b ->
-              if Txn.concurrent t a b then
-                report (Site_not_total { site; step_a = a; step_b = b }))
-            rest;
-          pairs rest
-    in
-    pairs at_site
-  done;
-  (* Lock discipline per entity. *)
+  let n = Txn.num_steps t in
+  let step i = Txn.step t i in
+  (* Per-site totality, over the sites the steps use, ascending. *)
+  let sites = Array.init n (fun i -> Database.site db (step i).Step.entity) in
+  let used =
+    Array.fold_left
+      (fun acc s -> if List.exists (Int.equal s) acc then acc else s :: acc)
+      [] sites
+  in
+  let at_site = Array.make n 0 in
   List.iter
-    (fun e ->
-      let locks = steps_of_kind t e Step.Lock in
-      let unlocks = steps_of_kind t e Step.Unlock in
-      let updates = steps_of_kind t e Step.Update in
-      (match locks with
-      | _ :: _ :: _ -> report (Duplicate_lock { entity = e; steps = locks })
-      | _ -> ());
-      (match unlocks with
-      | _ :: _ :: _ -> report (Duplicate_unlock { entity = e; steps = unlocks })
-      | _ -> ());
-      match (locks, unlocks) with
-      | [], [] ->
-          List.iter
-            (fun u -> report (Update_without_lock { entity = e; update = u }))
-            updates
-      | l :: _, [] -> report (Lock_without_unlock { entity = e; lock = l })
-      | [], u :: _ -> report (Unlock_without_lock { entity = e; unlock = u })
-      | l :: _, u :: _ ->
-          if not (Txn.precedes t l u) then
-            report (Unlock_not_after_lock { entity = e; lock = l; unlock = u });
-          List.iter
-            (fun up ->
-              if not (Txn.precedes t l up && Txn.precedes t up u) then
-                report (Update_outside_section { entity = e; update = up }))
-            updates;
-          if strict && updates = [] then report (Empty_section { entity = e }))
-    (Txn.touched_entities t);
+    (fun site ->
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        if sites.(i) = site then begin
+          at_site.(!m) <- i;
+          incr m
+        end
+      done;
+      for a = 0 to !m - 1 do
+        for b = a + 1 to !m - 1 do
+          let step_a = at_site.(a) and step_b = at_site.(b) in
+          if Txn.concurrent t step_a step_b then
+            report (Site_not_total { site; step_a; step_b })
+        done
+      done)
+    (List.sort Int.compare used);
+  (* Lock discipline per entity: the steps sorted by entity, then by
+     index, packed as [entity lsl bits lor index]; each entity's steps
+     are one run. *)
+  let bits = ref 0 in
+  while 1 lsl !bits < n do
+    incr bits
+  done;
+  let bits = !bits in
+  let by_entity =
+    Array.init n (fun i -> ((step i).Step.entity lsl bits) lor i)
+  in
+  Array.sort Int.compare by_entity;
+  let lo = ref 0 in
+  while !lo < n do
+    let e = by_entity.(!lo) lsr bits in
+    let hi = ref (!lo + 1) in
+    while !hi < n && by_entity.(!hi) lsr bits = e do
+      incr hi
+    done;
+    let of_kind kind =
+      let acc = ref [] in
+      for k = !hi - 1 downto !lo do
+        let i = by_entity.(k) land ((1 lsl bits) - 1) in
+        if (step i).Step.action = kind then acc := i :: !acc
+      done;
+      !acc
+    in
+    let locks = of_kind Step.Lock in
+    let unlocks = of_kind Step.Unlock in
+    let updates = of_kind Step.Update in
+    (match locks with
+    | _ :: _ :: _ -> report (Duplicate_lock { entity = e; steps = locks })
+    | _ -> ());
+    (match unlocks with
+    | _ :: _ :: _ -> report (Duplicate_unlock { entity = e; steps = unlocks })
+    | _ -> ());
+    (match (locks, unlocks) with
+    | [], [] ->
+        List.iter
+          (fun u -> report (Update_without_lock { entity = e; update = u }))
+          updates
+    | l :: _, [] -> report (Lock_without_unlock { entity = e; lock = l })
+    | [], u :: _ -> report (Unlock_without_lock { entity = e; unlock = u })
+    | l :: _, u :: _ ->
+        if not (Txn.precedes t l u) then
+          report (Unlock_not_after_lock { entity = e; lock = l; unlock = u });
+        List.iter
+          (fun up ->
+            if not (Txn.precedes t l up && Txn.precedes t up u) then
+              report (Update_outside_section { entity = e; update = up }))
+          updates;
+        if strict && updates = [] then report (Empty_section { entity = e }));
+    lo := !hi
+  done;
   List.rev !violations
 
 let to_string db t v =

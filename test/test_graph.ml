@@ -47,26 +47,41 @@ let test_bitset_bounds () =
 (* [iter] yields exactly the members, ascending, at the capacities
    around word boundaries; every other set also holds the last bit of
    each word (62, 125, 188), the sign bit of a 63-bit word. *)
+let gen_members =
+  Util.gen_with_state (fun st ->
+      let caps = [| 0; 1; 62; 63; 64; 126; 127; 200 |] in
+      let cap = caps.(Random.State.int st (Array.length caps)) in
+      let density = Random.State.float st 1.0 in
+      let last_bits = Random.State.bool st in
+      let members =
+        List.filter
+          (fun i ->
+            (last_bits && i mod Sys.int_size = Sys.int_size - 1)
+            || Random.State.float st 1.0 < density)
+          (List.init cap Fun.id)
+      in
+      (cap, members))
+
 let qcheck_bitset_iter =
   Util.qtest ~count:500 "iter yields the members in ascending order"
-    (Util.gen_with_state (fun st ->
-         let caps = [| 0; 1; 62; 63; 64; 126; 127; 200 |] in
-         let cap = caps.(Random.State.int st (Array.length caps)) in
-         let density = Random.State.float st 1.0 in
-         let last_bits = Random.State.bool st in
-         let members =
-           List.filter
-             (fun i ->
-               (last_bits && i mod Sys.int_size = Sys.int_size - 1)
-               || Random.State.float st 1.0 < density)
-             (List.init cap Fun.id)
-         in
-         (cap, members)))
+    gen_members
     (fun (cap, members) ->
       let s = Bitset.of_list cap members in
       let seen = ref [] in
       Bitset.iter (fun i -> seen := i :: !seen) s;
       List.rev !seen = members)
+
+let qcheck_bitset_count =
+  Util.qtest ~count:500 "cardinal and count_from count the members"
+    gen_members
+    (fun (cap, members) ->
+      let s = Bitset.of_list cap members in
+      Bitset.cardinal s = List.length members
+      && List.for_all
+           (fun i ->
+             Bitset.count_from s i
+             = List.length (List.filter (fun m -> m >= i) members))
+           (List.init (cap + 2) (fun i -> i - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Digraph *)
@@ -320,6 +335,7 @@ let () =
           Alcotest.test_case "set ops" `Quick test_bitset_ops;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           qcheck_bitset_iter;
+          qcheck_bitset_count;
         ] );
       ( "digraph",
         [

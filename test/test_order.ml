@@ -75,6 +75,41 @@ let qcheck_add_arcs_vs_rebuild =
       in
       agree && Poset.relation p = before)
 
+(* [of_arcs] closes int arcs in its own arrays; the digraph path it
+   replaced ([Digraph.of_arcs], acyclicity by [Topo.sort], rows from
+   [Reach.closure]) is the reference. The arc lists repeat arcs, and
+   two in three get one more arc: a self-loop, the reverse of an arc
+   (a cycle), or an arbitrary pair. *)
+let qcheck_of_arcs_vs_digraph =
+  Util.qtest ~count:1000 "of_arcs agrees with Digraph + Reach.closure"
+    (Util.gen_with_state (fun st ->
+         let n = 1 + Random.State.int st 14 in
+         let dag = Util.random_dag_arcs st n (Random.State.float st 0.5) in
+         let arcs = dag @ List.filter (fun _ -> Random.State.bool st) dag in
+         let v = Random.State.int st n in
+         let extra =
+           match (Random.State.int st 3, dag) with
+           | 0, _ -> [ (v, v) ]
+           | 1, (a, b) :: _ -> [ (b, a) ]
+           | _ -> [ (v, Random.State.int st n) ]
+         in
+         (n, if Random.State.int st 3 = 0 then arcs else extra @ arcs)))
+    (fun (n, arcs) ->
+      let module G = Distlock_graph in
+      let g = G.Digraph.of_arcs n arcs in
+      match (Poset.of_arcs n arcs, G.Topo.sort g) with
+      | None, None -> true
+      | Some p, Some _ ->
+          let rows = G.Reach.closure g in
+          let elems = List.init n Fun.id in
+          List.for_all
+            (fun a ->
+              List.for_all
+                (fun b -> Poset.precedes p a b = G.Bitset.mem rows.(a) b)
+                elems)
+            elems
+      | Some _, None | None, Some _ -> false)
+
 let test_reverse () =
   let p = Option.get (Poset.of_arcs 3 [ (0, 1); (1, 2) ]) in
   let r = Poset.reverse p in
@@ -196,7 +231,7 @@ let qcheck_kernels_vs_digraph =
         = Some (Poset.linearize_with_priority p ~priority)
       in
       let reversed =
-        match Poset.of_digraph (G.Digraph.transpose g) with
+        match Poset.of_arcs n (G.Digraph.arcs (G.Digraph.transpose g)) with
         | Some r -> Poset.equal r (Poset.reverse p)
         | None -> false
       in
@@ -249,6 +284,7 @@ let () =
           Alcotest.test_case "covers" `Quick test_covers;
           Alcotest.test_case "add_arcs" `Quick test_add_arcs;
           qcheck_add_arcs_vs_rebuild;
+          qcheck_of_arcs_vs_digraph;
           Alcotest.test_case "reverse" `Quick test_reverse;
           Alcotest.test_case "down/up sets" `Quick test_down_up_sets;
         ] );

@@ -72,6 +72,12 @@ let test_txn_queries () =
   Util.check "cross-site concurrent" true (Txn.concurrent t 0 3);
   Util.check "label" true (Txn.label t 0 = "Lx")
 
+let pick_action st =
+  match Random.State.int st 3 with
+  | 0 -> Step.Lock
+  | 1 -> Step.Unlock
+  | _ -> Step.Update
+
 let test_validate_violations () =
   let db = mkdb [ ("x", 1); ("y", 1) ] in
   let has_violation t pred = List.exists pred (Validate.check db t) in
@@ -128,6 +134,88 @@ let test_validate_violations () =
     (List.exists
        (function Validate.Empty_section _ -> true | _ -> false)
        (Validate.check ~strict:true db empty_section))
+
+(* [Validate.check] groups the steps by site and by entity; the scans it
+   replaced, one per site number from 1 to the largest and three per
+   touched entity, are the reference for which violations it reports
+   and in what order. *)
+let reference_violations ~strict db t =
+  let report, violations =
+    let acc = ref [] in
+    ((fun v -> acc := v :: !acc), fun () -> List.rev !acc)
+  in
+  let steps_of_kind e kind =
+    List.filter
+      (fun i -> Txn.step t i = { Step.entity = e; action = kind })
+      (List.init (Txn.num_steps t) Fun.id)
+  in
+  for site = 1 to Database.num_sites db do
+    let rec pairs = function
+      | [] -> ()
+      | a :: rest ->
+          List.iter
+            (fun b ->
+              if Txn.concurrent t a b then
+                report (Validate.Site_not_total { site; step_a = a; step_b = b }))
+            rest;
+          pairs rest
+    in
+    pairs (Txn.steps_at_site t db site)
+  done;
+  List.iter
+    (fun e ->
+      let locks = steps_of_kind e Step.Lock in
+      let unlocks = steps_of_kind e Step.Unlock in
+      let updates = steps_of_kind e Step.Update in
+      if List.length locks > 1 then
+        report (Validate.Duplicate_lock { entity = e; steps = locks });
+      if List.length unlocks > 1 then
+        report (Validate.Duplicate_unlock { entity = e; steps = unlocks });
+      match (locks, unlocks) with
+      | [], [] ->
+          List.iter
+            (fun u -> report (Validate.Update_without_lock { entity = e; update = u }))
+            updates
+      | l :: _, [] -> report (Validate.Lock_without_unlock { entity = e; lock = l })
+      | [], u :: _ -> report (Validate.Unlock_without_lock { entity = e; unlock = u })
+      | l :: _, u :: _ ->
+          if not (Txn.precedes t l u) then
+            report (Validate.Unlock_not_after_lock { entity = e; lock = l; unlock = u });
+          List.iter
+            (fun up ->
+              if not (Txn.precedes t l up && Txn.precedes t up u) then
+                report (Validate.Update_outside_section { entity = e; update = up }))
+            updates;
+          if strict && updates = [] then report (Validate.Empty_section { entity = e }))
+    (Txn.touched_entities t);
+  violations ()
+
+let qcheck_validate_vs_reference =
+  Util.qtest ~count:500 "validate reports what the per-site scans report"
+    (Util.gen_with_state (fun st ->
+         let db = Database.create () in
+         let num_entities = 1 + Random.State.int st 4 in
+         for e = 0 to num_entities - 1 do
+           ignore
+             (Database.add db ~name:(Printf.sprintf "e%d" e)
+                ~site:(1 + Random.State.int st 5))
+         done;
+         let n = Random.State.int st 9 in
+         let steps =
+           Array.init n (fun _ ->
+               {
+                 Step.entity = Random.State.int st num_entities;
+                 action = pick_action st;
+               })
+         in
+         let order =
+           Option.get
+             (Distlock_order.Poset.of_arcs n
+                (Util.random_dag_arcs st n (Random.State.float st 1.0)))
+         in
+         (db, Txn.make ~name:"T" ~steps order, Random.State.bool st)))
+    (fun (db, t, strict) ->
+      Validate.check ~strict db t = reference_violations ~strict db t)
 
 let test_add_precedences_along () =
   let db = mkdb [ ("x", 1); ("y", 2) ] in
@@ -212,14 +300,51 @@ let test_parse_roundtrip () =
         (Array.for_all2 Step.equal (Txn.steps t) (Txn.steps t'))
 
 let test_parse_errors () =
-  let bad = function Error _ -> true | Ok _ -> false in
-  Util.check "empty" true (bad (Parse.system_of_string ""));
-  Util.check "bad site" true
-    (bad (Parse.system_of_string "entity x @ zero\ntxn T {\nstep a lock x\n}\n"));
-  Util.check "unterminated" true
-    (bad (Parse.system_of_string "entity x @ 1\ntxn T {\nstep a lock x\n"));
-  Util.check "unknown action" true
-    (bad (Parse.system_of_string "entity x @ 1\ntxn T {\nstep a grab x\n}\n"));
+  let error text =
+    match Parse.system_of_string text with
+    | Error m -> m
+    | Ok _ -> "(parsed)"
+  in
+  let check name expected text =
+    Alcotest.(check string) name expected (error text)
+  in
+  let block body = "entity x @ 1\ntxn T1 {\n" ^ body ^ "}\n" in
+  check "empty" "no transactions" "";
+  check "entities only" "no transactions" "entity x @ 1\n";
+  check "bad site" "line 1: bad site number"
+    "entity x @ zero\ntxn T {\nstep a lock x\n}\n";
+  check "site 0" "line 1: bad site number" "entity x @ 0\n";
+  check "entity at another site"
+    "line 2: Database.add: entity \"x\" already stored at site 1"
+    "entity x @ 1\nentity x @ 2\n";
+  check "unknown action" "line 3: unknown action grab"
+    (block "step a grab x\n");
+  check "unexpected token" "line 3: unexpected token arc"
+    (block "arc a b\n");
+  check "step outside a block" "line 1: unexpected token step"
+    "step a lock x\n";
+  check "unterminated" "unterminated txn block"
+    "entity x @ 1\ntxn T {\nstep a lock x\n";
+  check "duplicate label" "txn T1: duplicate label \"a\""
+    (block "step a lock x\nstep a unlock x\n");
+  check "unknown entity" "txn T1: unknown entity \"y\""
+    (block "step a lock y\n");
+  check "unknown step label" "txn T1: unknown step label \"c\""
+    (block "step a lock x\nstep b unlock x\narc a -> c\n");
+  check "cyclic" "txn T1: cyclic precedence declaration"
+    (block "step a lock x\nstep b unlock x\nchain a b a\n");
+  check "duplicate names" "System.make: duplicate transaction names"
+    (block "step a lock x\n" ^ "txn T1 {\n}\n");
+  (* Which error wins when there are several. *)
+  check "duplicate label before unknown entity"
+    "txn T1: duplicate label \"a\""
+    (block "step a lock y\nstep a unlock x\n");
+  check "a later line error before an earlier bad block"
+    "line 6: unexpected token bogus"
+    (block "step a lock x\narc a -> c\n" ^ "bogus\n");
+  check "a chain's pairs from the last back"
+    "txn T1: unknown step label \"r\""
+    (block "step a lock x\nchain q a r\n");
   Util.check "comments fine" true
     (match
        Parse.system_of_string
@@ -227,6 +352,211 @@ let test_parse_errors () =
      with
     | Ok sys -> System.total_steps sys = 2
     | Error _ -> false)
+
+(* Labels resolve when their block closes and entities once every line
+   is read: an arc may precede its steps, and an entity may be declared
+   after the block that uses it. *)
+let test_parse_forward () =
+  let parses text =
+    match Parse.system_of_string text with
+    | Ok sys -> Txn.precedes (System.txn sys 0) 0 1
+    | Error m -> Alcotest.fail m
+  in
+  Util.check "arc before its steps" true
+    (parses "entity x @ 1\ntxn T {\narc a -> b\nstep a lock x\nstep b unlock x\n}\n");
+  Util.check "entity after its block" true
+    (parses "txn T {\nstep a lock x\nstep b unlock x\narc a -> b\n}\nentity x @ 1\n")
+
+(* Every generator's systems, printed and read back, keep their
+   fingerprint: the database, the steps and the whole order. *)
+let qcheck_parse_roundtrip =
+  Util.qtest ~count:200 "system_to_string round-trips every generator"
+    (Util.gen_with_state (fun st ->
+         let sites = 1 + Random.State.int st 4 in
+         let with_updates = Random.State.bool st in
+         let cross_prob = Random.State.float st 1.0 in
+         match Random.State.int st 3 with
+         | 0 ->
+             Txn_gen.random_pair_system st ~num_shared:(1 + Random.State.int st 5)
+               ~num_private:(Random.State.int st 3) ~num_sites:sites ~with_updates
+               ~cross_prob ()
+         | 1 ->
+             Txn_gen.random_multi_system st ~num_txns:(1 + Random.State.int st 5)
+               ~num_entities:(sites + 3) ~entities_per_txn:3 ~num_sites:sites
+               ~with_updates ~cross_prob ()
+         | _ ->
+             let db =
+               Txn_gen.random_database st ~num_entities:(sites + 2) ~num_sites:sites
+             in
+             System.make db
+               [
+                 Txn_gen.random_txn st db ~name:"T" ~entities:(Database.entities db)
+                   ~with_updates ~cross_prob ();
+               ]))
+    (fun sys ->
+      match Parse.system_of_string (Parse.system_to_string sys) with
+      | Ok sys' -> System.fingerprint sys' = System.fingerprint sys
+      | Error _ -> false)
+
+(* The differential property: the one-pass scanner and the list-based
+   reference parser ({!Reference_parser}) read every text alike. The
+   texts are generated systems written with the format's freedoms
+   (separators, comments, blank lines, chains, arcs before their
+   steps, entities after the blocks), and mutations of them. *)
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+let shuffled st l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let write_system st sys =
+  let db = System.db sys in
+  let line tokens =
+    pick st [ ""; "  "; "\t" ]
+    ^ String.concat (pick st [ " "; "  "; "\t"; " \t " ]) tokens
+    ^ pick st [ ""; ""; ""; " # note"; "\t#" ]
+  in
+  let filler () = pick st [ []; []; []; [ "" ]; [ "# comment" ]; [ " \t" ] ] in
+  let entities =
+    List.map
+      (fun e ->
+        line
+          [ "entity"; Database.name db e; "@"; string_of_int (Database.site db e) ])
+      (Database.entities db)
+  in
+  let block txn =
+    let label = Txn.label txn in
+    let steps =
+      List.init (Txn.num_steps txn) (fun i ->
+          let s = Txn.step txn i in
+          let action =
+            match s.Step.action with
+            | Step.Lock -> "lock"
+            | Step.Unlock -> "unlock"
+            | Step.Update -> "update"
+          in
+          line [ "step"; label i; action; Database.name db s.Step.entity ])
+    in
+    let precedences =
+      List.map
+        (fun (a, b) ->
+          match Random.State.int st 3 with
+          | 0 -> line [ "chain"; label a; label b ]
+          | 1 -> (
+              match
+                List.find_opt
+                  (fun c -> Txn.precedes txn b c)
+                  (List.init (Txn.num_steps txn) Fun.id)
+              with
+              | Some c -> line [ "chain"; label a; label b; label c ]
+              | None -> line [ "arc"; label a; "->"; label b ])
+          | _ -> line [ "arc"; label a; "->"; label b ])
+        (Distlock_order.Poset.covers (Txn.order txn))
+    in
+    let body =
+      if Random.State.int st 4 = 0 then precedences @ steps
+      else steps @ shuffled st precedences
+    in
+    (line [ "txn"; Txn.name txn; "{" ] :: List.concat_map (fun l -> l :: filler ()) body)
+    @ [ line [ "}" ] ]
+  in
+  let blocks = List.concat_map block (Array.to_list (System.txns sys)) in
+  let before, after = List.partition (fun _ -> Random.State.int st 5 > 0) entities in
+  String.concat "\n" (before @ filler () @ blocks @ after) ^ pick st [ ""; "\n" ]
+
+let mutate st text =
+  let lines () = String.split_on_char '\n' text in
+  let join = String.concat "\n" in
+  let n = String.length text in
+  match Random.State.int st 8 with
+  | 0 when n > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (Random.State.int st n)
+        (pick st [ ' '; '\t'; '\n'; '#'; '{'; '}'; '@'; '-'; '>'; 'x'; '0'; '\r'; '"' ]);
+      Bytes.to_string b
+  | 1 ->
+      let ls = lines () in
+      let k = Random.State.int st (List.length ls) in
+      join (List.filteri (fun i _ -> i <> k) ls)
+  | 2 ->
+      let ls = lines () in
+      let k = Random.State.int st (List.length ls) in
+      join (List.concat (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) ls))
+  | 3 ->
+      let a = Array.of_list (lines ()) in
+      let i = Random.State.int st (Array.length a) in
+      let j = Random.State.int st (Array.length a) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t;
+      join (Array.to_list a)
+  | 4 -> String.sub text 0 (Random.State.int st (n + 1))
+  | 5 ->
+      let rename l =
+        match String.split_on_char ' ' l with
+        | "txn" :: _ :: rest -> String.concat " " ("txn" :: "T1" :: rest)
+        | _ -> l
+      in
+      join (List.map rename (lines ()))
+  | 6 -> text ^ "\nentity e0 @ 7"
+  | _ -> (
+      let is_entity l = List.mem "entity" (String.split_on_char ' ' (String.trim l)) in
+      match List.partition is_entity (lines ()) with
+      | e :: es, rest -> join ((es @ rest) @ [ e ])
+      | [], _ -> text)
+
+let gen_text =
+  Util.gen_with_state (fun st ->
+      let sites = 1 + Random.State.int st 6 in
+      let with_updates = Random.State.bool st in
+      let cross_prob = if Random.State.bool st then 1.0 else Random.State.float st 1.0 in
+      let sys =
+        if Random.State.bool st then
+          Txn_gen.random_pair_system st
+            ~num_shared:(1 + Random.State.int st 4)
+            ~num_private:(Random.State.int st 3) ~num_sites:sites ~with_updates
+            ~cross_prob ()
+        else
+          Txn_gen.random_multi_system st
+            ~num_txns:(2 + Random.State.int st 4)
+            ~num_entities:(sites + 2) ~entities_per_txn:2 ~num_sites:sites
+            ~with_updates ~cross_prob ()
+      in
+      let text = write_system st sys in
+      let rec mutations k text =
+        if k = 0 then text else mutations (k - 1) (mutate st text)
+      in
+      mutations (pick st [ 0; 0; 1; 1; 2; 3 ]) text)
+
+let qcheck_parse_vs_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1500
+       ~name:"scanner ≡ reference parser on generated and mutated texts"
+       ~print:String.escaped gen_text (fun text ->
+         let read parse =
+           match parse text with
+           | Ok sys ->
+               ignore (System.validate sys);
+               Ok
+                 ( System.fingerprint sys,
+                   Array.map
+                     (fun t -> Array.init (Txn.num_steps t) (Txn.label t))
+                     (System.txns sys) )
+           | Error m -> Error m
+           | exception e -> Error ("raised " ^ Printexc.to_string e)
+         in
+         match (read Parse.system_of_string, read Reference_parser.system_of_string) with
+         | (Ok _ as a), b -> a = b
+         | Error a, Error b ->
+             a = b && not (String.starts_with ~prefix:"raised" a)
+         | Error _, Ok _ -> false))
 
 let test_pretty_columns () =
   let db = mkdb [ ("x", 1); ("z", 2) ] in
@@ -268,7 +598,10 @@ let () =
           Alcotest.test_case "add_precedences/along" `Quick test_add_precedences_along;
         ] );
       ( "validate",
-        [ Alcotest.test_case "violations" `Quick test_validate_violations ] );
+        [
+          Alcotest.test_case "violations" `Quick test_validate_violations;
+          qcheck_validate_vs_reference;
+        ] );
       ("system", [ Alcotest.test_case "basic" `Quick test_system ]);
       ( "generator",
         [ qcheck_gen_well_formed; qcheck_gen_total_when_cross1; qcheck_multi_gen ] );
@@ -278,5 +611,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_parse_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "forward references" `Quick test_parse_forward;
+          qcheck_parse_roundtrip;
+          qcheck_parse_vs_reference;
         ] );
     ]
