@@ -21,7 +21,6 @@
      E11  [7]     deadlock and safety are orthogonal axes
      E12  Sec 1   shared locks: the theory is unchanged
      E13  --      decision-engine verdict cache and batch throughput
-     E15  --      parallel batch speedup over 1/2/4/8 domains
      E16  --      memoized state graph vs the factorial schedule tree
      E17  --      incremental session: warm-edit latency vs from-scratch
      E18  --      flight-recorder overhead
@@ -707,87 +706,14 @@ let e13 () =
     (E.Engine.hit_rate report) expected
 
 (* ------------------------------------------------------------------ *)
-(* E15: parallel batch decisions — speedup curve over domain counts *)
-
-let e15 () =
-  rule "E15 (engine): decide_batch speedup over 1/2/4/8 domains";
-  let module E = Distlock_engine in
-  let rng = Random.State.make [| 15 |] in
-  (* A mixed corpus of distinct systems — no duplicates, and a fresh
-     engine per run, so every decision is a cold-cache pipeline run and
-     the curve measures the pipeline fan-out, not the cache. *)
-  let corpus =
-    List.init 480 (fun i ->
-        Txn_gen.random_pair_system rng
-          ~num_shared:(3 + (i mod 4))
-          ~num_private:(i mod 2)
-          ~num_sites:(2 + (i mod 3))
-          ~cross_prob:(0.3 +. (0.1 *. float_of_int (i mod 5)))
-          ())
-    @ List.init 40 (fun i ->
-          Txn_gen.random_multi_system rng
-            ~num_txns:(3 + (i mod 2))
-            ~num_entities:6 ~entities_per_txn:2 ~num_sites:2 ~cross_prob:0.6
-            ())
-  in
-  let n = List.length corpus in
-  let job_counts = [ 1; 2; 4; 8 ] in
-  let run jobs =
-    let eng = Decision.create ~cache_capacity:0 () in
-    time (fun () -> Decision.decide_batch ~jobs eng corpus)
-  in
-  (* Warm-up once so allocator state is comparable across runs. *)
-  ignore (run 1);
-  let results = List.map (fun jobs -> (jobs, run jobs)) job_counts in
-  let (baseline, _), t1 =
-    List.assoc 1 results
-  in
-  pf "corpus: %d distinct systems (pairs + multi), cold cache per run\n" n;
-  pf "%6s %12s %14s %9s %s\n" "jobs" "seconds" "decisions/s" "speedup"
-    "verdicts";
-  let speedups =
-    List.map
-      (fun (jobs, ((outcomes, report), t)) ->
-        let agree =
-          List.for_all2
-            (fun (a : _ E.Outcome.t) (b : _ E.Outcome.t) ->
-              E.Outcome.decided a = E.Outcome.decided b
-              && a.E.Outcome.procedure = b.E.Outcome.procedure)
-            baseline outcomes
-        in
-        let speedup = t1 /. t in
-        pf "%6d %9.2f ms %14.0f %8.2fx %s\n" jobs (ms t)
-          (float_of_int n /. t) speedup
-          (if agree then "agree" else "DISAGREE");
-        metric_f (Printf.sprintf "jobs%d_seconds" jobs) t;
-        metric_f (Printf.sprintf "jobs%d_speedup" jobs) speedup;
-        metric_b (Printf.sprintf "jobs%d_verdicts_agree" jobs) agree;
-        bar (t > 0.) "jobs%d_seconds not positive" jobs;
-        bar agree "verdicts disagree between jobs:1 and jobs:%d" jobs;
-        ignore report;
-        (jobs, speedup))
-      results
-  in
-  param_i "corpus_systems" n;
-  param_i "recommended_domain_count" (Domain.recommended_domain_count ());
-  metric_f "speedup_jobs4" (List.assoc 4 speedups);
-  bar (n >= 500) "corpus too small (%d < 500)" n;
-  bar (List.assoc 4 speedups > 0.) "speedup_jobs4 not positive";
-  pf
-    "note: speedup saturates at the machine's core count \
-     (recommended_domain_count = %d here)\n"
-    (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
 (* E16: the memoized state-graph oracle vs factorial schedule
-   enumeration. Same flavour of corpus as E15 — partial orders, several
-   shared entities, multiple sites — so the schedule tree has genuine
-   interleaving freedom for the state graph to collapse. *)
+   enumeration. The corpus has partial orders, several shared entities
+   and multiple sites, so the schedule tree has genuine interleaving
+   freedom for the state graph to collapse. *)
 
 let e16 () =
   rule "E16 (stategraph): bitset state graph vs factorial schedule tree";
   let module S = Distlock_sched in
-  let module E = Distlock_engine in
   let rng = Random.State.make [| 16 |] in
   let cap = 500_000 in
   let corpus =
@@ -888,29 +814,7 @@ let e16 () =
      reaches %d and %d"
     !total_complete !total_deadlocked pinned_complete pinned_deadlocked;
   bar (!speedups <> []) "empty exhaustive-oracle speedup subset";
-  bar (med >= 10.) "median decision speedup %.1fx below the 10x bar" med;
-  (* The engine path: the State_graph stage rides the same batch fan-out
-     as E15; jobs:1 and jobs:4 must agree decision for decision. *)
-  let run jobs =
-    let eng = Decision.create ~cache_capacity:0 () in
-    time (fun () -> Decision.decide_batch ~jobs eng corpus)
-  in
-  let (out1, _), t1 = run 1 in
-  let (out4, _), t4 = run 4 in
-  let agree =
-    List.for_all2
-      (fun (a : _ E.Outcome.t) (b : _ E.Outcome.t) ->
-        E.Outcome.decided a = E.Outcome.decided b
-        && a.E.Outcome.procedure = b.E.Outcome.procedure)
-      out1 out4
-  in
-  pf "engine batch: jobs:1 %.2f ms, jobs:4 %.2f ms, verdicts %s\n" (ms t1)
-    (ms t4)
-    (if agree then "agree" else "DISAGREE");
-  metric_f "jobs1_seconds" t1;
-  metric_f "jobs4_seconds" t4;
-  metric_b "jobs_verdicts_agree" agree;
-  bar agree "jobs:1 and jobs:4 verdicts disagree"
+  bar (med >= 10.) "median decision speedup %.1fx below the 10x bar" med
 
 (* ------------------------------------------------------------------ *)
 (* E17: warm-cache edit latency — an incremental session absorbing
@@ -1037,9 +941,10 @@ let e18 () =
   let n = List.length queries in
   (* One batch takes a few milliseconds, about one scheduler quantum, so
      a single burst of host contention could carry a median. Each timed
-     run repeats it, a fresh engine each time, and spans tens of
-     milliseconds. *)
-  let batches = 5 in
+     run repeats it, a fresh engine each time, and spans over 20 ms: a
+     batch read 1.6–2.9 ms on a shared 2-CPU Xeon VM, so the no-op run
+     reads about 21–38 ms. *)
+  let batches = 13 in
   let run_once () =
     for _ = 1 to batches do
       let eng = Decision.create () in
@@ -1419,27 +1324,29 @@ let e20 () =
   pf "with concurrent scraper:  %8.2f ms  overhead: %.3fx (%d scrapes)\n"
     (ms t_scraped) overhead scrapes;
   pf "sim metric families present on /metrics: %b\n" families_present;
-  (* Sustained scrape correctness while a parallel batch runs. *)
+  (* Scrape correctness while the engine decides on this thread. The
+     scraper and the server are systhreads, which get the CPU only at
+     the runtime's ~50 ms preemption tick, so the decisions run for many
+     ticks: [rounds] passes over distinct pair systems, uncached. A
+     scrape whose decision count lies strictly between 0 and the final
+     count landed while the engine was deciding. *)
   let rng2 = Random.State.make [| 78 |] in
-  let pool =
-    Array.of_list
-      (List.init 10 (fun i ->
-           Txn_gen.random_pair_system rng2
-             ~num_shared:(2 + (i mod 3))
-             ~num_private:1
-             ~num_sites:(2 + (i mod 2))
-             ~cross_prob:0.5 ()))
-  in
   let queries =
-    List.init 400 (fun _ -> pool.(Random.State.int rng2 (Array.length pool)))
+    List.init 400 (fun i ->
+        Txn_gen.random_pair_system rng2
+          ~num_shared:(2 + (i mod 3))
+          ~num_private:1
+          ~num_sites:(2 + (i mod 2))
+          ~cross_prob:0.5 ())
   in
-  let eng = Decision.create () in
+  let rounds = 40 in
+  let eng = Decision.create ~cache_capacity:0 () in
   served :=
     [ ("global", Obs.global); ("engine", E.Stats.registry (Decision.stats eng)) ];
   let stop2 = Atomic.make false in
   let parsed = ref true
   and monotone = ref true
-  and count = ref 0 in
+  and counts = ref [] in
   let checker =
     Thread.create
       (fun () ->
@@ -1447,39 +1354,52 @@ let e20 () =
         while not (Atomic.get stop2) do
           (try
              let body = http_get ~port "/metrics" in
-             incr count;
              if not (scrape_parses body) then parsed := false;
              match metric_value body "distlock_engine_decisions_total" with
              | Some v ->
                  if v < !last then monotone := false;
-                 last := v
+                 last := v;
+                 counts := v :: !counts
              | None -> ()
            with _ -> parsed := false);
           Unix.sleepf 0.001
         done)
       ()
   in
-  ignore (Decision.decide_batch ~jobs:4 eng queries);
+  let (), t_decide =
+    time (fun () ->
+        for _ = 1 to rounds do
+          ignore (Decision.decide_batch eng queries)
+        done)
+  in
   Unix.sleepf 0.02;
   Atomic.set stop2 true;
   Thread.join checker;
-  let parsed_ok, monotone, batch_scrapes = (!parsed, !monotone, !count) in
+  let decisions = E.Stats.decisions (Decision.stats eng) in
+  let load_scrapes = List.length !counts in
+  let mid_run =
+    List.length
+      (List.filter (fun v -> v > 0. && v < float_of_int decisions) !counts)
+  in
+  let parsed_ok, monotone = (!parsed, !monotone) in
   Distlock_obs.Expose.stop srv;
   Obs.set_sink Distlock_obs.Sink.noop;
   pf
-    "batch --jobs 4 under scrape: %d scrapes, all parse: %b, counters \
-     monotone: %b\n"
-    batch_scrapes parsed_ok monotone;
+    "decisions under scrape: %d in %.0f ms, %d scrapes (%d while deciding), \
+     all parse: %b, counters monotone: %b\n"
+    decisions (ms t_decide) load_scrapes mid_run parsed_ok monotone;
   param_i "corpus_systems" (List.length corpus);
   param_i "seeds_per_system" (List.length seeds);
-  param_i "batch_queries" (List.length queries);
-  param_i "batch_jobs" 4;
+  param_i "load_queries" (List.length queries);
+  param_i "load_rounds" rounds;
   metric_f "baseline_seconds" t_base;
   metric_f "scraped_seconds" t_scraped;
   metric_f "scrape_overhead_ratio" overhead;
   metric_i "overhead_scrapes" scrapes;
   metric_b "sim_families_present" families_present;
-  metric_i "batch_scrapes" batch_scrapes;
+  metric_f "load_seconds" t_decide;
+  metric_i "load_scrapes" load_scrapes;
+  metric_i "mid_run_scrapes" mid_run;
   metric_b "scrapes_parse" parsed_ok;
   metric_b "counters_monotone" monotone;
   bar (t_base > 0. && t_scraped > 0.) "a median run time is not positive";
@@ -1487,7 +1407,7 @@ let e20 () =
     overhead;
   bar (scrapes >= 1) "no scrapes landed during the overhead measurement";
   bar families_present "simulator metric families missing from /metrics";
-  bar (batch_scrapes >= 1) "no scrapes landed during the parallel batch";
+  bar (mid_run >= 1) "no scrape landed while the engine was deciding";
   bar parsed_ok "a scrape taken under concurrent writes failed to parse";
   bar monotone "decision counter went backwards between scrapes"
 
@@ -1588,7 +1508,7 @@ let experiments =
   [ ("E1", e1); ("E2", e2); ("E2b", e2b); ("E3", e3); ("E4", e4);
     ("E5", e5); ("E6", e6); ("E7", e7); ("E8", e8); ("E8b", e8b);
     ("E8c", e8c); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
-    ("E13", e13); ("E15", e15); ("E16", e16); ("E17", e17);
+    ("E13", e13); ("E16", e16); ("E17", e17);
     ("E18", e18); ("E19", e19); ("E20", e20) ]
 
 (* Host metadata, so an archived BENCH_results.json says what machine

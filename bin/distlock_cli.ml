@@ -186,7 +186,7 @@ let chrome_trace_arg =
         ~doc:
           "On exit, write the span/event stream as a Chrome trace-event \
            JSON file to $(docv) — open it in chrome://tracing or \
-           Perfetto; one thread track per OCaml domain")
+           Perfetto")
 
 (* Full setup: --trace carries structured spans/events as JSON Lines. *)
 let obs_setup =
@@ -320,7 +320,6 @@ let json_of_report (r : E.Engine.batch_report) =
       ("pairs_redecided", J.Int r.E.Engine.pairs_redecided);
       ("hit_rate", J.Float (E.Engine.hit_rate r));
       ("seconds", J.Float r.E.Engine.batch_seconds);
-      ("jobs", J.Int r.E.Engine.jobs);
       ( "per_procedure",
         J.Obj (List.map (fun (p, n) -> (p, J.Int n)) r.E.Engine.per_procedure)
       );
@@ -486,8 +485,7 @@ let check_cmd =
       $ stats_flag $ json_flag)
 
 let batch_cmd =
-  let run () files repeat no_cache budget jobs explain stats json =
-    require "--jobs" ">= 1" (fun n -> n >= 1) jobs;
+  let run () files repeat no_cache budget explain stats json =
     require "--repeat" ">= 1" (fun n -> n >= 1) repeat;
     let budget = steps_budget budget in
     let named = List.map (fun f -> (f, load_system f)) files in
@@ -500,7 +498,7 @@ let batch_cmd =
            ())
     in
     let outcomes, report =
-      Decision.decide_batch ~budget ~jobs eng (List.map snd named)
+      Decision.decide_batch ~budget eng (List.map snd named)
     in
     let explain_of sys o =
       if explain then Some (Decision.explain eng sys o) else None
@@ -566,23 +564,13 @@ let batch_cmd =
           ~doc:"Step budget per decision (caps the exhaustive stages)"
           ~docv:"STEPS")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Decide the batch's distinct systems on $(docv) domains in \
-             parallel (1 = sequential); outcomes and report totals are \
-             identical for any value"
-          ~docv:"N")
-  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
          "Decide many system files through the cached engine, with \
           fingerprint deduplication and a hit-rate report")
     Term.(
-      const run $ obs_setup $ files $ repeat $ no_cache $ budget $ jobs
+      const run $ obs_setup $ files $ repeat $ no_cache $ budget
       $ explain_flag $ stats_flag $ json_flag)
 
 (* `mutate` drives an incremental session over a stream of snapshots:

@@ -11,9 +11,7 @@ type verdict =
    legible from the outside ([--metrics] snapshots show the census
    advancing). A counter bump is one atomic increment — noise even at
    tens of millions of iterations. The handle is fetched once per run
-   through the registry's mutex-guarded get-or-create — not through a
-   shared [lazy], which raises [RacyLazy] when forced from several
-   domains at once, and these oracles now run on pool workers. *)
+   through the registry's get-or-create. *)
 let m_schedules () =
   Distlock_obs.Registry.counter Distlock_obs.Obs.global
     ~help:"Legal schedules examined by the brute-force oracle"

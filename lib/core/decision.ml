@@ -85,7 +85,7 @@ let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) () =
   let stats = E.Stats.create () in
   let pair_cache =
     if pair_cache_capacity <= 0 then None
-    else Some (E.Lru_sharded.create ~capacity:pair_cache_capacity ())
+    else Some (E.Lru.create ~capacity:pair_cache_capacity)
   in
   let checkers =
     List.map
@@ -98,7 +98,7 @@ let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) () =
 
 let decide ?budget t sys = E.Engine.decide ?budget t sys
 
-let decide_batch ?budget ?jobs t syss = E.Engine.decide_batch ?budget ?jobs t syss
+let decide_batch ?budget t syss = E.Engine.decide_batch ?budget t syss
 
 let explain t sys o = E.Engine.explain t sys o
 

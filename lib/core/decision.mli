@@ -41,15 +41,12 @@ val decide :
 
 val decide_batch :
   ?budget:Distlock_engine.Budget.t ->
-  ?jobs:int ->
   t ->
   System.t list ->
   evidence Distlock_engine.Outcome.t list
   * Distlock_engine.Engine.batch_report
 (** Deduplicates by fingerprint within the batch and against the cache;
-    the report carries hit counts, per-procedure tallies, and wall time.
-    [jobs] (default [1]) fans distinct systems out to that many domains;
-    outcomes and report totals are identical for every [jobs]. *)
+    the report carries hit counts, per-procedure tallies, and wall time. *)
 
 val explain :
   t ->

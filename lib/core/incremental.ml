@@ -26,7 +26,7 @@ type t = {
   conflicts : G.Dyngraph.t; (* vertices are transaction names *)
   locked : (string, Database.entity list) Hashtbl.t; (* sorted ids *)
   fps : (string, string) Hashtbl.t; (* name -> Txn.fingerprint *)
-  pair_cache : bool E.Lru_sharded.t; (* pair_fingerprint -> safe? *)
+  pair_cache : bool E.Lru.t; (* pair_fingerprint -> safe? *)
   pair_keys : (string * string, string) Hashtbl.t;
       (* sorted name pair -> pair_fingerprint; entries dropped when
          either endpoint mutates, so holds only live conflicting pairs *)
@@ -85,7 +85,7 @@ let create db txns =
       conflicts = G.Dyngraph.create ();
       locked = Hashtbl.create 64;
       fps = Hashtbl.create 64;
-      pair_cache = E.Lru_sharded.create ~capacity:4096 ();
+      pair_cache = E.Lru.create ~capacity:4096;
       pair_keys = Hashtbl.create 64;
       memo = Multisite.memo ();
       stats = E.Stats.create ();

@@ -8,7 +8,7 @@ open Distlock_txn
     enumeration. A session runs the same Proposition 2 loop
     ({!Multisite.decide_with}) but keeps its inputs between calls:
 
-    - a {b pair-verdict store} ({!Distlock_engine.Lru_sharded}) keyed by
+    - a {b pair-verdict store} ({!Distlock_engine.Lru}) keyed by
       the order-canonical {!System.pair_fingerprint}, so after a
       single-transaction edit only the O(n) pairs involving the mutated
       transaction re-run the pair pipeline (at most [2n − 3]: the pair
@@ -21,8 +21,7 @@ open Distlock_txn
       transactions, so condition (b) is re-judged only for cycles
       through a touched component.
 
-    Sessions are cheap to create and single-domain (the caches they
-    reuse are domain-safe, but the mutation API is not serialized). *)
+    Sessions are cheap to create and serve one caller at a time. *)
 
 type t
 

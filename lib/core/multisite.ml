@@ -186,7 +186,7 @@ let pair_safe ?store ?run_stats ~budget tally sys i j =
   | None -> decide ()
   | Some (verdicts, stats, fingerprint) -> (
       let fp = fingerprint i j in
-      match E.Lru_sharded.find verdicts fp with
+      match E.Lru.find verdicts fp with
       | Some safe ->
           tally.pair_hits <- tally.pair_hits + 1;
           E.Stats.record_pair_lookup stats ~hit:true;
@@ -196,11 +196,11 @@ let pair_safe ?store ?run_stats ~budget tally sys i j =
           let safe = decide () in
           tally.pairs_redecided <- tally.pairs_redecided + 1;
           E.Stats.record_pair_redecided stats;
-          E.Lru_sharded.add verdicts fp safe;
+          E.Lru.add verdicts fp safe;
           safe)
 
 (* Bounds on the memo tables. They are plain Hashtbls (one session, one
-   domain), so the cap is a reset, not an LRU: a workload that genuinely
+   caller), so the cap is a reset, not an LRU: a workload that genuinely
    cycles through more distinct SCCs or cycles than this re-derives
    them — correctness never depends on a hit. *)
 let cycle_cache_cap = 65_536

@@ -82,7 +82,7 @@ exception Undecided of string
 
 val pair_safe :
   ?store:
-    bool Distlock_engine.Lru_sharded.t
+    bool Distlock_engine.Lru.t
     * Distlock_engine.Stats.t
     * (int -> int -> string) ->
   ?run_stats:Distlock_engine.Stats.t ->
@@ -105,7 +105,7 @@ val pair_safe :
 type memo
 (** Content-keyed cycle lists per strongly connected component and B_c
     verdicts per cycle, kept across calls (capped; a full table is
-    reset). Single-domain. *)
+    reset). One caller at a time. *)
 
 val memo : unit -> memo
 

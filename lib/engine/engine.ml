@@ -1,18 +1,10 @@
 module Obs = Distlock_obs.Obs
 module A = Distlock_obs.Attr
-module Par = Distlock_par.Par
-
-(* Concurrency architecture (DESIGN §9): the pipeline core ([run] and
-   every checker) is pure — it closes over no shared mutable state — so
-   one engine instance may serve decisions from several domains at
-   once. The mutable shell is domain-safe piecewise: the verdict cache
-   is sharded ({!Lru_sharded}, one mutex per shard), {!Stats} counters
-   are [Atomic]-backed, and the obs layer serializes sink writes. *)
 
 type ('sys, 'ev) t = {
   checkers : ('sys, 'ev) Checker.t list;
   fingerprint : 'sys -> string;
-  cache : 'ev Outcome.t Lru_sharded.t option;
+  cache : 'ev Outcome.t Lru.t option;
   stats : Stats.t;
 }
 
@@ -23,7 +15,7 @@ let create ?(cache_capacity = 1024) ?stats ~fingerprint checkers =
     fingerprint;
     cache =
       (if cache_capacity <= 0 then None
-       else Some (Lru_sharded.create ~capacity:cache_capacity ()));
+       else Some (Lru.create ~capacity:cache_capacity));
     stats = (match stats with Some s -> s | None -> Stats.create ());
   }
 
@@ -33,12 +25,7 @@ let stats t = t.stats
 
 (* One staged pass over the pipeline. Applicable stages run in order.
    A stage Error is recorded and the pipeline continues — the final
-   Unknown carries every error so nothing is silently masked.
-
-   Reentrancy: this function closes over nothing mutable. The ref it
-   allocates ([trace]) is private to the call, so concurrent [run]s of
-   the same checker list from different domains never interact (the
-   optional [stats] sink is domain-safe by itself). *)
+   Unknown carries every error so nothing is silently masked. *)
 let run ?stats ?(budget = Budget.unlimited) checkers sys =
   let started = Obs.mono_s () in
   let trace = ref [] in
@@ -103,9 +90,8 @@ let run ?stats ?(budget = Budget.unlimited) checkers sys =
         else begin
           let sp = Obs.start_span "engine.stage" ~attrs:(stage_attrs c) in
           (* Stage timing is monotonic wall time; the span also carries
-             the CPU time, which is the genuinely-CPU number (and, being
-             process-wide, can exceed the wall delta when other domains
-             are busy — it is an attribute, not the trace timing). *)
+             the process CPU time, as an attribute, not the trace
+             timing. *)
           let t0 = Obs.mono_s () in
           let c0 = Obs.cpu_s () in
           let result =
@@ -187,7 +173,7 @@ let decide_keyed ?budget t fp sys =
     Obs.end_span sp;
     o
   in
-  match Option.bind t.cache (fun c -> Lru_sharded.find c fp) with
+  match Option.bind t.cache (fun c -> Lru.find c fp) with
   | Some o ->
       Stats.record_decision t.stats ~cached:true
         ~unknown:(not (Outcome.decided o));
@@ -197,7 +183,7 @@ let decide_keyed ?budget t fp sys =
       let o = run ~stats:t.stats ?budget t.checkers sys in
       (match (t.cache, o.Outcome.verdict) with
       | Some _, Outcome.Unknown _ -> () (* budget-dependent: never cached *)
-      | Some c, _ -> Lru_sharded.add c fp o
+      | Some c, _ -> Lru.add c fp o
       | None, _ -> ());
       finish fp o
 
@@ -222,7 +208,6 @@ type batch_report = {
   pair_misses : int;
   pairs_redecided : int;
   batch_seconds : float;
-  jobs : int;
   per_procedure : (string * int) list;
 }
 
@@ -254,83 +239,42 @@ module Tally = struct
     List.rev_map (fun l -> (l, Hashtbl.find t.counts l)) t.order
 end
 
-let decide_batch ?budget ?(jobs = 1) t syss =
-  if jobs < 1 then invalid_arg "Engine.decide_batch: jobs must be >= 1";
+let decide_batch ?budget t syss =
   let submitted = List.length syss in
   let sp =
     Obs.start_span "engine.batch"
-      ~attrs:(fun () -> [ A.int "submitted" submitted; A.int "jobs" jobs ])
+      ~attrs:(fun () -> [ A.int "submitted" submitted ])
   in
   let t0 = Obs.mono_s () in
   (* Pair-cache deltas over the batch: snapshot the engine's counters
-     here and subtract on the way out. The counters are atomic, so with
-     [jobs > 1] a concurrent user of the same stats could inflate the
-     delta — the engine's own workers are the only writers in the CLI. *)
+     here and subtract on the way out. *)
   let ph0 = Stats.pair_hits t.stats
   and pm0 = Stats.pair_misses t.stats
   and pr0 = Stats.pairs_redecided t.stats in
-  let keyed = List.map (fun sys -> (t.fingerprint sys, sys)) syss in
-  (* Parallel prelude: fan the batch's distinct systems out to a domain
-     pool, one decision per task, and collect their outcomes. [decide]
-     is safe to run concurrently (pure core, sharded cache, atomic
-     stats). Workers share no mutable state here at all: [Par.map]
-     returns results in input order, so the fingerprint table is built
-     sequentially on this domain by zipping inputs with outputs —
-     OCaml's Hashtbl is not domain-safe, even for distinct keys. The
-     sequential merge below then finds every distinct fingerprint
-     pre-decided. *)
-  let predecided : (string, 'a Outcome.t) Hashtbl.t =
-    Hashtbl.create (if jobs > 1 then 64 else 0)
-  in
-  if jobs > 1 then begin
-    let seen_fp = Hashtbl.create 64 in
-    let uniq =
-      List.filter
-        (fun (fp, _) ->
-          if Hashtbl.mem seen_fp fp then false
-          else begin
-            Hashtbl.add seen_fp fp ();
-            true
-          end)
-        keyed
-    in
-    let outs =
-      Par.with_pool ~domains:jobs (fun pool ->
-          Par.map pool (fun (fp, sys) -> decide_keyed ?budget t fp sys) uniq)
-    in
-    List.iter2 (fun (fp, _) o -> Hashtbl.replace predecided fp o) uniq outs
-  end;
-  (* Sequential merge, identical for every [jobs]: submission order,
-     duplicate folding, and accounting are the same code path whether
-     the decisions were just computed in parallel or are computed here
-     inline — so [jobs:1] is exactly the old sequential behavior. *)
+  (* Each submission is fingerprinted once, and a distinct fingerprint
+     is decided once, under that digest. *)
   let seen : (string, 'a Outcome.t) Hashtbl.t = Hashtbl.create 64 in
   let fps = Hashtbl.create 64 in
   let dedup = ref 0 and hits = ref 0 and misses = ref 0 in
   let tally = Tally.create () in
   let outcomes =
     List.map
-      (fun (fp, sys) ->
+      (fun sys ->
+        let fp = t.fingerprint sys in
         Hashtbl.replace fps fp ();
         match Hashtbl.find_opt seen fp with
         | Some o ->
             incr dedup;
             { o with Outcome.cached = true }
         | None ->
-            let o =
-              match Hashtbl.find_opt predecided fp with
-              | Some o ->
-                  Hashtbl.remove predecided fp;
-                  o
-              | None -> decide_keyed ?budget t fp sys
-            in
+            let o = decide_keyed ?budget t fp sys in
             if o.Outcome.cached then incr hits else incr misses;
             (* Unknowns are not replicated across the batch either: a
                duplicate of an undecided system re-runs the pipeline. *)
             if Outcome.decided o then Hashtbl.replace seen fp o;
             Tally.bump tally o;
             o)
-      keyed
+      syss
   in
   let report =
     {
@@ -343,7 +287,6 @@ let decide_batch ?budget ?(jobs = 1) t syss =
       pair_misses = Stats.pair_misses t.stats - pm0;
       pairs_redecided = Stats.pairs_redecided t.stats - pr0;
       batch_seconds = Obs.mono_s () -. t0;
-      jobs;
       per_procedure = Tally.to_list tally;
     }
   in
@@ -365,11 +308,9 @@ let pp_batch_report ppf r =
     r.submitted r.unique r.batch_dedup_hits r.cache_hits r.cache_misses
     (100. *. hit_rate r)
     (r.batch_seconds *. 1_000.)
-    ((if r.jobs > 1 then Printf.sprintf " (%d jobs)" r.jobs else "")
     (* Pair-cache numbers appear only when the pair store was consulted,
        so pair-free (two-transaction) batches print exactly as before. *)
-    ^
-    if r.pair_hits + r.pair_misses > 0 then
+    (if r.pair_hits + r.pair_misses > 0 then
       Printf.sprintf "; pairs: %d reused, %d re-decided" r.pair_hits
         r.pairs_redecided
     else "")

@@ -1,11 +1,9 @@
 (** The staged safety-decision engine.
 
     An engine instance bundles an ordered checker pipeline, a canonical
-    fingerprint function, a sharded LRU verdict cache keyed on
-    fingerprints, and instrumentation counters. It
-    serves single decisions ({!decide}) and deduplicated batches
-    ({!decide_batch}), optionally fanned out over a domain pool
-    ([~jobs]).
+    fingerprint function, an LRU verdict cache ({!Lru}) keyed on
+    fingerprints, and instrumentation counters. It serves single
+    decisions ({!decide}) and deduplicated batches ({!decide_batch}).
 
     Caching is sound because fingerprints are canonical over everything a
     verdict depends on (database, steps, partial orders). [Unknown]
@@ -13,10 +11,7 @@
     that produced them, and a later call with a larger budget must be
     allowed to try again.
 
-    Domain-safety: the pipeline core is pure, the cache is sharded
-    ({!Lru_sharded}), and {!Stats} is atomic-counter-backed — one engine
-    instance may serve {!decide} calls from several domains
-    concurrently. *)
+    An engine is not thread-safe: one caller at a time. *)
 
 type ('sys, 'ev) t
 
@@ -49,8 +44,7 @@ val run :
     are recorded and the pipeline continues. If no stage decides, the
     outcome is [Unknown] carrying the aggregated stage errors.
 
-    Reentrant: allocates no shared state, so the same checker list may
-    be run from several domains at once. Stage [seconds] are monotonic
+    Stage [seconds] are monotonic
     wall time ({!Distlock_obs.Obs.mono_s}); the per-stage span
     additionally carries a [cpu_seconds] attribute
     ({!Distlock_obs.Obs.cpu_s}). *)
@@ -58,8 +52,7 @@ val run :
 val decide : ?budget:Budget.t -> ('sys, 'ev) t -> 'sys -> 'ev Outcome.t
 (** Fingerprint, consult the cache, run the pipeline under [budget]
     (default unlimited) on a miss, store decided outcomes. The returned
-    outcome has [cached = true] on a hit. Safe to call concurrently from
-    several domains. *)
+    outcome has [cached = true] on a hit. *)
 
 val explain : ('sys, 'ev) t -> 'sys -> 'ev Outcome.t -> Explain.t
 (** Assemble the typed provenance record ({!Explain.t}) for an outcome
@@ -86,7 +79,6 @@ type batch_report = {
   pair_misses : int;  (** Pair-cache lookups that missed. *)
   pairs_redecided : int;  (** Pair pipeline runs forced by those misses. *)
   batch_seconds : float;  (** Wall-clock seconds for the whole batch. *)
-  jobs : int;  (** Domain count the batch ran with ([1] = sequential). *)
   per_procedure : (string * int) list;
       (** Deciding procedure label -> verdict count over unique systems,
           in first-seen submission order. *)
@@ -97,7 +89,6 @@ val hit_rate : batch_report -> float
 
 val decide_batch :
   ?budget:Budget.t ->
-  ?jobs:int ->
   ('sys, 'ev) t ->
   'sys list ->
   'ev Outcome.t list * batch_report
@@ -105,16 +96,9 @@ val decide_batch :
     once and their outcome replicated, in submission order. Each
     submitted system is fingerprinted once; the decision of a distinct
     one reuses that digest. Per-stage counters and timings accumulate in
-    [stats t].
-
-    [jobs] (default [1]) is the number of domains deciding the batch's
-    distinct systems. [jobs:1] runs everything on the calling domain and
-    is exactly the sequential behavior; [jobs:n] fans the distinct
-    systems out to [n] pool domains and then merges on the caller, so
-    outcomes, their order, and every report field except [batch_seconds]
-    are identical for every [jobs]. Raises [Invalid_argument] when
-    [jobs < 1]. *)
+    [stats t]. A duplicate of a decided system is answered from the
+    batch with [cached = true], even when the engine has no verdict
+    cache. *)
 
 val pp_batch_report : Format.formatter -> batch_report -> unit
-(** One line of totals plus a per-procedure tally; mentions the job
-    count only when it is > 1, so sequential output is unchanged. *)
+(** One line of totals plus a per-procedure tally. *)

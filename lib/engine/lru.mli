@@ -1,5 +1,6 @@
 (** A string-keyed LRU map with a fixed capacity, used as the verdict
-    cache: keys are canonical system fingerprints, values are outcomes.
+    cache (keys are canonical system fingerprints, values are outcomes)
+    and as the pair-verdict store (keys are pair fingerprints).
     All operations are O(1) (hash table + intrusive doubly-linked list).
     Not thread-safe. *)
 

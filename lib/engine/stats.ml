@@ -23,10 +23,6 @@ type handles = {
   seconds_h : M.histogram;
 }
 
-(* [tbl]/[order] are guarded by [lock]: stage handles are get-or-create
-   and several pool domains can record the same stage's first sample at
-   once. The counters themselves are [Atomic]-backed ({!M}), so the
-   recording hot path after handle lookup is lock-free. *)
 type t = {
   reg : R.t;
   decisions_c : M.counter;
@@ -38,7 +34,6 @@ type t = {
   pairs_redecided_c : M.counter;
   tbl : (string, handles) Hashtbl.t;
   mutable order : string list;  (* reversed first-seen order *)
-  lock : Mutex.t;
 }
 
 let create () =
@@ -68,26 +63,14 @@ let create () =
         "distlock_engine_pairs_redecided_total";
     tbl = Hashtbl.create 8;
     order = [];
-    lock = Mutex.create ();
   }
 
 let registry t = t.reg
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | r ->
-      Mutex.unlock t.lock;
-      r
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
-
 let reset t =
   R.reset t.reg;
-  with_lock t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.order <- [])
+  Hashtbl.reset t.tbl;
+  t.order <- []
 
 let result_counter t ~stage result =
   R.counter t.reg
@@ -95,27 +78,26 @@ let result_counter t ~stage result =
     ~help:"Stage executions by result" "distlock_engine_stage_total"
 
 let handles t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              h_name = name;
-              safe_c = result_counter t ~stage:name "safe";
-              unsafe_c = result_counter t ~stage:name "unsafe";
-              passed_c = result_counter t ~stage:name "passed";
-              errors_c = result_counter t ~stage:name "error";
-              seconds_h =
-                R.histogram t.reg
-                  ~labels:[ ("stage", name) ]
-                  ~help:"Stage latency in seconds"
-                  "distlock_engine_stage_seconds";
-            }
-          in
-          Hashtbl.add t.tbl name h;
-          t.order <- name :: t.order;
-          h)
+  match Hashtbl.find_opt t.tbl name with
+  | Some h -> h
+  | None ->
+      let h =
+        {
+          h_name = name;
+          safe_c = result_counter t ~stage:name "safe";
+          unsafe_c = result_counter t ~stage:name "unsafe";
+          passed_c = result_counter t ~stage:name "passed";
+          errors_c = result_counter t ~stage:name "error";
+          seconds_h =
+            R.histogram t.reg
+              ~labels:[ ("stage", name) ]
+              ~help:"Stage latency in seconds"
+              "distlock_engine_stage_seconds";
+        }
+      in
+      Hashtbl.add t.tbl name h;
+      t.order <- name :: t.order;
+      h
 
 let record_stage t ~name (status, unsafe) seconds =
   let h = handles t name in
@@ -170,31 +152,22 @@ let view h =
     seconds = M.histogram_sum h.seconds_h;
   }
 
-let stages t =
-  (* Snapshot order and handles in one critical section so a concurrent
-     [reset] cannot empty [tbl] between reading a name and resolving it;
-     the handle counters themselves are atomic, so [view] runs unlocked. *)
-  let hs =
-    with_lock t (fun () ->
-        List.filter_map (fun name -> Hashtbl.find_opt t.tbl name) t.order)
-  in
-  List.rev_map view hs
+(* Stage handles, last-recorded first. *)
+let recorded t = List.map (Hashtbl.find t.tbl) t.order
+
+let stages t = List.rev_map view (recorded t)
 
 let quantiles t =
-  let hs =
-    with_lock t (fun () ->
-        List.filter_map (fun name -> Hashtbl.find_opt t.tbl name) t.order)
-  in
   List.rev_map
     (fun h ->
       ( h.h_name,
         ( M.quantile h.seconds_h 0.5,
           M.quantile h.seconds_h 0.9,
           M.quantile h.seconds_h 0.99 ) ))
-    hs
+    (recorded t)
 
-(* Mean time per run, defined as 0 — not NaN — for a view taken between
-   a stage's handle creation and its first count. *)
+(* Mean time per run, defined as 0 — not NaN — for a stage with no
+   attempts. *)
 let mean_seconds s =
   if s.attempts = 0 then 0. else s.seconds /. float_of_int s.attempts
 
@@ -215,9 +188,8 @@ let pp ppf t =
   | [] -> Format.fprintf ppf "(no stage activity)"
   | stages ->
       let qs = quantiles t in
-      (* Bucket-interpolated; a stage with no samples yet (read while
-         another domain records its first) has NaN quantiles, printed as
-         a dash. *)
+      (* Bucket-interpolated; a stage with no timed runs has NaN
+         quantiles, printed as a dash. *)
       let q ppf v =
         if Float.is_nan v then Format.fprintf ppf " %12s" "-"
         else Format.fprintf ppf " %9.3f ms" (v *. 1_000.)

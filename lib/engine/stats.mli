@@ -5,9 +5,9 @@
     {!stage} record list — while [--metrics] exports the same numbers as
     Prometheus text via {!pp_prometheus}.
 
-    Domain-safe: the counters are [Atomic]-backed, stage-handle creation
-    is mutex-guarded get-or-create, so concurrent recording from pool
-    workers ([decide_batch ~jobs]) loses no samples. *)
+    One recorder at a time: the stage-handle table is unguarded. A
+    scrape of {!registry} from another thread is safe, because the
+    registry and its instruments keep their own locks. *)
 
 type stage = {
   stage_name : string;

@@ -9,27 +9,24 @@ let level_of_string = function
   | "debug" -> Some Debug
   | _ -> None
 
-(* Sink and level are installed once at startup but read from every
-   domain; [Atomic] makes the publication well-defined. *)
-let current_sink = Atomic.make Sink.noop
+let current_sink = ref Sink.noop
 
-let current_level = Atomic.make Info
+let current_level = ref Info
 
 let global = Registry.create ()
 
-let set_sink s = Atomic.set current_sink s
+let set_sink s = current_sink := s
 
+let set_level l = current_level := l
 
-let set_level l = Atomic.set current_level l
-
-let level () = Atomic.get current_level
+let level () = !current_level
 
 (* The one check every instrumentation site makes first: with the no-op
    sink installed this is a pointer comparison, and attribute thunks are
    never forced. *)
-let enabled () = not (Sink.is_noop (Atomic.get current_sink))
+let enabled () = not (Sink.is_noop !current_sink)
 
-let logs l = enabled () && level_rank l <= level_rank (Atomic.get current_level)
+let logs l = enabled () && level_rank l <= level_rank !current_level
 
 (* Two clocks, two jobs. [now_s] is the wall clock — the only clock
    that can say *when* something happened, so it stamps [start_s] and
@@ -37,16 +34,12 @@ let logs l = enabled () && level_rank l <= level_rank (Atomic.get current_level)
    so it measures every duration the system reports: span durations,
    stage timings, batch wall time (a wall-clock difference across a
    clock step is negative or garbage). Process CPU time ({!cpu_s})
-   stays available for the attributes that genuinely mean CPU work —
-   under several domains the two diverge, and mixing them under-reports
-   wall time (or over-reports it by the domain count). *)
+   stays available for the attributes that genuinely mean CPU work. *)
 let now_s () = Unix.gettimeofday ()
 
 external mono_s : unit -> float = "distlock_obs_mono_s"
 
 let cpu_s () = Sys.time ()
-
-let domain_id () = (Domain.self () :> int)
 
 type ctx = {
   id : int;
@@ -60,24 +53,20 @@ type ctx = {
 
 type span_ctx = ctx option
 
-let next_id = Atomic.make 0
+let next_id = ref 0
 
-(* The open-span stack is per domain: a worker's spans parent to the
-   worker's own enclosing spans, never to a frame another domain pushed
-   concurrently. *)
-let stack : int list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* The ids of the open spans, innermost first. *)
+let stack : int list ref = ref []
 
-let current_span_id () =
-  match !(Domain.DLS.get stack) with [] -> None | p :: _ -> Some p
+let current_span_id () = match !stack with [] -> None | p :: _ -> Some p
 
 let start_span ?attrs name =
   if not (enabled ()) then None
   else begin
-    let id = 1 + Atomic.fetch_and_add next_id 1 in
+    incr next_id;
+    let id = !next_id in
     let parent = current_span_id () in
-    let st = Domain.DLS.get stack in
-    st := id :: !st;
+    stack := id :: !stack;
     Some
       {
         id;
@@ -85,9 +74,7 @@ let start_span ?attrs name =
         ctx_name = name;
         start = now_s ();
         start_mono = mono_s ();
-        ctx_attrs =
-          Attr.int "domain" (domain_id ())
-          :: (match attrs with None -> [] | Some f -> f ());
+        ctx_attrs = (match attrs with None -> [] | Some f -> f ());
         closed = false;
       }
   end
@@ -105,9 +92,8 @@ let end_span sc =
         c.closed <- true;
         (* Remove our frame wherever it sits, so an out-of-order close
            (e.g. via an exception path) cannot orphan the stack. *)
-        let st = Domain.DLS.get stack in
-        st := List.filter (fun i -> i <> c.id) !st;
-        (Atomic.get current_sink).Sink.on_span
+        stack := List.filter (fun i -> i <> c.id) !stack;
+        !current_sink.Sink.on_span
           {
             Span.id = c.id;
             parent = c.parent;
@@ -130,12 +116,10 @@ let with_span ?attrs name f =
 
 let event ?(level = Info) ?attrs name =
   if logs level then
-    (Atomic.get current_sink).Sink.on_event
+    !current_sink.Sink.on_event
       {
         Span.name;
         time_s = now_s ();
         span = current_span_id ();
-        attrs =
-          Attr.int "domain" (domain_id ())
-          :: (match attrs with None -> [] | Some f -> f ());
+        attrs = (match attrs with None -> [] | Some f -> f ());
       }

@@ -7,13 +7,10 @@
     instrumented hot paths pay essentially nothing (bench E18 times the
     flight recorder against this no-op baseline).
 
-    Domain-safety: span ids are allocated from one [Atomic]; the
-    open-span stack is {e per domain} ([Domain.DLS]), so spans parent
-    only within their own domain; every span and event carries a
-    ["domain"] attribute; and the flight recorder stores each record
-    whole under one stripe lock, so its renderings never hold a torn
-    record. Install the sink and level from the main domain before
-    spawning workers. *)
+    One thread traces: the span ids, the open-span stack, the sink and
+    the level are plain process globals. The metrics side ({!Registry},
+    {!Metric}) keeps its locks, because {!Expose} scrapes it from a
+    thread of its own. *)
 
 type level = Error | Warn | Info | Debug
 
@@ -46,17 +43,11 @@ val mono_s : unit -> float
     from an arbitrary origin) — the clock for every {e duration} the
     system reports: span [duration_s], engine stage timings, batch
     wall time. Immune to NTP steps; comparable only within one
-    process. Use this — not [Sys.time], which is process CPU time and
-    diverges from wall time as soon as more than one domain runs. *)
+    process. Use this — not [Sys.time], which is process CPU time. *)
 
 val cpu_s : unit -> float
 (** Process CPU time, for attributes that genuinely mean CPU work
-    (e.g. the [cpu_seconds] span attribute on engine stages). Summed
-    over all domains by the OS, so it can exceed wall time under
-    parallelism. *)
-
-val domain_id : unit -> int
-(** The current domain's id, as tagged on spans and events. *)
+    (e.g. the [cpu_seconds] span attribute on engine stages). *)
 
 val global : Registry.t
 (** The process-wide metrics registry ([--metrics] exports it).
@@ -68,9 +59,8 @@ type span_ctx
 (** An open span, or a free dummy when tracing is disabled. *)
 
 val start_span : ?attrs:(unit -> Attr.t) -> string -> span_ctx
-(** Opens a span as a child of the innermost open span {e of the
-    calling domain}. The [attrs] thunk is forced only when tracing is
-    enabled; a ["domain"] attribute is prepended automatically. *)
+(** Opens a span as a child of the innermost open span. The [attrs]
+    thunk is forced only when tracing is enabled. *)
 
 val add_attrs : span_ctx -> Attr.t -> unit
 (** Appends attributes to an open span (callers should guard argument
@@ -87,5 +77,4 @@ val current_span_id : unit -> int option
 
 val event : ?level:level -> ?attrs:(unit -> Attr.t) -> string -> unit
 (** Emits a point event (default level [Info]) attached to the innermost
-    open span of the calling domain; dropped unless [logs level].
-    Carries a ["domain"] attribute like spans do. *)
+    open span; dropped unless [logs level]. *)

@@ -4,15 +4,10 @@
    Bounded by default and cheap enough to leave on; [~capacity:max_int]
    keeps everything, which the CLI asks for when a trace file is named.
 
-   Concurrency: each push locks exactly one stripe, chosen by the
-   emitting domain's id, so domains contend only when their ids collide
-   modulo the stripe count. Inside a stripe the buffer grows by
-   doubling up to the capacity and is then a classic ring: old records
-   are overwritten. Under the stripe lock each push takes a sequence
-   number from one [Atomic], so a stripe holds its records in delivery
-   order and a snapshot merges the stripes on that number. A record is
-   an immutable OCaml value stored under the stripe mutex, so a snapshot
-   can never observe a torn (half-written) record. *)
+   One ring under one mutex: the buffer grows by doubling up to the
+   capacity and is then a classic ring, old records overwritten. A
+   record is an immutable OCaml value stored under the mutex, so a
+   snapshot can never observe a torn (half-written) record. *)
 
 type record = Rspan of Span.span | Revent of Span.event
 
@@ -20,65 +15,45 @@ let record_to_json = function
   | Rspan s -> Span.span_to_json s
   | Revent e -> Span.event_to_json e
 
-type stripe = {
-  lock : Mutex.t;
-  mutable buf : (int * record) array;  (* (sequence number, record) *)
-  mutable pushes : int;  (* lifetime pushes; slot [pushes mod length] is next *)
-}
-
-let stripe_count = 8
-
 (* At most this many automatic [anomaly] dumps per recorder. *)
 let dump_limit = 5
 
-(* A dump renders at most this many of each stripe's newest records,
-   however many a keep-all recorder holds. *)
+(* A dump renders at most this many of the newest records, however many
+   a keep-all recorder holds. *)
 let dump_window = 512
 
 type t = {
-  stripes : stripe array;
-  capacity : int;  (* per stripe *)
-  seq : int Atomic.t;
-  registries : (unit -> (string * Registry.t) list) Atomic.t;
-  dump_dest : (unit -> out_channel) Atomic.t;
-  dumps : int Atomic.t;
+  lock : Mutex.t;
+  capacity : int;
+  mutable buf : record array;
+  mutable pushes : int;  (* lifetime pushes; slot [pushes mod length] is next *)
+  mutable registries : unit -> (string * Registry.t) list;
+  mutable dump_dest : unit -> out_channel;
+  mutable dumps : int;
 }
 
 let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
   {
-    stripes =
-      Array.init stripe_count (fun _ ->
-          { lock = Mutex.create (); buf = [||]; pushes = 0 });
+    lock = Mutex.create ();
     capacity;
-    seq = Atomic.make 0;
-    registries = Atomic.make (fun () -> []);
-    dump_dest = Atomic.make (fun () -> stderr);
-    dumps = Atomic.make 0;
+    buf = [||];
+    pushes = 0;
+    registries = (fun () -> []);
+    dump_dest = (fun () -> stderr);
+    dumps = 0;
   }
 
-let with_lock lock f =
-  Mutex.lock lock;
-  match f () with
-  | r ->
-      Mutex.unlock lock;
-      r
-  | exception e ->
-      Mutex.unlock lock;
-      raise e
-
 let push t r =
-  let st = t.stripes.((Domain.self () :> int) mod stripe_count) in
-  with_lock st.lock (fun () ->
-      let len = Array.length st.buf in
-      if st.pushes = len && len < t.capacity then begin
-        let grown = Array.make (min t.capacity (max 16 (2 * len))) (0, r) in
-        Array.blit st.buf 0 grown 0 len;
-        st.buf <- grown
+  Mutex.protect t.lock (fun () ->
+      let len = Array.length t.buf in
+      if t.pushes = len && len < t.capacity then begin
+        let grown = Array.make (min t.capacity (max 16 (2 * len))) r in
+        Array.blit t.buf 0 grown 0 len;
+        t.buf <- grown
       end;
-      st.buf.(st.pushes mod Array.length st.buf) <-
-        (Atomic.fetch_and_add t.seq 1, r);
-      st.pushes <- st.pushes + 1)
+      t.buf.(t.pushes mod Array.length t.buf) <- r;
+      t.pushes <- t.pushes + 1)
 
 let sink t =
   {
@@ -86,30 +61,21 @@ let sink t =
     on_event = (fun e -> push t (Revent e));
   }
 
-let set_registries t f = Atomic.set t.registries f
+let set_registries t f = t.registries <- f
 
-let set_dump_dest t f = Atomic.set t.dump_dest f
+let set_dump_dest t f = t.dump_dest <- f
 
-(* One locked copy of a stripe: its newest [limit] entries, oldest
-   first, and its lifetime push count. The i-th newest entry sits in
-   slot [pushes - 1 - i], modulo the buffer length once it has wrapped. *)
-let snapshot ~limit st =
-  with_lock st.lock (fun () ->
-      let len = Array.length st.buf in
-      let out = ref [] in
-      for i = 0 to min limit (min st.pushes len) - 1 do
-        out := st.buf.((st.pushes - 1 - i) mod len) :: !out
-      done;
-      (!out, st.pushes))
-
-(* Every stripe's newest [limit] records in delivery order, and the
-   stripes' total push count, from one snapshot per stripe. *)
+(* The newest [limit] records, oldest first, and the lifetime push
+   count, from one locked copy. The i-th newest record sits in slot
+   [pushes - 1 - i], modulo the buffer length once it has wrapped. *)
 let collect ~limit t =
-  let snaps = Array.to_list (Array.map (snapshot ~limit) t.stripes) in
-  let entries =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.concat_map fst snaps)
-  in
-  (List.map snd entries, List.fold_left (fun n (_, p) -> n + p) 0 snaps)
+  Mutex.protect t.lock (fun () ->
+      let len = Array.length t.buf in
+      let out = ref [] in
+      for i = 0 to min limit (min t.pushes len) - 1 do
+        out := t.buf.((t.pushes - 1 - i) mod len) :: !out
+      done;
+      (!out, t.pushes))
 
 let records t = fst (collect ~limit:max_int t)
 
@@ -197,7 +163,7 @@ let dump t ~reason oc =
               line oc (Json.Obj (("registry", Json.Str label) :: fields))
           | j -> line oc j)
         (Registry.entries reg))
-    ((Atomic.get t.registries) ());
+    (t.registries ());
   flush oc
 
 (* ------------------------------------------------------------------ *)
@@ -206,17 +172,17 @@ let dump t ~reason oc =
    no-op until something is installed, so tests and embedders that
    exercise Unknown verdicts on purpose see no surprise output. *)
 
-let installed : t option Atomic.t = Atomic.make None
+let installed : t option ref = ref None
 
-let set_global r = Atomic.set installed r
+let set_global r = installed := r
 
 let anomaly ~reason =
-  match Atomic.get installed with
+  match !installed with
   | None -> ()
   | Some t ->
       (* Cap the dumps: one anomaly per decision in a pathological batch
          would flood stderr with near-identical flight dumps. *)
-      if Atomic.fetch_and_add t.dumps 1 < dump_limit then
-        dump t ~reason ((Atomic.get t.dump_dest) ())
+      t.dumps <- t.dumps + 1;
+      if t.dumps <= dump_limit then dump t ~reason (t.dump_dest ())
 
-let dump_count t = Atomic.get t.dumps
+let dump_count t = t.dumps

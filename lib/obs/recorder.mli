@@ -7,32 +7,27 @@
     a decision errors, a budget exhausts, or a [--verify] cross-check
     diverges.
 
-    Domain-safety: the store is lock-striped by domain id, so a push
-    locks exactly one stripe; records are immutable values stored under
-    that stripe's mutex, so a snapshot never observes a torn record.
-    Per-push cost is one mutex round-trip, one atomic increment and one
-    array store — cheap enough to leave on always (bench E18 measures
-    the overhead). *)
+    The store is one ring under one mutex; records are immutable values
+    stored under it, so a snapshot never observes a torn record. Per-push
+    cost is one mutex round-trip and one array store — cheap enough to
+    leave on always (bench E18 measures the overhead). *)
 
 type t
 
 type record = Rspan of Span.span | Revent of Span.event
 
 val create : ?capacity:int -> unit -> t
-(** Eight mutex-striped rings of [capacity] (default [512]) records
-    {e each}. A stripe grows by doubling as records arrive and wraps,
-    overwriting its oldest records, only once it holds [capacity];
-    [~capacity:max_int] keeps everything. Raises [Invalid_argument] on
-    a non-positive [capacity]. *)
+(** A ring of [capacity] (default [512]) records. It grows by doubling
+    as records arrive and wraps, overwriting its oldest records, only
+    once it holds [capacity]; [~capacity:max_int] keeps everything.
+    Raises [Invalid_argument] on a non-positive [capacity]. *)
 
 val sink : t -> Sink.t
-(** Every span/event delivered is pushed into the store, stamped with
-    its delivery sequence number. *)
+(** Every span/event delivered is pushed into the store. *)
 
 val records : t -> record list
 (** Snapshot of everything currently buffered, in delivery order: the
-    order {!Obs} handed the records over, merged across stripes. Takes
-    each stripe mutex once. *)
+    order {!Obs} handed the records over. Takes the mutex once. *)
 
 val write_jsonl : t -> out_channel -> unit
 (** {!records} as JSON Lines, one {!Span.span_to_json} /
@@ -49,13 +44,12 @@ val set_dump_dest : t -> (unit -> out_channel) -> unit
 val dump : t -> reason:string -> out_channel -> unit
 (** Write the flight dump as JSON Lines: one header record ([type
     "flight_dump"] with the reason, wall time, record/drop counts, and
-    [Gc.quick_stat] fields), then at most the newest 512 records of
-    each stripe in delivery order, then one [type "metric"] record per
-    registered instrument (histograms carry bounds, cumulative counts,
-    sum, count — the per-checker latency snapshot). The header's
-    [records] and [dropped] come from the same per-stripe snapshots as
-    the records and add up to the lifetime push count. Flushes the
-    channel; does not close it. *)
+    [Gc.quick_stat] fields), then at most the newest 512 records in
+    delivery order, then one [type "metric"] record per registered
+    instrument (histograms carry bounds, cumulative counts, sum, count —
+    the per-checker latency snapshot). The header's [records] and
+    [dropped] come from the same snapshot as the records and add up to
+    the lifetime push count. Flushes the channel; does not close it. *)
 
 val set_global : t option -> unit
 (** Install (or clear) the process-global recorder {!anomaly} consults.

@@ -10,10 +10,11 @@ type entry = {
   instrument : instrument;
 }
 
-(* The table and order list are guarded by [lock]: get-or-create must be
-   atomic under concurrent registration from worker domains, or two
-   domains asking for the same (name, labels) key could each create an
-   instrument and split the counts between them. *)
+(* The table and order list are guarded by [lock]: {!Expose} lists the
+   entries from its own thread while the deciding thread registers new
+   ones, and get-or-create must stay atomic, or two threads asking for
+   the same (name, labels) key could each create an instrument and split
+   the counts between them. *)
 type t = {
   tbl : (string * (string * string) list, entry) Hashtbl.t;
   mutable order : (string * (string * string) list) list;

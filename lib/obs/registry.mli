@@ -6,9 +6,10 @@
     handles without coordinating. Re-registering a name as a different
     instrument kind raises [Invalid_argument].
 
-    Get-or-create, {!entries}, and {!reset} are domain-safe (one mutex
-    per registry): concurrent registration of the same key from several
-    worker domains yields a single shared instrument. *)
+    Get-or-create, {!entries}, and {!reset} take one mutex per registry,
+    so {!Expose} can list a registry from its own thread while the
+    deciding thread registers into it, and concurrent registration of
+    one key yields a single shared instrument. *)
 
 type instrument =
   | Counter of Metric.counter

@@ -4,24 +4,15 @@
    Mapping:
      span   -> a "complete" event  (ph "X", ts + dur in microseconds)
      event  -> an "instant" event  (ph "i", thread-scoped)
-     domain -> a thread track      (tid = the span's "domain" attribute)
 
-   The whole process is one pid; each OCaml domain becomes one thread
-   track, named by "M"-phase metadata records, so a --jobs N batch shows
-   its pool workers as N parallel lanes. Timestamps are microseconds
-   relative to the earliest record, which keeps them small and lines the
-   viewer up at t=0. *)
+   The whole process is one pid with one thread track, both named by
+   "M"-phase metadata records; nested spans stack on that track.
+   Timestamps are microseconds relative to the earliest record, which
+   keeps them small and lines the viewer up at t=0. *)
 
 let pid = 1
 
-let domain_of (attrs : Attr.t) =
-  match List.assoc_opt "domain" attrs with
-  | Some (Attr.Int d) -> d
-  | Some (Attr.Str _ | Attr.Float _ | Attr.Bool _) | None -> 0
-
-let attrs_of = function
-  | Recorder.Rspan s -> s.Span.attrs
-  | Recorder.Revent e -> e.Span.attrs
+let tid = 0
 
 let us_since t0 t = (t -. t0) *. 1e6
 
@@ -56,7 +47,7 @@ let span_record ~t0 (s : Span.span) =
        ("ts", Json.Float (us_since t0 s.Span.start_s));
        ("dur", Json.Float (Float.max 0. (s.Span.duration_s *. 1e6)));
        ("pid", Json.Int pid);
-       ("tid", Json.Int (domain_of s.Span.attrs));
+       ("tid", Json.Int tid);
      ]
     @ args_field s.Span.attrs
         (("span_id", Json.Int s.Span.id)
@@ -74,7 +65,7 @@ let event_record ~t0 (e : Span.event) =
        ("s", Json.Str "t");
        ("ts", Json.Float (us_since t0 e.Span.time_s));
        ("pid", Json.Int pid);
-       ("tid", Json.Int (domain_of e.Span.attrs));
+       ("tid", Json.Int tid);
      ]
     @ args_field e.Span.attrs
         (match e.Span.span with
@@ -85,38 +76,31 @@ let trace_event ~t0 = function
   | Recorder.Rspan s -> span_record ~t0 s
   | Recorder.Revent e -> event_record ~t0 e
 
-let metadata tids =
-  Json.Obj
-    [
-      ("name", Json.Str "process_name");
-      ("ph", Json.Str "M");
-      ("pid", Json.Int pid);
-      ("args", Json.Obj [ ("name", Json.Str "distlock") ]);
-    ]
-  :: List.map
-       (fun tid ->
-         Json.Obj
-           [
-             ("name", Json.Str "thread_name");
-             ("ph", Json.Str "M");
-             ("pid", Json.Int pid);
-             ("tid", Json.Int tid);
-             ( "args",
-               Json.Obj
-                 [ ("name", Json.Str (Printf.sprintf "domain %d" tid)) ] );
-           ])
-       tids
+let metadata =
+  [
+    Json.Obj
+      [
+        ("name", Json.Str "process_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int pid);
+        ("args", Json.Obj [ ("name", Json.Str "distlock") ]);
+      ];
+    Json.Obj
+      [
+        ("name", Json.Str "thread_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int pid);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.Str "main") ]);
+      ];
+  ]
 
 let to_json records =
   let t0 = origin records in
-  let tracks =
-    List.sort_uniq Int.compare
-      (List.map (fun r -> domain_of (attrs_of r)) records)
-  in
   Json.Obj
     [
       ( "traceEvents",
-        Json.List (metadata tracks @ List.map (trace_event ~t0) records) );
+        Json.List (metadata @ List.map (trace_event ~t0) records) );
       ("displayTimeUnit", Json.Str "ms");
     ]
 

@@ -3,15 +3,14 @@
     Renders the flight recorder's span/event stream as the JSON object
     format of [chrome://tracing] / Perfetto: spans become "complete"
     events ([ph:"X"], microsecond [ts]/[dur]), events become
-    thread-scoped "instants" ([ph:"i"]), and every OCaml domain becomes
-    its own thread track ([tid] = the record's ["domain"] attribute,
-    named by [ph:"M"] metadata). Timestamps are microseconds relative to
-    the earliest record in the stream. *)
+    thread-scoped "instants" ([ph:"i"]), all on one thread track
+    ([tid 0], named by [ph:"M"] metadata). Timestamps are microseconds
+    relative to the earliest record in the stream. *)
 
 val to_json : Recorder.record list -> Json.t
 (** The [{"traceEvents": [...], "displayTimeUnit": "ms"}] object: the
-    metadata records (process ["distlock"], pid [1], one thread name per
-    domain), then one trace event per record, in list order. *)
+    metadata records (process ["distlock"], pid [1], thread ["main"]),
+    then one trace event per record, in list order. *)
 
 val write : Recorder.t -> out_channel -> unit
 (** {!to_json} of {!Recorder.records} — every buffered record, in

@@ -181,8 +181,7 @@ let snapshot st = Schedule.of_events (Array.to_list st.trace)
 
 (* Progress counter for exhaustive enumeration, mirrored in the global
    metrics registry so long runs are observable from outside. Fetched
-   once per run via mutex-guarded get-or-create — a shared [lazy]
-   forced from several pool domains at once raises [RacyLazy]. *)
+   once per run via the registry's get-or-create. *)
 let m_schedules () =
   Distlock_obs.Registry.counter Distlock_obs.Obs.global
     ~help:"Complete legal schedules visited by state enumeration"

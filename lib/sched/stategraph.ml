@@ -15,8 +15,7 @@ type stats = {
 (* Collapse counters in the global registry, so a long search is legible
    from the outside and E16 can report the states-vs-schedules ratio.
    Handles are fetched once per search through the registry's
-   mutex-guarded get-or-create — not a shared [lazy], which raises
-   [RacyLazy] when forced from several pool domains at once. *)
+   get-or-create. *)
 let m_states () =
   Distlock_obs.Registry.counter Distlock_obs.Obs.global
     ~help:"Distinct execution states visited by the state-graph oracle"

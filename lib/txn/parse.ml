@@ -57,8 +57,13 @@ let system_of_string text =
           if ntok = 4 && is 0 "entity" && is 2 "@" then (
             match int_of_string_opt (tok 3) with
             | Some site when site >= 1 -> (
-                try ignore (Database.add db ~name:(tok 1) ~site)
-                with Invalid_argument m -> fail m)
+                let name = tok 1 in
+                match Database.find db name with
+                | Some e when Database.site db e <> site ->
+                    fail
+                      (Printf.sprintf "entity %S already stored at site %d"
+                         name (Database.site db e))
+                | _ -> ignore (Database.add db ~name ~site))
             | _ -> fail "bad site number")
           else if ntok = 3 && is 0 "txn" && is 2 "{" then begin
             block := Some (tok 1);
@@ -144,7 +149,16 @@ let system_of_string text =
       | Error m -> Error m
       | Ok [] -> Error "no transactions"
       | Ok txns -> (
-          try Ok (System.make db txns) with Invalid_argument m -> Error m))
+          (* The first block whose name an earlier block took. *)
+          let seen = Hashtbl.create 16 in
+          let taken t =
+            let n = Txn.name t in
+            Hashtbl.mem seen n || (Hashtbl.add seen n (); false)
+          in
+          match List.find_opt taken txns with
+          | Some t ->
+              Error (Printf.sprintf "duplicate transaction name %S" (Txn.name t))
+          | None -> Ok (System.make db txns)))
 
 let system_to_string sys =
   let db = System.db sys in

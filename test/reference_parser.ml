@@ -118,8 +118,12 @@ let system_of_string text =
       | [ "entity"; name; "@"; site ], None -> (
           match int_of_string_opt site with
           | Some s when s >= 1 -> (
-              try ignore (Database.add db ~name ~site:s)
-              with Invalid_argument m -> fail lineno m)
+              match Database.find db name with
+              | Some e when Database.site db e <> s ->
+                  fail lineno
+                    (Printf.sprintf "entity %S already stored at site %d" name
+                       (Database.site db e))
+              | _ -> ignore (Database.add db ~name ~site:s))
           | _ -> fail lineno "bad site number")
       | [ "txn"; name; "{" ], None ->
           current := Some { name; steps = []; arcs = []; chains = [] }
@@ -162,4 +166,12 @@ let system_of_string text =
       | Error m -> Error m
       | Ok [] -> Error "no transactions"
       | Ok txns -> (
-          try Ok (System.make db txns) with Invalid_argument m -> Error m))
+          let rec duplicate seen = function
+            | [] -> None
+            | t :: rest ->
+                let n = Txn.name t in
+                if List.mem n seen then Some n else duplicate (n :: seen) rest
+          in
+          match duplicate [] txns with
+          | Some n -> Error (Printf.sprintf "duplicate transaction name %S" n)
+          | None -> Ok (System.make db txns)))

@@ -237,73 +237,26 @@ let test_lru_find_refreshes_recency () =
   Util.check "untouched entries evicted first" false (E.Lru.mem lru "b");
   Util.check "find misses return None" true (E.Lru.find lru "b" = None)
 
-let test_lru_sharded_semantics () =
-  (* Capacity is far above the key count: hashing is not perfectly
-     uniform, so per-shard headroom must absorb the skew. *)
-  let c = E.Lru_sharded.create ~capacity:512 () in
-  Util.check_int "empty" 0 (E.Lru_sharded.length c);
-  Util.check "shards is a power of two" true
-    (let n = E.Lru_sharded.num_shards c in
-     n land (n - 1) = 0);
-  Util.check "capacity never below the request" true
-    (E.Lru_sharded.capacity c >= 512);
+(* What the verdict cache and the pair store rely on: replacement in
+   place, [clear], and a length bound with counted evictions. *)
+let test_lru_semantics () =
+  let c = E.Lru.create ~capacity:128 in
   for i = 0 to 63 do
-    E.Lru_sharded.add c (string_of_int i) i
+    E.Lru.add c (string_of_int i) i
   done;
-  Util.check_int "all entries stored" 64 (E.Lru_sharded.length c);
-  for i = 0 to 63 do
-    Util.check "find retrieves stored value" true
-      (E.Lru_sharded.find c (string_of_int i) = Some i)
-  done;
-  Util.check "mem on absent" false (E.Lru_sharded.mem c "absent");
-  E.Lru_sharded.add c "0" 100;
-  Util.check "add replaces in place" true (E.Lru_sharded.find c "0" = Some 100);
-  Util.check_int "replace does not grow" 64 (E.Lru_sharded.length c);
-  E.Lru_sharded.clear c;
-  Util.check_int "clear empties" 0 (E.Lru_sharded.length c);
-  (* Eviction stays bounded per shard: overfill and check the global
-     length never exceeds the (rounded-up) capacity. *)
-  let cap = E.Lru_sharded.capacity c in
-  for i = 0 to (4 * cap) - 1 do
-    E.Lru_sharded.add c ("k" ^ string_of_int i) i
+  Util.check_int "all entries stored" 64 (E.Lru.length c);
+  E.Lru.add c "0" 100;
+  Util.check "add replaces in place" true (E.Lru.find c "0" = Some 100);
+  Util.check_int "replace does not grow" 64 (E.Lru.length c);
+  E.Lru.clear c;
+  Util.check_int "clear empties" 0 (E.Lru.length c);
+  Util.check "clear forgets the keys" false (E.Lru.mem c "1");
+  for i = 0 to (4 * E.Lru.capacity c) - 1 do
+    E.Lru.add c ("k" ^ string_of_int i) i
   done;
   Util.check "length bounded by capacity under overfill" true
-    (E.Lru_sharded.length c <= cap);
-  Util.check "evictions counted" true (E.Lru_sharded.evictions c > 0);
-  Util.check "tiny cache rejects nothing but stays valid" true
-    (let tiny = E.Lru_sharded.create ~capacity:2 () in
-     E.Lru_sharded.num_shards tiny <= 2);
-  Util.check "rejects capacity 0" true
-    (try
-       ignore (E.Lru_sharded.create ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_lru_sharded_stress () =
-  (* 4 domains hammer one sharded cache with overlapping keys; the test
-     passes when nothing crashes, every read is consistent, and the
-     length bound holds afterwards. *)
-  let c = E.Lru_sharded.create ~capacity:128 () in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for round = 0 to 499 do
-              let k = "key" ^ string_of_int ((round + d) mod 200) in
-              E.Lru_sharded.add c k round;
-              (match E.Lru_sharded.find c k with
-              | Some v ->
-                  if v < 0 || v > 499 then failwith "corrupt value read"
-              | None -> () (* evicted by a neighbour — legal *));
-              ignore (E.Lru_sharded.mem c "key0");
-              ignore (E.Lru_sharded.length c)
-            done))
-  in
-  List.iter Domain.join domains;
-  Util.check "length bounded after stress" true
-    (E.Lru_sharded.length c <= E.Lru_sharded.capacity c);
-  Util.check "cache still serves after stress" true
-    (E.Lru_sharded.add c "after" 1;
-     E.Lru_sharded.find c "after" = Some 1)
+    (E.Lru.length c <= E.Lru.capacity c);
+  Util.check "evictions counted" true (E.Lru.evictions c > 0)
 
 let test_lru_eviction () =
   let lru = E.Lru.create ~capacity:2 in
@@ -365,10 +318,10 @@ let test_batch_agrees_with_decide () =
     sys batched
 
 (* Each submitted system is digested once: the batch keys every
-   submission, and the decision of a distinct one reuses that key, at
-   any job count. [decide_explained] digests once for both halves. *)
+   submission, and the decision of a distinct one reuses that key.
+   [decide_explained] digests once for both halves. *)
 let test_batch_fingerprints_once () =
-  let calls = Atomic.make 0 in
+  let calls = ref 0 in
   let counting () =
     let checker =
       E.Checker.make ~name:"constant" ~procedure:E.Checker.Trivial
@@ -377,46 +330,25 @@ let test_batch_fingerprints_once () =
     in
     E.Engine.create
       ~fingerprint:(fun (s : string) ->
-        Atomic.incr calls;
+        incr calls;
         s)
       [ checker ]
   in
-  List.iter
-    (fun jobs ->
-      Atomic.set calls 0;
-      let _, report = E.Engine.decide_batch ~jobs (counting ()) [ "a"; "b"; "a" ] in
-      Util.check_int (Printf.sprintf "jobs:%d: two distinct systems" jobs) 2
-        report.E.Engine.unique;
-      Util.check_int
-        (Printf.sprintf "jobs:%d: one fingerprint per submission" jobs)
-        3 (Atomic.get calls))
-    [ 1; 2 ];
-  Atomic.set calls 0;
+  let _, report = E.Engine.decide_batch (counting ()) [ "a"; "b"; "a" ] in
+  Util.check_int "two distinct systems" 2 report.E.Engine.unique;
+  Util.check_int "one fingerprint per submission" 3 !calls;
+  calls := 0;
   let _ = E.Engine.decide_explained (counting ()) "a" in
-  Util.check_int "decide_explained: one fingerprint" 1 (Atomic.get calls)
+  Util.check_int "decide_explained: one fingerprint" 1 !calls
 
 (* ------------------------------------------------------------------ *)
-(* Parallel batches: jobs:k must be observationally equal to jobs:1 *)
+(* A batch answers as per-system decisions do *)
 
 let verdict_tag (o : _ E.Outcome.t) =
   match o.E.Outcome.verdict with
   | E.Outcome.Safe -> "safe"
   | E.Outcome.Unsafe _ -> "unsafe"
   | E.Outcome.Unknown _ -> "unknown"
-
-(* Everything observable about a batch except wall-clock time and the
-   job count itself. *)
-let observable (outcomes, (r : E.Engine.batch_report)) =
-  ( List.map
-      (fun (o : _ E.Outcome.t) ->
-        (verdict_tag o, o.E.Outcome.procedure, o.E.Outcome.cached))
-      outcomes,
-    ( r.E.Engine.submitted,
-      r.E.Engine.unique,
-      r.E.Engine.batch_dedup_hits,
-      r.E.Engine.cache_hits,
-      r.E.Engine.cache_misses,
-      r.E.Engine.per_procedure ) )
 
 let gen_small_batch =
   Util.gen_with_state (fun st ->
@@ -433,39 +365,25 @@ let gen_small_batch =
       let k = Random.State.int st (n + 1) in
       syss @ List.filteri (fun i _ -> i < k) syss)
 
-let qcheck_jobs_equivalence =
-  Util.qtest ~count:1000 "decide_batch jobs:4 ≡ jobs:1 (cold caches)"
+(* On a fresh engine, a batch gives each submission the verdict,
+   procedure and [cached] flag that per-system [decide] calls give on
+   another fresh engine, and every cached answer is a batch duplicate or
+   a cache hit. *)
+let qcheck_batch_matches_decide =
+  Util.qtest ~count:1000 "decide_batch ≡ per-system decide"
     gen_small_batch
     (fun syss ->
-      let seq = Decision.decide_batch ~jobs:1 (Decision.create ()) syss in
-      let par = Decision.decide_batch ~jobs:4 (Decision.create ()) syss in
-      observable seq = observable par)
-
-let test_batch_jobs_warm_cache () =
-  (* The same engine serving a second, parallel batch must hit its cache
-     exactly as a sequential second batch would. *)
-  let mk_batch () =
-    [ unsafe_pair (); two_phase_pair (); unsafe_pair (); safe_multi () ]
-  in
-  let eng_seq = Decision.create () and eng_par = Decision.create () in
-  let warm1 = Decision.decide_batch ~jobs:1 eng_seq (mk_batch ()) in
-  let warm2 = Decision.decide_batch ~jobs:4 eng_par (mk_batch ()) in
-  Util.check "cold batch observationally equal" true
-    (observable warm1 = observable warm2);
-  let second_seq = Decision.decide_batch ~jobs:1 eng_seq (mk_batch ()) in
-  let second_par = Decision.decide_batch ~jobs:4 eng_par (mk_batch ()) in
-  Util.check "warm batch observationally equal" true
-    (observable second_seq = observable second_par);
-  Util.check_int "warm parallel batch served from cache" 3
-    (snd second_par).E.Engine.cache_hits;
-  Util.check_int "jobs recorded in the report" 4 (snd second_par).E.Engine.jobs
-
-let test_batch_jobs_validation () =
-  Util.check "jobs:0 rejected" true
-    (try
-       ignore (Decision.decide_batch ~jobs:0 (Decision.create ()) []);
-       false
-     with Invalid_argument _ -> true)
+      let answer (o : _ E.Outcome.t) =
+        (verdict_tag o, o.E.Outcome.procedure, o.E.Outcome.cached)
+      in
+      let batched, r = Decision.decide_batch (Decision.create ()) syss in
+      let eng = Decision.create () in
+      let single = List.map (Decision.decide eng) syss in
+      List.map answer batched = List.map answer single
+      && r.E.Engine.batch_dedup_hits + r.E.Engine.cache_hits
+         = List.length
+             (List.filter (fun (o : _ E.Outcome.t) -> o.E.Outcome.cached)
+                batched))
 
 (* ------------------------------------------------------------------ *)
 (* Explain: the typed provenance record *)
@@ -635,10 +553,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "lru find refreshes recency" `Quick
             test_lru_find_refreshes_recency;
-          Alcotest.test_case "sharded semantics" `Quick
-            test_lru_sharded_semantics;
-          Alcotest.test_case "sharded 4-domain stress" `Quick
-            test_lru_sharded_stress;
+          Alcotest.test_case "lru semantics" `Quick test_lru_semantics;
         ] );
       ( "batch",
         [
@@ -648,11 +563,7 @@ let () =
             test_batch_agrees_with_decide;
           Alcotest.test_case "one fingerprint per submission" `Quick
             test_batch_fingerprints_once;
-          Alcotest.test_case "warm-cache jobs equivalence" `Quick
-            test_batch_jobs_warm_cache;
-          Alcotest.test_case "jobs validation" `Quick
-            test_batch_jobs_validation;
-          qcheck_jobs_equivalence;
+          qcheck_batch_matches_decide;
         ] );
       ( "explain",
         [

@@ -281,56 +281,32 @@ let test_level_of_string () =
   check bool "unknown rejected" true (Obs.level_of_string "loud" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-safety: span domain tags, serialized sinks, shared registry *)
+(* Domain-safety: the recorder's mutex, shared registry and instruments *)
 
-let test_span_domain_attr () =
-  let spans, events =
-    with_collecting (fun () ->
-        Obs.with_span "main-span" (fun _ -> Obs.event "main-event");
-        Domain.join
-          (Domain.spawn (fun () ->
-               Obs.with_span "worker-span" (fun _ -> ()))))
-  in
-  let domain_of name attrs =
-    match List.assoc_opt "domain" attrs with
-    | Some (Attr.Int d) -> d
-    | _ -> Alcotest.failf "%s carries no integer domain attribute" name
-  in
-  let find name =
-    List.find (fun (s : Span.span) -> s.Span.name = name) spans
-  in
-  let main_d = domain_of "main-span" (find "main-span").Span.attrs in
-  let worker_d = domain_of "worker-span" (find "worker-span").Span.attrs in
-  check int "main span tagged with this domain" (Domain.self () :> int) main_d;
-  check bool "worker span tagged with a different domain" true
-    (worker_d <> main_d);
-  match events with
-  | [ e ] -> check int "event tagged too" main_d (domain_of "event" e.Span.attrs)
-  | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
+let mk_span ?(attrs = []) ~id ?parent ~name ~start_s ~duration_s () =
+  { Span.id; parent; name; start_s; duration_s; attrs }
 
 let test_jsonl_no_interleaving () =
-  (* 4 domains each emit 50 spans with long attribute payloads into one
-     keep-all recorder; every line of its JSONL rendering must be a
-     complete, parseable record — a torn record would break the shape
-     check. *)
+  (* 4 domains each push 50 spans with long attribute payloads through
+     one keep-all recorder's sink; every line of its JSONL rendering must
+     be a complete, parseable record — a torn record would break the
+     shape check. *)
   let r = Recorder.create ~capacity:max_int () in
-  Obs.set_sink (Recorder.sink r);
-  Fun.protect
-    ~finally:(fun () -> Obs.set_sink Sink.noop)
-    (fun () ->
-      let payload = String.make 256 'x' in
-      let emit d =
-        for i = 0 to 49 do
-          Obs.with_span "concurrent" (fun sp ->
-              Obs.add_attrs sp
-                [ Attr.int "task" ((100 * d) + i); Attr.str "pad" payload ])
-        done
-      in
-      let workers =
-        List.init 3 (fun d -> Domain.spawn (fun () -> emit (d + 1)))
-      in
-      emit 0;
-      List.iter Domain.join workers);
+  let sink = Recorder.sink r in
+  let payload = String.make 256 'x' in
+  let emit d =
+    for i = 0 to 49 do
+      let id = (100 * d) + i in
+      sink.Sink.on_span
+        (mk_span ~id ~name:"concurrent" ~start_s:(float_of_int id)
+           ~duration_s:0.001
+           ~attrs:[ Attr.int "task" id; Attr.str "pad" payload ]
+           ())
+    done
+  in
+  let workers = List.init 3 (fun d -> Domain.spawn (fun () -> emit (d + 1))) in
+  emit 0;
+  List.iter Domain.join workers;
   let lines = render_lines (Recorder.write_jsonl r) in
   check int "every span is exactly one line" 200 (List.length lines);
   check bool "every line is a complete record" true
@@ -396,25 +372,14 @@ let test_mono_nondecreasing () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export *)
 
-let mk_span ?(attrs = []) ~id ?parent ~name ~start_s ~duration_s ~domain () =
-  {
-    Span.id;
-    parent;
-    name;
-    start_s;
-    duration_s;
-    attrs = Attr.int "domain" domain :: attrs;
-  }
-
 let test_trace_export_shape () =
   let spans =
     [
-      mk_span ~id:1 ~name:"engine.decide" ~start_s:10.0 ~duration_s:0.002
-        ~domain:0 ();
+      mk_span ~id:1 ~name:"engine.decide" ~start_s:10.0 ~duration_s:0.002 ();
       mk_span ~id:2 ~parent:1 ~name:"engine.stage" ~start_s:10.0005
-        ~duration_s:0.001 ~domain:0 ();
+        ~duration_s:0.001 ();
       mk_span ~id:3 ~name:"engine.decide" ~start_s:10.001 ~duration_s:0.003
-        ~domain:1 ();
+        ();
     ]
   in
   let events =
@@ -423,7 +388,7 @@ let test_trace_export_shape () =
         Span.name = "sim.txn.abort";
         time_s = 10.0010;
         span = Some 1;
-        attrs = [ Attr.int "domain" 0 ];
+        attrs = [];
       };
     ]
   in
@@ -452,8 +417,8 @@ let test_trace_export_shape () =
       check int "one complete event per span" 3 (List.length completes);
       check int "one instant per event" 1
         (List.length (List.filter (fun j -> phase j = "i") evs));
-      (* process_name + a thread_name per domain *)
-      check int "metadata names process and both domains" 3
+      (* process_name + the one thread_name *)
+      check int "metadata names the process and its thread" 2
         (List.length (List.filter (fun j -> phase j = "M") evs));
       let field f j =
         match j with Json.Obj l -> List.assoc_opt f l | _ -> None
@@ -478,9 +443,9 @@ let test_trace_export_shape () =
              | _ -> false)
            completes);
       let tids =
-        List.sort_uniq compare (List.filter_map (field "tid") completes)
+        List.sort_uniq compare (List.filter_map (field "tid") evs)
       in
-      check int "one track per domain" 2 (List.length tids);
+      check int "one thread track" 1 (List.length tids);
       (* ts is microseconds relative to the earliest record: the first
          span starts at 0, the second 500us later. *)
       let ts =
@@ -503,7 +468,7 @@ let test_trace_export_shape () =
 
 let rspan ~id ~start_s ~task =
   Recorder.Rspan
-    (mk_span ~id ~name:"hammer" ~start_s ~duration_s:0.001 ~domain:0
+    (mk_span ~id ~name:"hammer" ~start_s ~duration_s:0.001
        ~attrs:[ Attr.int "task" task ]
        ())
 
@@ -527,11 +492,11 @@ let test_recorder_ring_wrap () =
   check (Alcotest.list int) "oldest-first, newest retained" [ 7; 8; 9; 10 ] ids
 
 let test_recorder_multi_domain_hammer () =
-  (* 4 domains push 200 spans each through the striped ring. Capacity
-     is large enough that nothing is evicted even if every domain lands
-     on the same stripe, so afterwards the ring must hold exactly 800
-     records, each with its payload intact — a torn record (or a lost
-     push) breaks the count or the per-emitter reconstruction. *)
+  (* 4 domains push 200 spans each through the ring. Capacity is large
+     enough that nothing is evicted, so afterwards the ring must hold
+     exactly 800 records, each with its payload intact — a torn record
+     (or a lost push) breaks the count or the per-emitter
+     reconstruction. *)
   let per_domain = 200 in
   let r = Recorder.create ~capacity:1_024 () in
   let sink = Recorder.sink r in
@@ -541,7 +506,6 @@ let test_recorder_multi_domain_hammer () =
       sink.Sink.on_span
         (mk_span ~id ~name:"hammer" ~start_s:(float_of_int id)
            ~duration_s:0.001
-           ~domain:(Domain.self () :> int)
            ~attrs:[ Attr.int "emitter" e; Attr.int "seq" i ]
            ())
     done
@@ -631,46 +595,37 @@ let test_recorder_dump_and_anomaly_cap () =
            lines))
 
 let test_recorder_keep_all_renderings () =
-  (* Two domains emit 1 500 spans and 1 500 events each through [Obs]
-     into a keep-all recorder: 6 000 records, more than the default
-     ring's 8 x 512 slots. Both file renderings hold every record; the
-     flight dump stays bounded to the newest 512 records per stripe. *)
-  let per_domain = 1_500 in
+  (* One emitter sends 1 500 spans and 1 500 events through [Obs] into
+     a keep-all recorder: 3 000 records, more than the default ring's
+     512 slots. Both file renderings hold every record, in emission
+     order; the flight dump stays bounded to the newest 512 records. *)
+  let per_kind = 1_500 in
   let r = Recorder.create ~capacity:max_int () in
   Obs.set_level Obs.Info;
   Obs.set_sink (Recorder.sink r);
-  let emit e =
-    for i = 0 to per_domain - 1 do
-      let attrs () = [ Attr.int "emitter" e; Attr.int "seq" i ] in
-      Obs.with_span ~attrs "kept" ignore;
-      Obs.event ~attrs "kept"
-    done
-  in
   Fun.protect
     ~finally:(fun () -> Obs.set_sink Sink.noop)
     (fun () ->
-      let worker = Domain.spawn (fun () -> emit 1) in
-      emit 0;
-      Domain.join worker);
-  let total = 4 * per_domain in
+      for i = 0 to per_kind - 1 do
+        let attrs () = [ Attr.int "seq" i ] in
+        Obs.with_span ~attrs "kept" ignore;
+        Obs.event ~attrs "kept"
+      done);
+  let total = 2 * per_kind in
   let lines = render_lines (Recorder.write_jsonl r) in
   check int "JSONL holds every record" total (List.length lines);
-  (* Emitter e's k-th record is span k/2 when k is even, else event k/2. *)
-  let next = Array.make 2 0 in
-  List.iter
-    (fun l ->
-      let e = int_field l "emitter" and i = int_field l "seq" in
-      let k = (2 * i) + if contains l {|"type":"span"|} then 0 else 1 in
-      if k <> next.(e) then
-        Alcotest.failf "emitter %d: record %d arrived as number %d" e k
-          next.(e);
-      next.(e) <- k + 1)
+  (* The k-th record is span k/2 when k is even, else event k/2. *)
+  List.iteri
+    (fun k l ->
+      let i = int_field l "seq" in
+      let k' = (2 * i) + if contains l {|"type":"span"|} then 0 else 1 in
+      if k' <> k then
+        Alcotest.failf "record %d arrived as number %d" k' k)
     lines;
   let chrome = render_lines (Trace_export.write r) in
   let count pat = List.length (List.filter (fun l -> contains l pat) chrome) in
-  check int "one complete event per span" (2 * per_domain)
-    (count {|"ph": "X"|});
-  check int "one instant per event" (2 * per_domain) (count {|"ph": "i"|});
+  check int "one complete event per span" per_kind (count {|"ph": "X"|});
+  check int "one instant per event" per_kind (count {|"ph": "i"|});
   match render_lines (Recorder.dump r ~reason:"bounded") with
   | [] -> Alcotest.fail "empty dump"
   | header :: recs ->
@@ -678,16 +633,13 @@ let test_recorder_keep_all_renderings () =
          record. *)
       check int "header counts the listed records"
         (int_field header "records") (List.length recs);
+      check int "dump bounded to the newest 512 records" 512
+        (List.length recs);
       check int "records + dropped = every push" total
         (int_field header "records" + int_field header "dropped");
-      let per_stripe = Array.make 8 0 in
-      List.iter
-        (fun l ->
-          let s = int_field l "domain" mod 8 in
-          per_stripe.(s) <- per_stripe.(s) + 1)
-        recs;
-      check bool "at most 512 records per stripe" true
-        (Array.for_all (fun c -> c <= 512) per_stripe)
+      (* The newest record is the last event. *)
+      check int "dump ends at the newest record" (per_kind - 1)
+        (int_field (List.nth recs 511) "seq")
 
 let test_anomaly_uninstalled_noop () =
   Recorder.set_global None;
@@ -994,7 +946,6 @@ let () =
         ] );
       ( "domain-safety",
         [
-          Alcotest.test_case "span domain attr" `Quick test_span_domain_attr;
           Alcotest.test_case "jsonl no interleaving" `Quick
             test_jsonl_no_interleaving;
           Alcotest.test_case "registry concurrent get-or-create" `Quick

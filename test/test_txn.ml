@@ -315,7 +315,7 @@ let test_parse_errors () =
     "entity x @ zero\ntxn T {\nstep a lock x\n}\n";
   check "site 0" "line 1: bad site number" "entity x @ 0\n";
   check "entity at another site"
-    "line 2: Database.add: entity \"x\" already stored at site 1"
+    "line 2: entity \"x\" already stored at site 1"
     "entity x @ 1\nentity x @ 2\n";
   check "unknown action" "line 3: unknown action grab"
     (block "step a grab x\n");
@@ -333,7 +333,7 @@ let test_parse_errors () =
     (block "step a lock x\nstep b unlock x\narc a -> c\n");
   check "cyclic" "txn T1: cyclic precedence declaration"
     (block "step a lock x\nstep b unlock x\nchain a b a\n");
-  check "duplicate names" "System.make: duplicate transaction names"
+  check "duplicate names" "duplicate transaction name \"T1\""
     (block "step a lock x\n" ^ "txn T1 {\n}\n");
   (* Which error wins when there are several. *)
   check "duplicate label before unknown entity"
