@@ -823,7 +823,10 @@ let e16 () =
    entities) so the conflict graph stays a scatter of small components —
    pair pipelines dominate the from-scratch cost and condition (b)
    never explodes — while the session re-runs only the pairs incident
-   to the mutated transaction (at most 2n-3 of them). *)
+   to the mutated transaction (at most 2n-3 of them). After each edit's
+   call, a warm call (nothing edited since the last one) is timed too:
+   it walks no transaction, pair or component, so it reports the
+   session's fixed per-call cost. *)
 
 let e17 () =
   rule "E17 (incremental): warm-cache edit latency vs from-scratch decide";
@@ -853,6 +856,7 @@ let e17 () =
         Decision.create ~cache_capacity:0 ~pair_cache_capacity:0 ()
       in
       let delta_times = ref []
+      and warm_times = ref []
       and scratch_times = ref []
       and max_redecided = ref 0
       and agree = ref true in
@@ -871,6 +875,16 @@ let e17 () =
         in
         Incremental.replace_txn session name txn;
         let o, t_delta = time (fun () -> Incremental.decide_delta session) in
+        (* One warm call is far below the clock's resolution: time a
+           hundred in a row. *)
+        let warm_calls = 100 in
+        let (), t_warm =
+          time (fun () ->
+              for _ = 1 to warm_calls do
+                ignore (Incremental.decide_delta session)
+              done)
+        in
+        warm_times := (t_warm /. float_of_int warm_calls) :: !warm_times;
         let fresh, t_scratch =
           time (fun () ->
               Decision.decide scratch (Incremental.system session))
@@ -889,16 +903,18 @@ let e17 () =
         max_redecided := max !max_redecided o.Incremental.pairs_redecided
       done;
       let d = median !delta_times and s = median !scratch_times in
+      let w = median !warm_times in
       let speedup = s /. Float.max d 1e-9 in
       let bound = (2 * n) - 3 in
       pf
         "n=%3d  base: %d pairs, %d cycles; per edit: delta %8.3f ms, \
-         scratch %8.3f ms, %6.1fx; max pairs re-decided %d (bound %d); \
-         verdicts %s\n"
+         scratch %8.3f ms, %6.1fx; warm call %6.3f us; max pairs \
+         re-decided %d (bound %d); verdicts %s\n"
         n warm.Incremental.pairs_total warm.Incremental.cycles_total (ms d)
-        (ms s) speedup !max_redecided bound
+        (ms s) speedup (w *. 1e6) !max_redecided bound
         (if !agree then "agree" else "DISAGREE");
       metric_f (Printf.sprintf "n%d_delta_median_seconds" n) d;
+      metric_f (Printf.sprintf "n%d_warm_median_seconds" n) w;
       metric_f (Printf.sprintf "n%d_scratch_median_seconds" n) s;
       metric_f (Printf.sprintf "n%d_speedup" n) speedup;
       metric_i (Printf.sprintf "n%d_max_pairs_redecided" n) !max_redecided;

@@ -44,12 +44,13 @@ end
 
 let pair_key i j = if i < j then (i, j) else (j, i)
 
-(* Add B_ijk arcs into [g] using the node table. *)
-let add_b_arcs sys nodes add_arc ~i ~j ~k =
-  let tj = System.txn sys j in
+(* Add B_ijk arcs into [g] using the node table; [txn i] is transaction
+   [i]. *)
+let add_b_arcs txn nodes add_arc ~i ~j ~k =
+  let tj = txn j in
   let lo1, hi1 = pair_key i j and lo2, hi2 = pair_key j k in
-  let xs = System.common_locked sys i j in
-  let ys = System.common_locked sys j k in
+  let xs = System.common_locked_txns (txn i) tj in
+  let ys = System.common_locked_txns tj (txn k) in
   let lock e = Option.get (Txn.lock_of tj e) in
   let unlock e = Option.get (Txn.unlock_of tj e) in
   (* (x@ij, y@jk) iff Lx precedes Uy in Tj *)
@@ -88,24 +89,26 @@ let add_b_arcs sys nodes add_arc ~i ~j ~k =
 
 (* Two-pass construction: collect arcs with a growing node table, then
    build the digraph once the node count is known. *)
-let build_b sys triples =
+let build_b txn triples =
   let nodes = Nodes.create () in
   let arcs = ref [] in
   let add_arc u v = arcs := (u, v) :: !arcs in
-  List.iter (fun (i, j, k) -> add_b_arcs sys nodes add_arc ~i ~j ~k) triples;
+  List.iter (fun (i, j, k) -> add_b_arcs txn nodes add_arc ~i ~j ~k) triples;
   let g = Digraph.create nodes.Nodes.count in
   List.iter (fun (u, v) -> Digraph.add_arc g u v) !arcs;
   (g, Nodes.names nodes)
 
-let b_graph sys ~i ~j ~k = build_b sys [ (i, j, k) ]
+let b_graph sys ~i ~j ~k = build_b (System.txn sys) [ (i, j, k) ]
 
-let b_cycle_graph sys cycle =
+let cycle_b_graph txn cycle =
   let arr = Array.of_list cycle in
   let n = Array.length arr in
   let triples =
     List.init n (fun p -> (arr.(p), arr.((p + 1) mod n), arr.((p + 2) mod n)))
   in
-  fst (build_b sys triples)
+  fst (build_b txn triples)
+
+let b_cycle_graph sys cycle = cycle_b_graph (System.txn sys) cycle
 
 type exhaustion = { examined : int; limit : int }
 
@@ -174,18 +177,18 @@ let tally () =
 
 exception Undecided of string
 
-let pair_safe ?store ?run_stats ~budget tally sys i j =
+let pair_verdict ?store ?run_stats ~budget tally pair =
   let decide () =
-    let pair = pair_system (Lazy.force sys) i j in
-    match (Checkers.decide ?stats:run_stats ~budget pair).E.Outcome.verdict with
+    match
+      (Checkers.decide ?stats:run_stats ~budget (pair ())).E.Outcome.verdict
+    with
     | E.Outcome.Safe -> true
     | E.Outcome.Unsafe _ -> false
     | E.Outcome.Unknown msg -> raise (Undecided msg)
   in
   match store with
   | None -> decide ()
-  | Some (verdicts, stats, fingerprint) -> (
-      let fp = fingerprint i j in
+  | Some (verdicts, stats, fp) -> (
       match E.Lru.find verdicts fp with
       | Some safe ->
           tally.pair_hits <- tally.pair_hits + 1;
@@ -198,6 +201,13 @@ let pair_safe ?store ?run_stats ~budget tally sys i j =
           E.Stats.record_pair_redecided stats;
           E.Lru.add verdicts fp safe;
           safe)
+
+let pair_safe ?store ?run_stats ~budget tally sys i j =
+  let store =
+    Option.map (fun (verdicts, stats, fp) -> (verdicts, stats, fp i j)) store
+  in
+  pair_verdict ?store ?run_stats ~budget tally (fun () ->
+      pair_system (Lazy.force sys) i j)
 
 (* Bounds on the memo tables. They are plain Hashtbls (one session, one
    caller), so the cap is a reset, not an LRU: a workload that genuinely
@@ -226,17 +236,32 @@ let cached tbl ~cap key compute =
       Hashtbl.replace tbl key v;
       v
 
-exception Found_unsafe of unsafe_reason
+type allowance = { limit : int; mutable spent : int }
+
+let allowance limit = { limit; spent = 0 }
+
 exception Cycles_cut of exhaustion
 
-(* Condition (b) for one strongly connected component [mem] (ascending,
-   at least three members): enumerate the cycles of its subgraph, built
-   from sorted arcs over a renumbering of the members, and judge each
-   cycle's B_c. With a memo the renumbering ranks members by
-   transaction fingerprint, so both the cycle list (keyed by the
-   component's content) and each B_c verdict (keyed by its members'
-   content) survive edits that leave them untouched. *)
-let judge_component ?memo ~enumerate tally sys g scc rank mem =
+(* Every enumeration spends from what the ones before it left. *)
+let enumerate allowance sub =
+  match count_cycles ~limit:(allowance.limit - allowance.spent) sub with
+  | Cycles cs, steps ->
+      allowance.spent <- allowance.spent + steps;
+      cs
+  | Cut _, steps ->
+      raise
+        (Cycles_cut
+           { examined = allowance.spent + steps; limit = allowance.limit })
+
+(* Condition (b) for one component [mem] (ascending, at least three
+   members): enumerate the cycles of its subgraph, built from sorted
+   arcs over a renumbering of the members, and judge each cycle's B_c.
+   With a memo the renumbering ranks members by transaction
+   fingerprint, so both the cycle list (keyed by the component's
+   content) and each B_c verdict (keyed by its members' content)
+   survive edits that leave them untouched; a found cycle list spends
+   none of the allowance. *)
+let judge_component ?memo allowance tally ~txn ~neighbours ~rank mem =
   let ranked =
     Array.of_list
       (match memo with
@@ -244,44 +269,50 @@ let judge_component ?memo ~enumerate tally sys g scc rank mem =
       | None -> mem)
   in
   Array.iteri (fun r v -> rank.(v) <- r) ranked;
-  let comp = scc.Scc.component.(ranked.(0)) in
   let arcs = ref [] in
   List.iter
-    (fun u ->
-      Digraph.iter_succ g u (fun v ->
-          if scc.Scc.component.(v) = comp then
-            arcs := (rank.(u), rank.(v)) :: !arcs))
+    (fun u -> neighbours u (fun v -> arcs := (rank.(u), rank.(v)) :: !arcs))
     mem;
   let arcs = List.sort compare !arcs in
-  let enumerate () = enumerate (Digraph.of_arcs (Array.length ranked) arcs) in
+  let enumerate () =
+    enumerate allowance (Digraph.of_arcs (Array.length ranked) arcs)
+  in
   let judge cycle =
     tally.cycles_rejudged <- tally.cycles_rejudged + 1;
-    not (Topo.is_acyclic (b_cycle_graph (Lazy.force sys) cycle))
+    not (Topo.is_acyclic (cycle_b_graph txn cycle))
   in
   let cycles, bc_cyclic =
     match memo with
-    | None -> (enumerate (), judge)
+    | None -> (enumerate, judge)
     | Some (m, fp) ->
-        let key =
-          digest
-            ("scc"
-            :: Array.to_list (Array.map fp ranked)
-            @ List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) arcs)
-        in
-        ( cached m.scc_cycles ~cap:scc_cache_cap key enumerate,
+        ( (fun () ->
+            let key =
+              digest
+                ("scc"
+                :: Array.to_list (Array.map fp ranked)
+                @ List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) arcs)
+            in
+            cached m.scc_cycles ~cap:scc_cache_cap key enumerate),
           fun cycle ->
             cached m.cycle_cache ~cap:cycle_cache_cap
               (digest ("cyc" :: List.map fp cycle))
               (fun () -> judge cycle) )
   in
-  List.iter
-    (fun cyc ->
-      tally.cycles_total <- tally.cycles_total + 1;
-      let orig = List.map (fun r -> ranked.(r)) cyc in
-      if not (bc_cyclic orig) then raise (Found_unsafe (Acyclic_bc orig)))
-    cycles
+  let rec first = function
+    | [] -> Decided Safe
+    | cyc :: rest ->
+        tally.cycles_total <- tally.cycles_total + 1;
+        let orig = List.map (fun r -> ranked.(r)) cyc in
+        if bc_cyclic orig then first rest
+        else Decided (Unsafe (Acyclic_bc orig))
+  in
+  match cycles () with
+  | cycles -> first cycles
+  | exception Cycles_cut e -> Exhausted e
 
-let decide_with ~pair_safe ?memo ?(cycle_limit = max_int) tally sys g =
+exception Found_unsafe of unsafe_reason
+
+let decide_with ~pair_safe ?(cycle_limit = max_int) tally sys g =
   let n = Digraph.n g in
   try
     (* (a) every conflicting pair safe, in lexicographic order *)
@@ -293,31 +324,27 @@ let decide_with ~pair_safe ?memo ?(cycle_limit = max_int) tally sys g =
         (List.sort compare (List.filter (fun j -> j > i) (Digraph.succ g i)))
     done;
     (* (b) every directed cycle has a cyclic B_c. A simple cycle lives
-       inside one SCC; components go in index order. The step allowance
-       is the decision's: each enumeration spends from what the ones
-       before it left, and a memo hit spends nothing. *)
+       inside one SCC; components go in index order and share the
+       decision's step allowance. *)
     let scc = Scc.compute g in
     let members = Array.make scc.Scc.count [] in
     for v = n - 1 downto 0 do
       let c = scc.Scc.component.(v) in
       members.(c) <- v :: members.(c)
     done;
-    let spent = ref 0 in
-    let enumerate sub =
-      match count_cycles ~limit:(cycle_limit - !spent) sub with
-      | Cycles cs, steps ->
-          spent := !spent + steps;
-          cs
-      | Cut _, steps ->
-          raise (Cycles_cut { examined = !spent + steps; limit = cycle_limit })
-    in
+    let allowance = allowance cycle_limit in
+    let txn i = System.txn (Lazy.force sys) i in
     let rank = Array.make n 0 in
-    Array.iter
-      (fun mem ->
-        if List.compare_length_with mem 3 >= 0 then
-          judge_component ?memo ~enumerate tally sys g scc rank mem)
-      members;
-    Decided Safe
-  with
-  | Found_unsafe r -> Decided (Unsafe r)
-  | Cycles_cut e -> Exhausted e
+    let rec components c =
+      if c = scc.Scc.count then Decided Safe
+      else if List.compare_length_with members.(c) 3 < 0 then components (c + 1)
+      else
+        match
+          judge_component allowance tally ~txn ~neighbours:(Digraph.iter_succ g)
+            ~rank members.(c)
+        with
+        | Decided Safe -> components (c + 1)
+        | result -> result
+    in
+    components 0
+  with Found_unsafe r -> Decided (Unsafe r)

@@ -80,6 +80,24 @@ val tally : unit -> tally
 exception Undecided of string
 (** The pair pipeline ended [Unknown] (the message says why). *)
 
+val pair_verdict :
+  ?store:bool Distlock_engine.Lru.t * Distlock_engine.Stats.t * string ->
+  ?run_stats:Distlock_engine.Stats.t ->
+  budget:Distlock_engine.Budget.t ->
+  tally ->
+  (unit -> System.t) ->
+  bool
+(** [pair_verdict ~budget tally pair] is condition (a) for the
+    two-transaction system [pair ()]. Without [store], runs
+    {!Checkers.decide} on it under [budget]. With [store = (verdicts,
+    stats, key)], first looks [key] (the pair's
+    {!System.pair_fingerprint}) up in [verdicts]; on a miss it builds
+    the pair, runs the pipeline and stores the decided verdict. Lookups
+    and re-decisions are recorded into [stats] and [tally]; the
+    pipeline's own stage counters go to [run_stats] when given. Raises
+    {!Undecided} when the pipeline ends [Unknown]; nothing is stored
+    then. *)
+
 val pair_safe :
   ?store:
     bool Distlock_engine.Lru.t
@@ -92,15 +110,9 @@ val pair_safe :
   int ->
   int ->
   bool
-(** [pair_safe ~budget tally sys i j] is condition (a) for the pair
-    [(i, j)] of [sys]. Without [store], runs {!Checkers.decide} on
-    {!pair_system} under [budget]. With [store = (verdicts, stats, fp)],
-    first looks the pair's {!System.pair_fingerprint} ([fp i j]) up in
-    [verdicts]; on a miss it runs the pipeline and stores the decided
-    verdict, forcing [sys] only then. Lookups and re-decisions are
-    recorded into [stats] and [tally]; the pipeline's own stage counters
-    go to [run_stats] when given. Raises {!Undecided} when the pipeline
-    ends [Unknown]; nothing is stored then. *)
+(** [pair_safe ~budget tally sys i j] is {!pair_verdict} for the pair
+    [(i, j)] of [sys] ({!pair_system}, forcing [sys] only to build it),
+    keyed by [fp i j] when [store = (verdicts, stats, fp)]. *)
 
 type memo
 (** Content-keyed cycle lists per strongly connected component and B_c
@@ -109,9 +121,46 @@ type memo
 
 val memo : unit -> memo
 
+type allowance
+(** One decision's cycle-enumeration step allowance, shared by its
+    components: each enumeration spends from what the ones before it
+    left. *)
+
+val allowance : int -> allowance
+(** A fresh allowance of that many DFS arcs ([max_int]: unlimited). *)
+
+val judge_component :
+  ?memo:memo * (int -> string) ->
+  allowance ->
+  tally ->
+  txn:(int -> Txn.t) ->
+  neighbours:(int -> (int -> unit) -> unit) ->
+  rank:int array ->
+  int list ->
+  result
+(** Condition (b) for one connected component of the conflict graph,
+    given as its members in ascending order (at least three): enumerate
+    the component's simple cycles, spending from the allowance, and
+    find the first whose B_c is acyclic. Vertices are any ints: [txn v]
+    is vertex [v]'s transaction (called only to build a B_c),
+    [neighbours v f] calls [f] on each of [v]'s conflict-graph
+    neighbours, all of them members, and [rank] is scratch space
+    indexed by vertex.
+
+    With [memo = (m, fp)], where [fp v] is vertex [v]'s
+    {!Txn.fingerprint}, members are ranked by [fp], and the cycle list
+    and B_c verdicts are looked up in and stored to [m]; a component
+    whose cycle list is found spends none of the allowance. Without
+    one, members keep their order. The verdict is the same either way;
+    the reported cycle and the counts may differ.
+
+    [Decided Safe]: every cycle's B_c is cyclic. [Decided (Unsafe
+    (Acyclic_bc c))]: [c] is the first cycle with an acyclic B_c, in
+    vertex terms. [Exhausted e]: the enumeration ran out of allowance.
+    Examined and judged cycles go to the tally. *)
+
 val decide_with :
   pair_safe:(int -> int -> bool) ->
-  ?memo:memo * (int -> string) ->
   ?cycle_limit:int ->
   tally ->
   System.t Lazy.t ->
@@ -121,16 +170,9 @@ val decide_with :
     {!conflict_graph} builds it; [sys] is forced only to build a B_c).
     Condition (a): [pair_safe i j] for every arc [i -> j] with [i < j],
     in lexicographic order; the first unsafe pair wins. Condition (b):
-    one strongly connected component at a time, in {!Scc.compute}'s
-    index order (ascending smallest member on a symmetric graph),
-    enumerate the component's simple cycles and find one whose B_c is
-    acyclic. The enumerations share one allowance of [cycle_limit] DFS
-    arcs (default unlimited); exceeding it gives [Exhausted].
-
-    With [memo = (m, fp)], where [fp i] is transaction [i]'s
-    {!Txn.fingerprint}, members are ranked by [fp], and cycle lists and
-    B_c verdicts are looked up in and stored to [m]; a component whose
-    cycle list is found spends none of the allowance. Without one,
-    members keep their index order. The verdict is the same either way;
-    the reported cycle and the counts may differ. Counts go to the
-    tally; {!Undecided} from [pair_safe] propagates. *)
+    {!judge_component} without a memo on one strongly connected
+    component at a time, in {!Scc.compute}'s index order (ascending
+    smallest member on a symmetric graph), under one allowance of
+    [cycle_limit] DFS arcs (default unlimited); exceeding it gives
+    [Exhausted]. Counts go to the tally; {!Undecided} from [pair_safe]
+    propagates. *)

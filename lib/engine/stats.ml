@@ -117,6 +117,8 @@ let record_cache_miss t = M.incr t.cache_misses_c
 let record_pair_lookup t ~hit =
   M.incr (if hit then t.pair_hits_c else t.pair_misses_c)
 
+let record_pair_hits t n = M.incr_by t.pair_hits_c n
+
 let record_pair_redecided t = M.incr t.pairs_redecided_c
 
 let decisions t = M.counter_value t.decisions_c

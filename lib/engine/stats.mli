@@ -43,6 +43,10 @@ val record_pair_lookup : t -> hit:bool -> unit
 (** One lookup in a pair-fingerprint verdict store (the pair-granular
     cache behind Proposition 2 and [decide_delta]). *)
 
+val record_pair_hits : t -> int -> unit
+(** [n] pair verdicts served without a lookup, counted as hits: an
+    incremental session's pairs still decided since its last call. *)
+
 val record_pair_redecided : t -> unit
 (** The pair pipeline actually ran for one pair (always follows a miss;
     a lookup whose pipeline run ends [Unknown] is a miss that is {e not}

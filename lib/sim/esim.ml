@@ -296,24 +296,28 @@ let run ~policy:(Engine.Random seed) ?(scenario = Scenario.default)
   in
   (* What a lock request costs to reach the entity's site. The bakery
      model pays two rounds (choosing, then reading the other tickets) of
-     contacting every other site; the leased manager one request
-     message. Instant never asks. *)
+     contacting every other site that stores an entity, in ascending
+     order; the leased manager one request message. Instant never
+     asks. *)
+  let populated =
+    lazy
+      (List.sort_uniq compare
+         (List.map (Database.site db) (Database.entities db)))
+  in
   let request_cost inst dst =
     if zero_latency || not queueing then 0
     else
       match scenario.Scenario.backend with
       | Scenario.Bakery ->
-          let sites = Database.num_sites db in
           let round src =
-            let m = ref 0 in
-            for s' = 1 to sites do
-              if s' <> src then
-                m :=
-                  max !m
+            List.fold_left
+              (fun m s' ->
+                if s' = src then m
+                else
+                  max m
                     (Latency.sample latency lat_rng ~src ~dst:s'
-                    + Latency.sample latency lat_rng ~src:s' ~dst:src)
-            done;
-            !m
+                    + Latency.sample latency lat_rng ~src:s' ~dst:src))
+              0 (Lazy.force populated)
           in
           round inst.loc + round inst.loc
       | Scenario.Instant | Scenario.Leased ->

@@ -23,10 +23,11 @@ let pair t =
     invalid_arg "System.pair: not a two-transaction system";
   (t.txns.(0), t.txns.(1))
 
-let common_locked t i j =
-  let a = Txn.locked_entities t.txns.(i) in
-  let b = Txn.locked_entities t.txns.(j) in
-  List.filter (fun e -> List.mem e b) a
+let common_locked_txns ta tb =
+  let b = Txn.locked_entities tb in
+  List.filter (fun e -> List.mem e b) (Txn.locked_entities ta)
+
+let common_locked t i j = common_locked_txns t.txns.(i) t.txns.(j)
 
 let validate ?strict t =
   List.concat_map
@@ -77,21 +78,22 @@ let fingerprint t =
     t.txns;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let pair_fingerprint_with ~fp t i j =
-  if i = j then invalid_arg "System.pair_fingerprint: equal indices";
-  let a = fp i and b = fp j in
+let txns_pair_fingerprint db (ta, a) (tb, b) =
   let lo, hi = if a <= b then (a, b) else (b, a) in
   let touched =
-    List.sort_uniq compare
-      (Txn.touched_entities t.txns.(i) @ Txn.touched_entities t.txns.(j))
+    List.sort_uniq compare (Txn.touched_entities ta @ Txn.touched_entities tb)
   in
   let buf = Buffer.create 160 in
-  add_entities buf t.db touched;
+  add_entities buf db touched;
   Buffer.add_string buf "|";
   Buffer.add_string buf lo;
   Buffer.add_string buf "|";
   Buffer.add_string buf hi;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pair_fingerprint_with ~fp t i j =
+  if i = j then invalid_arg "System.pair_fingerprint: equal indices";
+  txns_pair_fingerprint t.db (t.txns.(i), fp i) (t.txns.(j), fp j)
 
 let pair_fingerprint t =
   pair_fingerprint_with ~fp:(fun i -> Txn.fingerprint t.txns.(i)) t

@@ -26,6 +26,9 @@ val common_locked : t -> int -> int -> Database.entity list
 (** Entities locked-unlocked by both of two transactions — the vertex set
     of [D(Ti,Tj)] (Definition 1). *)
 
+val common_locked_txns : Txn.t -> Txn.t -> Database.entity list
+(** {!common_locked} of two transactions given directly. *)
+
 val validate : ?strict:bool -> t -> (Txn.t * Validate.violation) list
 (** All violations across all transactions. *)
 
@@ -57,6 +60,13 @@ val pair_fingerprint : t -> int -> int -> string
 val pair_fingerprint_with : fp:(int -> string) -> t -> int -> int -> string
 (** {!pair_fingerprint} with the per-transaction digests supplied by
     [fp] (which must return [Txn.fingerprint (txn t i)] for index [i])
-    instead of recomputed — for callers that already hold them, e.g. an
-    incremental session re-keying O(n) pairs per edit. The result is
-    byte-identical to {!pair_fingerprint}. *)
+    instead of recomputed — for callers that already hold them, e.g. a
+    decision digesting each transaction once however many pairs it is
+    in. The result is byte-identical to {!pair_fingerprint}. *)
+
+val txns_pair_fingerprint :
+  Database.t -> Txn.t * string -> Txn.t * string -> string
+(** [txns_pair_fingerprint db (ta, fa) (tb, fb)] is {!pair_fingerprint}
+    of two transactions over [db], each given with its
+    {!Txn.fingerprint}, without building a system: byte-identical to
+    [pair_fingerprint] on any system over [db] holding both. *)
