@@ -266,7 +266,7 @@ let e5 () =
   List.iter
     (fun x ->
       let dom = Dgraph.entity_set d x in
-      match Closure.close sys ~dominator:dom with
+      match Closure.close d ~dominator:dom with
       | Closure.Closed _ ->
           pf "dominator closes (UNEXPECTED)\n";
           bar false "a dominator of Fig 5's D(T1,T2) closes"
@@ -520,7 +520,7 @@ let e9 () =
       let d = Dgraph.build_pair sys in
       if not (Dgraph.is_strongly_connected d) then begin
         incr notsc;
-        if Closure.first_unsafe_dominator sys = None then begin
+        if Closure.first_unsafe_dominator d = None then begin
           incr unclosed;
           match Brute.safe_by_extensions ~limit:500_000 sys with
           | Brute.Safe -> incr gap

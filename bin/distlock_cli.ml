@@ -847,6 +847,15 @@ let analyze_cmd =
 let repair_cmd =
   let run () file =
     let sys = load_pair "repair" file in
+    (* Insertions cannot mend an ill-formed pair: name its first
+       violation, as [check] warns of it, and search nothing. *)
+    (match System.validate sys with
+    | [] -> ()
+    | (t, v) :: _ ->
+        Printf.eprintf "error: repair expects a well-formed pair: %s: %s\n"
+          (Txn.name t)
+          (Validate.to_string (System.db sys) t v);
+        exit 2);
     match Repair.make_safe sys with
     | None ->
         Printf.printf "# no precedence insertion makes this system safe\n";

@@ -93,7 +93,7 @@ let () =
       let names =
         String.concat "," (List.map (Database.name (System.db sys)) entities)
       in
-      match Closure.close sys ~dominator:entities with
+      match Closure.close d ~dominator:entities with
       | Closure.Closed _ -> Printf.printf "dominator {%s}: closure SUCCEEDS\n" names
       | Closure.Failed (Closure.Would_cycle { txn }) ->
           Printf.printf

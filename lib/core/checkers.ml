@@ -10,32 +10,36 @@ let schedule_of_evidence = function
   | Certificate c -> c.Certificate.schedule
   | Counterexample h -> h
 
-type t = (System.t, evidence) E.Checker.t
+type subject = { system : System.t; dgraph : Dgraph.t Lazy.t }
 
-let is_pair sys = System.num_txns sys = 2
+let subject system = { system; dgraph = lazy (Dgraph.build_pair system) }
+
+type t = (subject, evidence) E.Checker.t
+
+let is_pair s = System.num_txns s.system = 2
 
 let trivial =
   E.Checker.make ~name:"trivial" ~procedure:E.Checker.Trivial
     ~applicable:is_pair
-    ~run:(fun _ sys ->
-      if Dgraph.num_vertices (Dgraph.build_pair sys) < 2 then
+    ~run:(fun _ s ->
+      if Dgraph.num_vertices (Lazy.force s.dgraph) < 2 then
         E.Checker.Safe "fewer than two commonly locked entities"
       else E.Checker.Pass "two or more commonly locked entities")
 
 let theorem1 =
   E.Checker.make ~name:"theorem1" ~procedure:E.Checker.Theorem_1
     ~applicable:is_pair
-    ~run:(fun _ sys ->
-      if Dgraph.is_strongly_connected (Dgraph.build_pair sys) then
+    ~run:(fun _ s ->
+      if Dgraph.is_strongly_connected (Lazy.force s.dgraph) then
         E.Checker.Safe "Theorem 1: D(T1,T2) strongly connected"
       else E.Checker.Pass "D(T1,T2) not strongly connected")
 
 let twosite =
   E.Checker.make ~name:"two-site" ~procedure:E.Checker.Theorem_2
-    ~applicable:(fun sys ->
-      is_pair sys && List.length (System.sites_used sys) <= 2)
-    ~run:(fun _ sys ->
-      match Twosite.decide sys with
+    ~applicable:(fun s ->
+      is_pair s && List.length (System.sites_used s.system) <= 2)
+    ~run:(fun _ s ->
+      match Twosite.decide_dgraph (Lazy.force s.dgraph) with
       | Twosite.Safe ->
           E.Checker.Safe "Theorem 2 (unreachable: D not strongly connected)"
       | Twosite.Unsafe cert ->
@@ -45,13 +49,13 @@ let twosite =
 
 let proposition1 =
   E.Checker.make ~name:"geometric" ~procedure:E.Checker.Proposition_1
-    ~applicable:(fun sys ->
-      is_pair sys
+    ~applicable:(fun s ->
+      is_pair s
       &&
-      let t1, t2 = System.pair sys in
+      let t1, t2 = System.pair s.system in
       Txn.is_total t1 && Txn.is_total t2)
-    ~run:(fun _ sys ->
-      let plane = Distlock_geometry.Plane.make sys in
+    ~run:(fun _ s ->
+      let plane = Distlock_geometry.Plane.make s.system in
       match Distlock_geometry.Separation.decide plane with
       | Distlock_geometry.Separation.Safe ->
           E.Checker.Safe
@@ -64,10 +68,10 @@ let proposition1 =
 let corollary2 =
   E.Checker.make ~name:"closure" ~procedure:E.Checker.Corollary_2
     ~applicable:is_pair
-    ~run:(fun _ sys ->
-      match Closure.first_unsafe_dominator sys with
+    ~run:(fun _ s ->
+      match Closure.first_unsafe_dominator (Lazy.force s.dgraph) with
       | Some (dominator, closed) -> (
-          match Certificate.construct ~original:sys ~closed ~dominator with
+          match Certificate.construct ~original:s.system ~closed ~dominator with
           | Ok cert ->
               E.Checker.Unsafe
                 ( "Corollary 2: a dominator of D(T1,T2) closes",
@@ -81,7 +85,7 @@ let corollary2 =
 (* Runs the oracle directly (not through [Brute.safe_by_states]) so the
    collapse statistics survive: they ride out on an [Annotated] wrapper
    and surface in [check --explain] and the stage span. *)
-let state_graph_result ~counterexample budget sys =
+let state_graph_result ~counterexample budget { system = sys; _ } =
   let limit = E.Budget.step_allowance budget ~default:2_000_000 in
   let outcome, stats = Distlock_sched.Stategraph.decide ~limit sys in
   let annotate exhausted result =
@@ -119,9 +123,9 @@ let state_graph =
 let lemma1 =
   E.Checker.make ~name:"exhaustive" ~procedure:E.Checker.Lemma_1
     ~applicable:is_pair
-    ~run:(fun budget sys ->
+    ~run:(fun budget s ->
       let limit = E.Budget.step_allowance budget ~default:2_000_000 in
-      match Brute.safe_by_extensions ~limit sys with
+      match Brute.safe_by_extensions ~limit s.system with
       | Brute.Safe ->
           E.Checker.Safe "Lemma 1: exhaustive check of all extension pairs"
       | Brute.Unsafe h ->
@@ -139,6 +143,6 @@ let pair_checkers =
   [ trivial; theorem1; twosite; proposition1; corollary2; state_graph; lemma1 ]
 
 let decide ?stats ?budget sys =
-  if not (is_pair sys) then
+  if System.num_txns sys <> 2 then
     invalid_arg "Checkers.decide: not a two-transaction system";
-  E.Engine.run ?stats ?budget pair_checkers sys
+  E.Engine.run ?stats ?budget pair_checkers (subject sys)

@@ -32,7 +32,14 @@ type evidence =
 
 val schedule_of_evidence : evidence -> Schedule.t
 
-type t = (System.t, evidence) Distlock_engine.Checker.t
+(** What every stage reads: the system, and its [D(T1,T2)], built at
+    most once per decision by the first of the trivial, Theorem 1,
+    two-site and closure stages to run; no other stage forces it. *)
+type subject = private { system : System.t; dgraph : Dgraph.t Lazy.t }
+
+val subject : System.t -> subject
+
+type t = (subject, evidence) Distlock_engine.Checker.t
 
 val trivial : t
 
@@ -63,7 +70,7 @@ val decide :
 val state_graph_result :
   counterexample:(Schedule.t -> 'ev) ->
   Distlock_engine.Budget.t ->
-  System.t ->
+  subject ->
   'ev Distlock_engine.Checker.stage_result
 (** Shared run function of the state-graph oracle stages (the pair stage
     here and the multi-transaction fallback in [Decision]): runs

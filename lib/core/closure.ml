@@ -33,16 +33,6 @@ let find_violation (s : Dgraph.steps) in_x t1 t2 =
    with Exit -> ());
   !found
 
-let membership d dominator =
-  Array.map (fun e -> List.mem e dominator) (Dgraph.steps d).common
-
-let is_dominator d in_x =
-  let ok = ref true in
-  Digraph.iter_arcs (Dgraph.graph d) (fun u v ->
-      if in_x.(v) && not in_x.(u) then ok := false);
-  let members = Array.fold_left (fun n b -> if b then n + 1 else n) 0 in_x in
-  !ok && members > 0 && members < Array.length in_x
-
 (* No arc of the extended pair's D enters X from outside: its arcs are
    recomputed from [D]'s step lookup under the closed orders. *)
 let still_dominates (s : Dgraph.steps) in_x t1 t2 =
@@ -53,13 +43,20 @@ let still_dominates (s : Dgraph.steps) in_x t1 t2 =
       || List.for_all (fun v -> (not in_x.(v)) || not (Dgraph.arc s t1 t2 u v)) vs)
     vs
 
-let close_in d sys in_x =
+(* The dominator as the bool array [find_violation] reads, and whether
+   it dominates [D]: one dominance check per close, on [D] itself. *)
+let membership d dominator =
+  let x = Dgraph.vertex_set d dominator in
+  ( Array.init (Bitset.capacity x) (Bitset.mem x),
+    Dominator.is_dominator (Dgraph.graph d) x )
+
+let close_in d in_x =
   let s = Dgraph.steps d in
   let rec loop t1 t2 =
     match find_violation s in_x t1 t2 with
     | None ->
         if still_dominates s in_x t1 t2 then
-          Closed (System.make (System.db sys) [ t1; t2 ])
+          Closed (System.make (System.db (Dgraph.system d)) [ t1; t2 ])
         else Failed Dominator_lost
     | Some (_z, x, y) -> (
         (* Add Uy -> Ux in T1 and Ly -> Lx in T2 (Lemma 2's inference). *)
@@ -70,43 +67,35 @@ let close_in d sys in_x =
             | None -> Failed (Would_cycle { txn = 1 })
             | Some t2' -> loop t1' t2'))
   in
-  let t1, t2 = System.pair sys in
+  let t1, t2 = System.pair (Dgraph.system d) in
   loop t1 t2
+
+let close d ~dominator =
+  match membership d dominator with
+  | in_x, true -> close_in d in_x
+  | _, false -> invalid_arg "Closure.close: not a dominator of D(T1,T2)"
 
 let is_closed sys ~dominator =
   let t1, t2 = System.pair sys in
   let d = Dgraph.build_pair sys in
-  find_violation (Dgraph.steps d) (membership d dominator) t1 t2 = None
+  find_violation (Dgraph.steps d) (fst (membership d dominator)) t1 t2 = None
 
-let close sys ~dominator =
-  let d = Dgraph.build_pair sys in
-  let in_x = membership d dominator in
-  if not (is_dominator d in_x) then
-    invalid_arg "Closure.close: not a dominator of D(T1,T2)";
-  close_in d sys in_x
-
-let first_closing_in d sys candidates =
+let first_closing d candidates =
   Seq.find_map
     (fun dominator ->
-      let in_x = membership d dominator in
-      if not (is_dominator d in_x) then None
-      else
-        match close_in d sys in_x with
-        | Closed closed -> Some (dominator, closed)
-        | Failed _ -> None)
+      match membership d dominator with
+      | in_x, true -> (
+          match close_in d in_x with
+          | Closed closed -> Some (dominator, closed)
+          | Failed _ -> None)
+      | _, false -> None)
     candidates
 
-let first_closing sys candidates =
-  first_closing_in (Dgraph.build_pair sys) sys candidates
+let dominator_sets sys = Dgraph.dominators (Dgraph.build_pair sys)
 
-let dominator_sets sys =
-  let d = Dgraph.build_pair sys in
-  Dgraph.dominators d
-
-let first_unsafe_dominator ?(limit = 100_000) sys =
-  let d = Dgraph.build_pair sys in
+let first_unsafe_dominator d =
   let doms =
-    try Dgraph.dominators ~limit d
+    try Dgraph.dominators d
     with Failure _ -> failwith "Closure.first_unsafe_dominator: too many dominators"
   in
-  first_closing_in d sys (Seq.map (Dgraph.entity_set d) (List.to_seq doms))
+  first_closing d (Seq.map (Dgraph.entity_set d) (List.to_seq doms))

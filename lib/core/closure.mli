@@ -24,8 +24,9 @@ type failure =
 
 type outcome = Closed of System.t | Failed of failure
 
-val close : System.t -> dominator:Database.entity list -> outcome
-(** [dominator] must be a dominator of [D(T1,T2)] (entity ids); raises
+val close : Dgraph.t -> dominator:Database.entity list -> outcome
+(** [close d ~dominator] closes the pair [d] was built from.
+    [dominator] must be a dominator of [d] (entity ids); raises
     [Invalid_argument] otherwise. On [Closed sys'], [sys'] has the same
     steps with possibly more precedences, is closed w.r.t. the dominator,
     and the dominator still dominates [D] of [sys']. *)
@@ -34,19 +35,17 @@ val is_closed : System.t -> dominator:Database.entity list -> bool
 (** Definition 3's condition, checked without modifying the system. *)
 
 val first_closing :
-  System.t ->
+  Dgraph.t ->
   Database.entity list Seq.t ->
   (Database.entity list * System.t) option
-(** [first_closing sys candidates] closes each candidate in turn and
+(** [first_closing d candidates] closes each candidate in turn and
     returns the first that closes, with its closed system. Candidates
-    that are not dominators of [D(T1,T2)] are skipped. [D] and the
-    lock/unlock steps of its vertices are computed once, for the whole
-    sequence; the sequence is forced only up to the first success. *)
+    that are not dominators of [d] are skipped. Every candidate reads
+    [d]'s step lookup; the sequence is forced only up to the first
+    success. *)
 
-val first_unsafe_dominator :
-  ?limit:int -> System.t -> (Database.entity list * System.t) option
-(** Corollary 2 sweep: {!first_closing} over every dominator of
-    [D(T1,T2)] (up to [limit], default [100_000]) in
+val first_unsafe_dominator : Dgraph.t -> (Database.entity list * System.t) option
+(** Corollary 2 sweep: {!first_closing} over every dominator of [d] in
     {!Dgraph.dominators} order — a proof of unsafety. [None] means no
     dominator closes (which implies safety for two-site systems, and for
     the Theorem 3 gadgets corresponds to unsatisfiability). *)

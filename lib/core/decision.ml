@@ -18,8 +18,8 @@ type evidence =
    state-graph fallback still gets its chance. *)
 let proposition2 ?pair_cache stats =
   E.Checker.make ~name:"multisite" ~procedure:E.Checker.Proposition_2
-    ~applicable:(fun sys -> System.num_txns sys <> 2)
-    ~run:(fun budget sys ->
+    ~applicable:(fun s -> System.num_txns s.Checkers.system <> 2)
+    ~run:(fun budget { Checkers.system = sys; _ } ->
       (* Per-decision pair-cache traffic: the shared [stats] counters
          are cumulative across the engine's whole lifetime, the tally
          meters this one decision, so [check --explain] reports the
@@ -74,12 +74,12 @@ let proposition2 ?pair_cache stats =
    verdict when the state graph fits the step allowance. *)
 let state_graph_multi =
   E.Checker.make ~name:"multi-state-graph" ~procedure:E.Checker.State_graph
-    ~applicable:(fun sys -> System.num_txns sys <> 2)
+    ~applicable:(fun s -> System.num_txns s.Checkers.system <> 2)
     ~run:
       (Checkers.state_graph_result ~counterexample:(fun h ->
            Pair (Checkers.Counterexample h)))
 
-type t = (System.t, evidence) E.Engine.t
+type t = (Checkers.subject, evidence) E.Engine.t
 
 let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) () =
   let stats = E.Stats.create () in
@@ -93,16 +93,19 @@ let create ?(cache_capacity = 1024) ?(pair_cache_capacity = 4096) () =
       Checkers.pair_checkers
     @ [ proposition2 ?pair_cache stats; state_graph_multi ]
   in
-  E.Engine.create ~cache_capacity ~stats ~fingerprint:System.fingerprint
+  E.Engine.create ~cache_capacity ~stats
+    ~fingerprint:(fun s -> System.fingerprint s.Checkers.system)
     checkers
 
-let decide ?budget t sys = E.Engine.decide ?budget t sys
+let decide ?budget t sys = E.Engine.decide ?budget t (Checkers.subject sys)
 
-let decide_batch ?budget t syss = E.Engine.decide_batch ?budget t syss
+let decide_batch ?budget t syss =
+  E.Engine.decide_batch ?budget t (List.map Checkers.subject syss)
 
-let explain t sys o = E.Engine.explain t sys o
+let explain t sys o = E.Engine.explain t (Checkers.subject sys) o
 
-let decide_explained ?budget t sys = E.Engine.decide_explained ?budget t sys
+let decide_explained ?budget t sys =
+  E.Engine.decide_explained ?budget t (Checkers.subject sys)
 
 let stats = E.Engine.stats
 

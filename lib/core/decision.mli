@@ -21,7 +21,8 @@ type evidence =
       (** Proposition 2: an unsafe conflicting pair, or a conflict-graph
           cycle with acyclic [B_c]. *)
 
-type t = (System.t, evidence) Distlock_engine.Engine.t
+type t = (Checkers.subject, evidence) Distlock_engine.Engine.t
+(** Its functions below wrap each [System.t] in a {!Checkers.subject}. *)
 
 val create : ?cache_capacity:int -> ?pair_cache_capacity:int -> unit -> t
 (** A fresh engine keyed by {!System.fingerprint}. [cache_capacity]

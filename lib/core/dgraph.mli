@@ -10,23 +10,21 @@ open Distlock_graph
     for [y] ([b_x <= b_y] in Theorem 1's proof). *)
 
 type t
+(** [D] of one two-transaction system, which it records. *)
 
-(** Where the two transactions lock and unlock each vertex, found in one
-    pass over each transaction's steps (the first step by index, as in
-    {!Txn.lock_of}). Steps never change when precedences are added, so
-    one lookup serves every extension of the same pair. *)
+(** Where the two transactions lock and unlock each vertex (the first
+    step by index, as in {!Txn.lock_of}), sized by the step count.
+    Steps never change when precedences are added, so one lookup
+    serves every extension of the same pair. *)
 type steps = private {
   common : Database.entity array;
       (** Vertex index to entity id: the entities both transactions lock
           and unlock, ascending. *)
-  lock1 : int array;  (** Vertex to its lock step in [Ti]. *)
-  unlock1 : int array;  (** Vertex to its unlock step in [Ti]. *)
-  lock2 : int array;  (** Vertex to its lock step in [Tj]. *)
-  unlock2 : int array;  (** Vertex to its unlock step in [Tj]. *)
+  lock1 : int array;  (** Vertex to its lock step in [T1]. *)
+  unlock1 : int array;  (** Vertex to its unlock step in [T1]. *)
+  lock2 : int array;  (** Vertex to its lock step in [T2]. *)
+  unlock2 : int array;  (** Vertex to its unlock step in [T2]. *)
 }
-
-val build : System.t -> int -> int -> t
-(** [build sys i j] is [D(Ti, Tj)] (transaction indices). *)
 
 val steps : t -> steps
 
@@ -40,6 +38,9 @@ val arc : steps -> Txn.t -> Txn.t -> int -> int -> bool
 val build_pair : System.t -> t
 (** [D(T1,T2)] of a two-transaction system. *)
 
+val system : t -> System.t
+(** The system [D] was built from. *)
+
 val graph : t -> Digraph.t
 
 val entities : t -> Database.entity array
@@ -47,14 +48,15 @@ val entities : t -> Database.entity array
 
 val num_vertices : t -> int
 
-val mem_arc : t -> Database.entity -> Database.entity -> bool
-
 val is_strongly_connected : t -> bool
 
-val dominators : ?limit:int -> t -> Bitset.t list
-(** All dominators of the digraph (Definition 2), as vertex sets. *)
+val dominators : t -> Bitset.t list
+(** All dominators (Definition 2) as vertex sets ({!Dominator.enumerate}). *)
 
 val entity_set : t -> Bitset.t -> Database.entity list
 (** Decode a vertex set into entity ids. *)
+
+val vertex_set : t -> Database.entity list -> Bitset.t
+(** Encode entity ids as a vertex set, ignoring ids that are not vertices. *)
 
 val pp : Database.t -> Format.formatter -> t -> unit

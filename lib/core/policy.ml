@@ -31,18 +31,11 @@ let all_two_phase_strong sys =
 
 let all_two_phase_weak sys = Array.for_all is_two_phase_weak (System.txns sys)
 
+(* D has no loops and no repeated arcs: complete iff it has k(k-1). *)
 let strong_2pl_is_dgraph_complete sys =
   let d = Dgraph.build_pair sys in
   let k = Dgraph.num_vertices d in
-  let g = Dgraph.graph d in
-  let complete = ref true in
-  for a = 0 to k - 1 do
-    for b = 0 to k - 1 do
-      if a <> b && not (Distlock_graph.Digraph.mem_arc g a b) then
-        complete := false
-    done
-  done;
-  !complete
+  Distlock_graph.Digraph.num_arcs (Dgraph.graph d) = k * (k - 1)
 
 let make_two_phase t =
   let locks = lock_steps t and unlocks = unlock_steps t in

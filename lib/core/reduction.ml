@@ -3,7 +3,6 @@ open Distlock_sat
 open Distlock_graph
 
 type t = {
-  system : System.t;
   formula : Cnf.t;
   dgraph : Dgraph.t;
   upper : Database.entity list; (* cyclic order: u, dummies, c_ij *)
@@ -13,16 +12,23 @@ type t = {
       (* one entry per middle SCC: (variable, polarity) *)
 }
 
-let system t = t.system
+let system t = Dgraph.system t.dgraph
 
 let formula t = t.formula
 
 let dgraph t = t.dgraph
 
-let num_entities t = Database.num_entities (System.db t.system)
+let num_entities t = Database.num_entities (System.db (system t))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
+
+(* [D] with its vertices renamed to entity ids. *)
+let entity_digraph dg =
+  let ents = Dgraph.entities dg in
+  let n = Database.num_entities (System.db (Dgraph.system dg)) in
+  let arcs = Digraph.arcs (Dgraph.graph dg) in
+  (Digraph.of_arcs n (List.map (fun (a, b) -> (ents.(a), ents.(b))) arcs), ents)
 
 let encode f =
   if not (Cnf.is_restricted f) then
@@ -115,15 +121,9 @@ let encode f =
      transactions go from a lock step to an unlock step, so no transitive
      consequences arise and D is realized exactly (checked below). *)
   let entities = Database.entities db in
-  let step_index = Hashtbl.create 64 in
   let steps =
     Array.of_list
-      (List.concat_map
-         (fun e ->
-           Hashtbl.replace step_index (`L e) (2 * e);
-           Hashtbl.replace step_index (`U e) ((2 * e) + 1);
-           [ Step.lock e; Step.unlock e ])
-         entities)
+      (List.concat_map (fun e -> [ Step.lock e; Step.unlock e ]) entities)
   in
   let labels =
     Array.map
@@ -131,8 +131,8 @@ let encode f =
         (if Step.is_lock s then "L" else "U") ^ Database.name db s.Step.entity)
       steps
   in
-  let l e = Hashtbl.find step_index (`L e)
-  and un e = Hashtbl.find step_index (`U e) in
+  (* Entities are numbered from 0 in creation order: Le is step 2e. *)
+  let l e = 2 * e and un e = (2 * e) + 1 in
   let t1_arcs = ref [] and t2_arcs = ref [] in
   List.iter
     (fun e ->
@@ -187,13 +187,8 @@ let encode f =
   in
   let dg = Dgraph.build_pair sys in
   (* Sanity: the realized D equals the intended gadget graph. *)
-  let intended = Digraph.create (Database.num_entities db) in
-  List.iter (fun (x, y) -> Digraph.add_arc intended x y) d_arcs;
-  let realized = Digraph.create (Database.num_entities db) in
-  let ents = Dgraph.entities dg in
-  Digraph.iter_arcs (Dgraph.graph dg) (fun a b ->
-      Digraph.add_arc realized ents.(a) ents.(b));
-  if not (Digraph.equal intended realized) then
+  let intended = Digraph.of_arcs (Database.num_entities db) d_arcs in
+  if not (Digraph.equal intended (fst (entity_digraph dg))) then
     failwith "Reduction.encode: realized D differs from the gadget graph";
   let middle_components =
     Array.of_list
@@ -201,7 +196,6 @@ let encode f =
          (List.init f.Cnf.num_vars (fun k -> [ (k, `Pos); (k, `Neg) ])))
   in
   {
-    system = sys;
     formula = f;
     dgraph = dg;
     upper;
@@ -210,12 +204,7 @@ let encode f =
     middle_components;
   }
 
-let intended_digraph t =
-  let g = Dgraph.graph t.dgraph in
-  let ents = Dgraph.entities t.dgraph in
-  let out = Digraph.create (num_entities t) in
-  Digraph.iter_arcs g (fun a b -> Digraph.add_arc out ents.(a) ents.(b));
-  (out, ents)
+let intended_digraph t = entity_digraph t.dgraph
 
 (* ------------------------------------------------------------------ *)
 (* Dominators <-> assignments                                          *)
@@ -251,17 +240,17 @@ let dominator_candidates t =
   go [] (Array.to_list t.middle_components)
 
 let decide_unsafe_by_closure t =
-  Closure.first_closing t.system (dominator_candidates t)
+  Closure.first_closing t.dgraph (dominator_candidates t)
 
 let certificate_of_model t a =
   if not (Cnf.eval a t.formula) then Error "not a model of the formula"
   else begin
     let dominator = dominator_of_assignment t a in
-    match Closure.close t.system ~dominator with
+    match Closure.close t.dgraph ~dominator with
     | Closure.Failed _ ->
         Error "closure failed on the dominator of a satisfying assignment"
     | Closure.Closed closed ->
-        Certificate.construct ~original:t.system ~closed ~dominator
+        Certificate.construct ~original:(system t) ~closed ~dominator
   end
 
 let sat_via_safety f =

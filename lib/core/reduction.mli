@@ -52,7 +52,8 @@ val assignment_of_dominator : t -> Database.entity list -> bool array
 (** Decode a dominator: [x_k := w_k in X]. *)
 
 val decide_unsafe_by_closure : t -> (Database.entity list * System.t) option
-(** Corollary 2 sweep: {!Closure.first_closing} over the upper cycle plus
+(** Corollary 2 sweep: {!Closure.first_closing} on {!dgraph} (the [D]
+    [encode] built and checked) over the upper cycle plus
     each of the 2^(components) subsets of middle-row components (the
     honest coNP sweep), generated lazily. Components are taken in their
     encoding order, each tried included before excluded, so the first

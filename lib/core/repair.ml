@@ -11,21 +11,21 @@ let concurrency_loss ~before ~after =
   in
   per 0 + per 1
 
-(* Try to realize the D-arc (z, x): Lz < Ux in T1 and Lx < Uz in T2.
-   Returns the extended system and the insertions actually needed. *)
-let try_connect sys z x =
-  let t1, t2 = System.pair sys in
+(* Try to realize the arc (a, b) between vertices of [d]: Lx_a < Ux_b in
+   T1 and Lx_b < Ux_a in T2. Returns the extended system and the
+   insertions actually needed. *)
+let try_connect d a b =
+  let s = Dgraph.steps d and t1, t2 = System.pair (Dgraph.system d) in
   let need txn a b = if Txn.precedes txn a b then [] else [ (a, b) ] in
-  let l1 e = Option.get (Txn.lock_of t1 e) and u1 e = Option.get (Txn.unlock_of t1 e) in
-  let l2 e = Option.get (Txn.lock_of t2 e) and u2 e = Option.get (Txn.unlock_of t2 e) in
-  let add1 = need t1 (l1 z) (u1 x) and add2 = need t2 (l2 x) (u2 z) in
+  let add1 = need t1 s.lock1.(a) s.unlock1.(b)
+  and add2 = need t2 s.lock2.(b) s.unlock2.(a) in
   match (Txn.add_precedences t1 add1, Txn.add_precedences t2 add2) with
   | Some t1', Some t2' ->
       let insertions =
         List.map (fun (a, b) -> { txn = 0; before = a; after = b }) add1
         @ List.map (fun (a, b) -> { txn = 1; before = a; after = b }) add2
       in
-      Some (System.make (System.db sys) [ t1'; t2' ], insertions)
+      Some (System.make (System.db (Dgraph.system d)) [ t1'; t2' ], insertions)
   | _ -> None
 
 let make_safe sys =
@@ -39,7 +39,7 @@ let make_safe sys =
     if rounds = 0 || !budget <= 0 then None
     else begin
       let d = Dgraph.build_pair sys in
-      if Dgraph.num_vertices d < 2 || Dgraph.is_strongly_connected d then
+      if Dgraph.is_strongly_connected d then
         Some (sys, List.rev acc)
       else begin
         (* Precedence relations only grow under insertion, and the arc set
@@ -51,28 +51,23 @@ let make_safe sys =
         let scc = Distlock_graph.Scc.compute g in
         let cond = Distlock_graph.Scc.condensation g scc in
         let creach = Distlock_graph.Reach.closure cond in
-        let entities = Dgraph.entities d in
+        let component = scc.Distlock_graph.Scc.component in
         let candidates = ref [] in
-        Array.iteri
-          (fun ai a ->
-            Array.iteri
-              (fun bi b ->
-                let ca = scc.Distlock_graph.Scc.component.(ai)
-                and cb = scc.Distlock_graph.Scc.component.(bi) in
-                if ca <> cb then
-                  match try_connect sys a b with
-                  | Some (sys', ins) when ins <> [] ->
-                      let closes_cycle =
-                        Distlock_graph.Bitset.mem creach.(cb) ca
-                      in
-                      let cost =
-                        ((if closes_cycle then 0 else 1) * 1000)
-                        + concurrency_loss ~before:sys ~after:sys'
-                      in
-                      candidates := (cost, sys', ins) :: !candidates
-                  | _ -> ())
-              entities)
-          entities;
+        for a = 0 to Dgraph.num_vertices d - 1 do
+          for b = 0 to Dgraph.num_vertices d - 1 do
+            let ca = component.(a) and cb = component.(b) in
+            if ca <> cb then
+              match try_connect d a b with
+              | Some (sys', ins) when ins <> [] ->
+                  let closes_cycle = Distlock_graph.Bitset.mem creach.(cb) ca in
+                  let cost =
+                    ((if closes_cycle then 0 else 1) * 1000)
+                    + concurrency_loss ~before:sys ~after:sys'
+                  in
+                  candidates := (cost, sys', ins) :: !candidates
+              | _ -> ()
+          done
+        done;
         let sorted =
           List.sort (fun (c1, _, _) (c2, _, _) -> compare (c1 : int) c2)
             !candidates
@@ -88,9 +83,7 @@ let make_safe sys =
       end
     end
   in
-  match loop sys [] (4 * max 1 (Database.num_entities (System.db sys))) with
-  | None -> None
-  | Some (sys', ins) ->
-      System.validate_exn sys';
-      assert (Theorem1.guarantees_safe sys');
-      Some (sys', ins)
+  (* Insertions keep a well-formed pair well-formed, and cannot mend one
+     that is not: such a pair is refused before the search. *)
+  if System.validate sys <> [] then None
+  else loop sys [] (4 * max 1 (Database.num_entities (System.db sys)))

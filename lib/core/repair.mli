@@ -22,10 +22,11 @@ type insertion = {
 }
 
 val make_safe : System.t -> (System.t * insertion list) option
-(** [None] when no sequence of consistent insertions reaches strong
+(** [None] on a system that is not well-formed, refused before any
+    search, or when no sequence of consistent insertions reaches strong
     connectivity (does not happen on well-formed systems with ≥ 2 common
     entities, but the search is greedy, not complete). The result is
-    guaranteed safe (Theorem 1) and re-validated to be well-formed. *)
+    guaranteed safe (Theorem 1), and well-formed as its input was. *)
 
 val concurrency_loss : before:System.t -> after:System.t -> int
 (** Number of step pairs (across both transactions) that were concurrent

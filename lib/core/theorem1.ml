@@ -1,3 +1,1 @@
-let guarantees_safe sys =
-  let d = Dgraph.build_pair sys in
-  Dgraph.num_vertices d < 2 || Dgraph.is_strongly_connected d
+let guarantees_safe sys = Dgraph.is_strongly_connected (Dgraph.build_pair sys)

@@ -2,21 +2,8 @@ open Distlock_txn
 
 type verdict = Safe | Unsafe of Certificate.t
 
-let check_hypothesis sys =
-  if System.num_txns sys <> 2 then
-    invalid_arg "Twosite.decide: not a two-transaction system";
-  match System.sites_used sys with
-  | [] | [ _ ] | [ _; _ ] -> ()
-  | sites ->
-      invalid_arg
-        (Printf.sprintf "Twosite.decide: system uses %d sites (at most two \
-                         allowed by Theorem 2)"
-           (List.length sites))
-
-let decide sys =
-  check_hypothesis sys;
-  let d = Dgraph.build_pair sys in
-  if Dgraph.num_vertices d < 2 || Dgraph.is_strongly_connected d then Safe
+let decide_dgraph d =
+  if Dgraph.is_strongly_connected d then Safe
   else begin
     (* Theorem 2's only-if direction: any dominator closes (Lemma 3) and
        yields a certificate. *)
@@ -26,14 +13,27 @@ let decide sys =
       | None -> assert false (* not strongly connected -> dominator exists *)
     in
     let dominator = Dgraph.entity_set d x in
-    match Closure.close sys ~dominator with
+    match Closure.close d ~dominator with
     | Closure.Failed _ ->
         (* Impossible on two sites by Lemma 3. *)
         failwith "Twosite.decide: closure failed on a two-site system"
     | Closure.Closed closed -> (
-        match Certificate.construct ~original:sys ~closed ~dominator with
+        match
+          Certificate.construct ~original:(Dgraph.system d) ~closed ~dominator
+        with
         | Ok cert -> Unsafe cert
         | Error msg -> failwith ("Twosite.decide: " ^ msg))
   end
+
+let decide sys =
+  if System.num_txns sys <> 2 then
+    invalid_arg "Twosite.decide: not a two-transaction system";
+  let sites = List.length (System.sites_used sys) in
+  if sites > 2 then
+    Printf.ksprintf invalid_arg
+      "Twosite.decide: system uses %d sites (at most two allowed by \
+       Theorem 2)"
+      sites;
+  decide_dgraph (Dgraph.build_pair sys)
 
 let is_safe sys = match decide sys with Safe -> true | Unsafe _ -> false

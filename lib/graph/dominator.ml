@@ -33,7 +33,7 @@ let find g =
     end
   end
 
-let enumerate ?(limit = 100_000) g =
+let enumerate g =
   let n = Digraph.n g in
   let r = Scc.compute g in
   let k = r.Scc.count in
@@ -62,7 +62,7 @@ let enumerate ?(limit = 100_000) g =
           let card = Bitset.cardinal members in
           if card > 0 && card < n then begin
             incr count;
-            if !count > limit then failwith "Dominator.enumerate: limit exceeded";
+            if !count > 100_000 then failwith "Dominator.enumerate: limit exceeded";
             results := members :: !results
           end
       | c :: rest ->

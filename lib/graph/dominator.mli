@@ -13,8 +13,8 @@ val find : Digraph.t -> Bitset.t option
     source component of the condensation. [None] on strongly connected
     graphs (including graphs with [< 2] vertices). *)
 
-val enumerate : ?limit:int -> Digraph.t -> Bitset.t list
+val enumerate : Digraph.t -> Bitset.t list
 (** Every dominator: all nonempty proper predecessor-closed unions of SCCs.
-    Exponential in the number of components; [limit] (default [100_000])
-    caps the output and raises [Failure] when exceeded. Used to sweep the
-    dominator/assignment correspondence of the Theorem 3 gadgets. *)
+    Exponential in the number of components; raises [Failure] past
+    100 000 dominators. Used to sweep the dominator/assignment
+    correspondence of the Theorem 3 gadgets. *)

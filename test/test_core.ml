@@ -9,6 +9,13 @@ let mkdb entities =
 (* ------------------------------------------------------------------ *)
 (* D(T1,T2) — Definition 1 *)
 
+(* D's arcs between entity ids. *)
+let entity_arcs d =
+  let ents = Dgraph.entities d in
+  List.map
+    (fun (a, b) -> (ents.(a), ents.(b)))
+    (Distlock_graph.Digraph.arcs (Dgraph.graph d))
+
 let test_dgraph_fig3 () =
   let sys = Figures.fig3 () in
   let db = System.db sys in
@@ -16,11 +23,11 @@ let test_dgraph_fig3 () =
   Util.check_int "vertices = common entities" 3 (Dgraph.num_vertices d);
   let x = Database.id_exn db "x" and y = Database.id_exn db "y" in
   let z = Database.id_exn db "z" in
-  Util.check "x->y" true (Dgraph.mem_arc d x y);
-  Util.check "y->x" true (Dgraph.mem_arc d y x);
+  let arcs = entity_arcs d in
+  Util.check "x->y" true (List.mem (x, y) arcs);
+  Util.check "y->x" true (List.mem (y, x) arcs);
   Util.check "z isolated" false
-    (Dgraph.mem_arc d z x || Dgraph.mem_arc d x z || Dgraph.mem_arc d z y
-    || Dgraph.mem_arc d y z);
+    (List.exists (fun (a, b) -> a = z || b = z) arcs);
   Util.check "not strongly connected" false (Dgraph.is_strongly_connected d);
   (* dominators: {x,y} and {z} *)
   let doms = List.map (Dgraph.entity_set d) (Dgraph.dominators d) in
@@ -34,6 +41,232 @@ let test_dgraph_private_entities_excluded () =
   let sys = System.make db [ t1; t2 ] in
   Util.check_int "only shared entities" 1
     (Dgraph.num_vertices (Dgraph.build_pair sys))
+
+(* A pair of locked sequences over [names] (T2 in reverse) on a database
+   of [n] entities e0 .. e{n-1}, alternating between two sites. *)
+let padded_pair n names =
+  let db = Database.create () in
+  for e = 0 to n - 1 do
+    ignore (Database.add db ~name:(Printf.sprintf "e%d" e) ~site:(1 + (e mod 2)))
+  done;
+  System.make db
+    [
+      Builder.locked_sequence db ~name:"T1" names;
+      Builder.locked_sequence db ~name:"T2" (List.rev names);
+    ]
+
+(* The step lookup is sized by the pair's steps: a pair over the last
+   two of 2 048 entities costs what a pair over the first two does. *)
+let test_dgraph_lookup_sized_by_steps () =
+  let bytes names =
+    let sys = padded_pair 2048 names in
+    ignore (Dgraph.build_pair sys);
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to 200 do
+      ignore (Dgraph.build_pair sys)
+    done;
+    Gc.allocated_bytes () -. before
+  in
+  let low = bytes [ "e0"; "e1" ] and high = bytes [ "e2046"; "e2047" ] in
+  Util.check
+    (Printf.sprintf "e2046/e2047 allocate %.0f bytes, e0/e1 %.0f" high low)
+    true
+    (high <= 2. *. low)
+
+let parse_exn text =
+  match Parse.system_of_string text with
+  | Ok sys -> sys
+  | Error msg -> Alcotest.fail msg
+
+(* An ill-formed pair: each transaction locks and unlocks x twice, with
+   steps listed out of order, so T1's first lock by index and T2's first
+   unlock by index are not the first in their partial orders. *)
+let two_locks_text =
+  {|entity x @ 1
+entity z @ 2
+txn T1 {
+  step Lz lock z
+  step Lb lock x
+  step Ub unlock x
+  step La lock x
+  step Ua unlock x
+  step Uz unlock z
+  arc La -> Ua
+  arc Ua -> Lb
+  arc Lb -> Ub
+  arc Lz -> Uz
+}
+txn T2 {
+  step Ub unlock x
+  step La lock x
+  step Ua unlock x
+  step Lb lock x
+  step Lz lock z
+  step Uz unlock z
+  arc La -> Ua
+  arc Ua -> Lb
+  arc Lb -> Ub
+  arc Lz -> Uz
+}
+|}
+
+let test_dgraph_first_lock_steps () =
+  let sys = parse_exn two_locks_text in
+  let d = Dgraph.build_pair sys in
+  let s = Dgraph.steps d and t1, t2 = System.pair sys in
+  Util.check_int "x and z are vertices" 2 (Dgraph.num_vertices d);
+  Array.iteri
+    (fun v e ->
+      let name = Database.name (System.db sys) e in
+      let check what txn find step =
+        Util.check_int (name ^ ": " ^ what) (Option.get (find txn e)) step
+      in
+      check "T1 lock" t1 Txn.lock_of s.Dgraph.lock1.(v);
+      check "T1 unlock" t1 Txn.unlock_of s.Dgraph.unlock1.(v);
+      check "T2 lock" t2 Txn.lock_of s.Dgraph.lock2.(v);
+      check "T2 unlock" t2 Txn.unlock_of s.Dgraph.unlock2.(v))
+    s.Dgraph.common
+
+(* ------------------------------------------------------------------ *)
+(* The shared D against the reference that derives it for each use *)
+
+let outcome_key = function
+  | Closure.Closed closed -> "C " ^ System.fingerprint closed
+  | Closure.Failed (Closure.Would_cycle { txn }) -> string_of_int txn
+  | Closure.Failed Closure.Dominator_lost -> "L"
+
+let twosite_schedule sys =
+  match Twosite.decide sys with
+  | Twosite.Safe -> Ok None
+  | Twosite.Unsafe cert -> Ok (Some cert.Certificate.schedule)
+  | exception Failure msg -> Error msg
+
+let events = Result.map (Option.map Distlock_sched.Schedule.events)
+
+(* Same vertices and steps, arcs in order, dominators in order, closure
+   outcome per dominator and, on at most two sites, certificate. *)
+let agrees_with_reference sys =
+  let d = Dgraph.build_pair sys and r = Reference_closure.build sys in
+  let s = Dgraph.steps d and rs = r.Reference_closure.steps in
+  let doms = Dgraph.dominators d in
+  s.Dgraph.common = rs.common
+  && s.lock1 = rs.lock1 && s.unlock1 = rs.unlock1 && s.lock2 = rs.lock2
+  && s.unlock2 = rs.unlock2
+  && Distlock_graph.Digraph.arcs (Dgraph.graph d)
+     = Distlock_graph.Digraph.arcs r.graph
+  && List.map Distlock_graph.Bitset.elements doms
+     = List.map Distlock_graph.Bitset.elements (Reference_closure.dominators r)
+  && List.for_all
+       (fun x ->
+         let dominator = Dgraph.entity_set d x in
+         outcome_key (Closure.close d ~dominator)
+         = outcome_key (Reference_closure.close sys ~dominator))
+       doms
+  && (List.length (System.sites_used sys) > 2
+     || events (twosite_schedule sys)
+        = events (Reference_closure.twosite_schedule sys))
+
+(* A pair of [k] entities, each on its own site, whose precedences all
+   go from a lock to an unlock: each Lx -> Uy is kept with probability
+   [p]. Such pairs reach failing closures, which [Txn_gen]'s pairs
+   almost never do. *)
+let lock_unlock_pair st k p =
+  let db = Database.create () in
+  for e = 0 to k - 1 do
+    ignore (Database.add db ~name:(Printf.sprintf "x%d" e) ~site:(e + 1))
+  done;
+  let txn name =
+    let arcs = ref [] in
+    for x = 0 to k - 1 do
+      for y = 0 to k - 1 do
+        if x = y || Random.State.float st 1.0 < p then
+          arcs := ((2 * x), (2 * y) + 1) :: !arcs
+      done
+    done;
+    Txn.make ~name
+      ~labels:(Array.init (2 * k) (fun i -> Printf.sprintf "s%d" i))
+      ~steps:(Array.init (2 * k) (fun i ->
+           if i mod 2 = 0 then Step.lock (i / 2) else Step.unlock (i / 2)))
+      (Option.get (Distlock_order.Poset.of_arcs (2 * k) !arcs))
+  in
+  System.make db [ txn "T1"; txn "T2" ]
+
+let qcheck_reference_random =
+  Util.qtest ~count:1000 "reference: random pairs on 1-4 sites"
+    (Util.gen_with_state (fun st ->
+         if Random.State.bool st then
+           Txn_gen.random_pair_system st
+             ~num_shared:(1 + Random.State.int st 5)
+             ~num_private:(Random.State.int st 3)
+             ~num_sites:(1 + Random.State.int st 4)
+             ~with_updates:(Random.State.bool st)
+             ~cross_prob:(Random.State.float st 1.0) ()
+         else
+           lock_unlock_pair st (1 + Random.State.int st 4)
+             (Random.State.float st 1.0)))
+    agrees_with_reference
+
+(* A pair in which T1 never unlocks x, and one in which it updates z
+   with no lock, each beside a well-formed T2; the two-lock pair above;
+   one whose T1 unlocks x before locking it; two pairs on a padded
+   database; the paper's figures; and a Theorem 3 gadget (64
+   dominators, some closing, some forcing a cycle). *)
+let test_reference_hand_built () =
+  let t2 =
+    {|txn T2 {
+  step Lx lock x
+  step Ux unlock x
+  step Lz lock z
+  step Uz unlock z
+  arc Lx -> Ux
+  arc Lz -> Uz
+}
+|}
+  in
+  let pair t1 = parse_exn ("entity x @ 1\nentity z @ 2\n" ^ t1 ^ t2) in
+  List.iteri
+    (fun i sys ->
+      Util.check (Printf.sprintf "pair %d" i) true (agrees_with_reference sys))
+    [
+      pair
+        {|txn T1 {
+  step Lx lock x
+  step Lz lock z
+  step Uz unlock z
+  arc Lz -> Uz
+}
+|};
+      pair
+        {|txn T1 {
+  step Lx lock x
+  step Ux unlock x
+  step Wz update z
+  arc Lx -> Ux
+}
+|};
+      parse_exn two_locks_text;
+      pair
+        {|txn T1 {
+  step Lx lock x
+  step Ux unlock x
+  step Lz lock z
+  step Uz unlock z
+  arc Ux -> Lx
+  arc Lz -> Uz
+}
+|};
+      padded_pair 2048 [ "e2047"; "e3"; "e2046"; "e1000" ];
+      padded_pair 64 [ "e5"; "e0"; "e63" ];
+      Figures.fig1 ();
+      Figures.fig2 ();
+      Figures.fig3 ();
+      Figures.fig5 ();
+      Reduction.system
+        (Reduction.encode
+           Distlock_sat.Cnf.(
+             make ~num_vars:3
+               [ [ pos 0; pos 1 ]; [ neg 0; pos 2 ]; [ pos 1; neg 2 ] ]));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figures: the paper's claims, verified *)
@@ -89,7 +322,7 @@ let test_fig5_gap () =
   (* its closure fails with a cycle, in T1 *)
   List.iter
     (fun dom ->
-      match Closure.close sys ~dominator:(Dgraph.entity_set d dom) with
+      match Closure.close d ~dominator:(Dgraph.entity_set d dom) with
       | Closure.Closed _ -> Alcotest.fail "Fig 5 closure must fail"
       | Closure.Failed (Closure.Would_cycle { txn }) ->
           Util.check_int "the cycle is forced in T1" 0 txn
@@ -175,8 +408,9 @@ let test_closure_fig3 () =
   let sys = Figures.fig3 () in
   let db = System.db sys in
   let x = Database.id_exn db "x" and y = Database.id_exn db "y" in
+  let d = Dgraph.build_pair sys in
   (* {x,y} is a dominator; on two sites the closure must succeed *)
-  (match Closure.close sys ~dominator:[ x; y ] with
+  (match Closure.close d ~dominator:[ x; y ] with
   | Closure.Closed closed ->
       Util.check "closed condition" true (Closure.is_closed closed ~dominator:[ x; y ]);
       Util.check "same steps" true
@@ -184,17 +418,18 @@ let test_closure_fig3 () =
   | Closure.Failed _ -> Alcotest.fail "two-site closure must succeed");
   Alcotest.check_raises "non-dominator rejected"
     (Invalid_argument "Closure.close: not a dominator of D(T1,T2)") (fun () ->
-      ignore (Closure.close sys ~dominator:[ x ]))
+      ignore (Closure.close d ~dominator:[ x ]))
 
 let test_first_unsafe_dominator () =
   let sys = Figures.fig3 () in
-  (match Closure.first_unsafe_dominator sys with
+  (match Closure.first_unsafe_dominator (Dgraph.build_pair sys) with
   | Some (dom, closed) ->
       Util.check "dominator nonempty" true (dom <> []);
       Util.check "closed" true (Closure.is_closed closed ~dominator:dom)
   | None -> Alcotest.fail "fig3 has a closing dominator");
   Util.check "fig5 has none" true
-    (Closure.first_unsafe_dominator (Figures.fig5 ()) = None)
+    (Closure.first_unsafe_dominator (Dgraph.build_pair (Figures.fig5 ()))
+    = None)
 
 (* Two-site pairs on which the two biased sorts of the certificate
    construction admit no separating path, although the closed orders do:
@@ -375,7 +610,7 @@ let qcheck_corollary2 =
       match dom with
       | None -> true
       | Some dominator -> (
-          match Closure.close sys ~dominator with
+          match Closure.close (Dgraph.build_pair sys) ~dominator with
           | Closure.Failed _ -> false (* two sites: cannot happen *)
           | Closure.Closed closed -> Lemmas.corollary2 closed ~dominator))
 
@@ -393,7 +628,12 @@ let () =
         [
           Alcotest.test_case "fig3 arcs" `Quick test_dgraph_fig3;
           Alcotest.test_case "private excluded" `Quick test_dgraph_private_entities_excluded;
+          Alcotest.test_case "lookup sized by the steps" `Quick
+            test_dgraph_lookup_sized_by_steps;
+          Alcotest.test_case "first lock and unlock by index" `Quick
+            test_dgraph_first_lock_steps;
         ] );
+
       ( "figures",
         [
           Alcotest.test_case "fig1 unsafe" `Quick test_fig1_unsafe;
@@ -416,6 +656,9 @@ let () =
           Alcotest.test_case "first_unsafe_dominator" `Quick test_first_unsafe_dominator;
           Alcotest.test_case "two-site certificates past the sorts" `Quick
             test_twosite_certificates_past_the_sorts;
+          qcheck_reference_random;
+          Alcotest.test_case "reference: ill-formed and padded pairs" `Quick
+            test_reference_hand_built;
         ] );
       ( "safety",
         [

@@ -25,10 +25,10 @@ let qcheck_closure_idempotent =
       | None -> true
       | Some x -> (
           let dominator = Dgraph.entity_set d x in
-          match Closure.close sys ~dominator with
+          match Closure.close d ~dominator with
           | Closure.Failed _ -> false (* impossible on two sites *)
           | Closure.Closed closed -> (
-              match Closure.close closed ~dominator with
+              match Closure.close (Dgraph.build_pair closed) ~dominator with
               | Closure.Closed closed2 ->
                   relation_size closed = relation_size closed2
               | Closure.Failed _ -> false)))
@@ -94,7 +94,7 @@ let qcheck_certificate_extends_closed =
         | None -> true
         | Some x -> (
             let dominator = Dgraph.entity_set d x in
-            match Closure.close sys ~dominator with
+            match Closure.close d ~dominator with
             | Closure.Failed _ -> false
             | Closure.Closed closed -> (
                 match Certificate.construct ~original:sys ~closed ~dominator with

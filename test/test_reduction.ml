@@ -93,7 +93,7 @@ let closure_outcomes g =
   String.concat ""
     (List.map
        (fun x ->
-         match Closure.close sys ~dominator:(Dgraph.entity_set d x) with
+         match Closure.close d ~dominator:(Dgraph.entity_set d x) with
          | Closure.Closed _ -> "C"
          | Closure.Failed (Closure.Would_cycle { txn }) -> string_of_int txn
          | Closure.Failed Closure.Dominator_lost -> "L")
